@@ -251,14 +251,14 @@ def dirty_roots(
     A root ``r``'s whole record — leaves *and* the build-cost model
     ``per_root_work`` — is a function of its member set ``N⁺(r)``, the
     induced undirected subgraph on it, and the members' global degrees
-    (the :func:`~repro.counting.structures.base.build_local_rows` scan
-    charges every member's full neighbor list).  An edit ``(u, v)``
-    perturbs exactly the roots holding an endpoint in their
-    out-neighborhood: every undirected neighbor ``r`` of an endpoint
-    ``w`` with ``rank[r] < rank[w]`` (this covers the lower endpoint
-    itself, the common neighbors whose induced rows change, and the
-    members-degree work shifts) — taken in the old *and* new graphs so
-    a batch's compound membership changes are all caught.  Vertices
+    (the ``build_words`` charge covers every member's full neighbor
+    list).  An edit ``(u, v)`` perturbs exactly the roots holding an
+    endpoint in their out-neighborhood: every undirected neighbor ``r``
+    of an endpoint ``w`` with ``rank[r] < rank[w]`` (this covers the
+    lower endpoint itself, the common neighbors whose induced rows
+    change, and the members-degree work shifts) — taken in the old
+    *and* new graphs so a batch's compound membership changes are all
+    caught.  Vertices
     added by growth are dirty by definition (they have no leaves yet).
     ``rank`` must cover ``new_graph``'s vertex set.
     """
@@ -405,6 +405,7 @@ def _recompute_roots(
     dirty root has landed (all-or-nothing).
     """
     from repro.counting.forest import _collect_root
+    from repro.counting.structures.base import RootContexts
 
     record_members = forest.has_members
     struct = STRUCTURES[descriptor["structure"]](
@@ -461,19 +462,22 @@ def _recompute_roots(
 
     from contextlib import nullcontext
 
+    ctxs = RootContexts(struct, dirty[start:])
     with (ctl.guard() if ctl is not None else nullcontext()):
         for i in range(start, dirty.size):
             v = int(dirty[i])
             ctr = Counters()
             if ctl is None:
                 leaves = _collect_root(
-                    struct, v, ctr, record_members=record_members
+                    struct, v, ctr, record_members=record_members,
+                    ctx=next(ctxs),
                 )
             else:
                 try:
                     ctl.tick()
                     leaves = _collect_root(
-                        struct, v, ctr, record_members=record_members
+                        struct, v, ctr, record_members=record_members,
+                        ctx=next(ctxs),
                     )
                 except MemoryError as exc:
                     raise MemoryBudgetExceededError(
@@ -489,12 +493,14 @@ def _recompute_roots(
                         root=v, from_kernel=fallen,
                     )
                     struct = type(struct)(graph, dag, kernel="bigint")
+                    ctxs.restart(struct, i - start)
                     descriptor["kernel"] = "bigint"
                     if degraded_from is None:
                         degraded_from = fallen
                     ctr = Counters()
                     leaves = _collect_root(
-                        struct, v, ctr, record_members=record_members
+                        struct, v, ctr, record_members=record_members,
+                        ctx=next(ctxs),
                     )
                 ctl.charge_nodes(ctr.function_calls)
                 ctl.note_memory(ctr.peak_subgraph_bytes)

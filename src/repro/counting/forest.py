@@ -66,6 +66,7 @@ from repro.counting.binomial import binomial, binomial_row
 from repro.counting.counters import Counters
 from repro.counting.sct import _FRONTIER_MIN_PC
 from repro.counting.structures import STRUCTURES, SubgraphStructure
+from repro.counting.structures.base import RootContext, RootContexts
 from repro.errors import (
     CheckpointError,
     CountingError,
@@ -466,10 +467,13 @@ class SCTForest:
             if degraded_from is None:
                 degraded_from = "members"
 
+        ctxs = RootContexts(struct, np.arange(start, n, dtype=np.int64))
+
         def run_root(v: int) -> tuple[Counters, list]:
             ctr = Counters()
             leaves = _collect_root(
-                struct, v, ctr, record_members=held_members is not None
+                struct, v, ctr, record_members=held_members is not None,
+                ctx=next(ctxs),
             )
             return ctr, leaves
 
@@ -505,6 +509,7 @@ class SCTForest:
                                 root=v, from_kernel=fallen,
                             )
                             struct = type(struct)(graph, dag, kernel="bigint")
+                            ctxs.restart(struct, v - start)
                             descriptor["kernel"] = "bigint"
                             if degraded_from is None:
                                 degraded_from = fallen
@@ -934,14 +939,17 @@ class SCTForest:
 # per-root leaf collection (the one traversal everything amortizes)
 # ----------------------------------------------------------------------
 def _collect_root(
-    struct: SubgraphStructure, v: int, ctr: Counters, *, record_members: bool
+    struct: SubgraphStructure, v: int, ctr: Counters, *,
+    record_members: bool, ctx: RootContext | None = None,
 ) -> list:
     """Full (unpruned) pivot recursion for one root; returns the leaf
     list as ``(held_ids, pivot_ids)`` tuples (sizes only when
     ``record_members`` is off).  Counter charging mirrors the direct
     engines so :attr:`SCTForest.per_root_work` feeds the same
-    scheduler model."""
-    ctx = struct.build(v)
+    scheduler model.  ``ctx`` is ``v``'s already-built context, if the
+    caller has one."""
+    if ctx is None:
+        ctx = struct.build(v)
     ctr.subgraph_builds += 1
     ctr.build_words += ctx.build_words
     ctr.peak_subgraph_bytes = max(ctr.peak_subgraph_bytes, ctx.memory_bytes)

@@ -40,6 +40,7 @@ from repro import obs
 from repro.counting.binomial import binomial, binomial_row
 from repro.counting.counters import Counters
 from repro.counting.structures import STRUCTURES, SubgraphStructure
+from repro.counting.structures.base import RootContexts
 from repro.errors import (
     CheckpointError,
     CountingError,
@@ -281,7 +282,9 @@ class SCTEngine:
     def count_root_all(self, v: int, max_k: int | None = None) -> list[int]:
         """Per-size clique counts rooted at ``v`` (all-k task unit)."""
         length, cap = self._allk_shape(max_k)
-        return self._count_root_all(v, cap, length, Counters())
+        return self._count_ctx_all(
+            self.structure.build(v), cap, length, Counters()
+        )
 
     def count_roots(
         self,
@@ -333,11 +336,12 @@ class SCTEngine:
         if ctl is not None and not ctl.started:
             ctl.begin(self._descriptor(k, max_k) | {"batch": True})
 
-        def run_root(v: int) -> tuple[Counters, int, list[int] | None]:
-            ctr = Counters()
-            if k is None:
-                return ctr, 0, self._count_root_all(v, cap, length, ctr)
-            return ctr, self._count_root_k(v, k, ctr, early_termination), None
+        order = np.asarray(roots, dtype=np.int64)
+        prune = self._prune_mask(order, k, early_termination)
+        ctxs = RootContexts(self.structure, order, ~prune)
+        run_root = self._root_runner(
+            k, cap, length, early_termination, prune.tolist(), ctxs
+        )
 
         try:
             with obs.span(
@@ -345,13 +349,13 @@ class SCTEngine:
                 roots=len(roots),
                 **self._span_attrs(k, max_k),
             ), obs.phase("counting"):
-                for v in roots:
+                for i, v in enumerate(roots):
                     if ctl is None:
-                        ctr, delta, local = run_root(v)
+                        ctr, delta, local = run_root(i, v)
                     else:
                         try:
                             ctl.tick()
-                            ctr, delta, local = run_root(v)
+                            ctr, delta, local = run_root(i, v)
                         except MemoryError as exc:
                             raise MemoryBudgetExceededError(
                                 f"allocation failure at root {v}",
@@ -370,7 +374,8 @@ class SCTEngine:
                             )
                             if degraded_from is None:
                                 degraded_from = fallen
-                            ctr, delta, local = run_root(v)
+                            ctxs.restart(self.structure, i)
+                            ctr, delta, local = run_root(i, v)
                         ctl.charge_nodes(ctr.function_calls)
                         ctl.note_memory(ctr.peak_subgraph_bytes)
                     if local is not None:
@@ -445,6 +450,42 @@ class SCTEngine:
             attrs["graph"] = graph_fingerprint(self.graph)
         return attrs
 
+    def _prune_mask(
+        self, roots: np.ndarray, k: int | None, early_termination: bool
+    ) -> np.ndarray:
+        """Roots the degree prune skips: a non-empty out-neighborhood
+        too small to hold a k-clique with its root."""
+        if k is None or k < 2 or not early_termination:
+            return np.zeros(roots.size, dtype=bool)
+        d = self.structure.dag.degrees[roots]
+        return (d > 0) & (d < k - 1)
+
+    def _root_runner(
+        self,
+        k: int | None,
+        cap: int,
+        length: int,
+        early_termination: bool,
+        prune: list[bool],
+        ctxs: RootContexts,
+    ):
+        """``run_root(i, v)`` for a root loop: counts the loop's
+        ``i``-th root ``v`` into fresh counters, charging degree-pruned
+        roots without building them and taking the others' contexts
+        from ``ctxs``."""
+
+        def run_root(i: int, v: int) -> tuple[Counters, int, list[int] | None]:
+            ctr = Counters()
+            if prune[i]:
+                self._charge_pruned(v, ctr)
+                return ctr, 0, None
+            ctx = next(ctxs)
+            if k is None:
+                return ctr, 0, self._count_ctx_all(ctx, cap, length, ctr)
+            return ctr, self._count_ctx_k(ctx, k, ctr, early_termination), None
+
+        return run_root
+
     def _fallback_to_bigint(self) -> str:
         """Kernel-fault rung of the degradation ladder: rebuild the
         structure on the ``bigint`` reference backend.  Returns the
@@ -514,11 +555,12 @@ class SCTEngine:
                 per_root_memory[:start] = state["per_root_memory"]
                 degraded_from = state.get("degraded_from")
 
-        def run_root(v: int) -> tuple[Counters, int, list[int] | None]:
-            ctr = Counters()
-            if k is None:
-                return ctr, 0, self._count_root_all(v, cap, length, ctr)
-            return ctr, self._count_root_k(v, k, ctr, early_termination), None
+        order = np.arange(start, n, dtype=np.int64)
+        prune = self._prune_mask(order, k, early_termination)
+        ctxs = RootContexts(self.structure, order, ~prune)
+        run_root = self._root_runner(
+            k, cap, length, early_termination, prune.tolist(), ctxs
+        )
 
         # Span + metrics wrap the whole root loop; the `finally` still
         # publishes partial totals when a budget abort unwinds mid-run.
@@ -531,14 +573,14 @@ class SCTEngine:
             ):
                 for v in range(start, n):
                     if ctl is None:
-                        ctr, delta, local = run_root(v)
+                        ctr, delta, local = run_root(v - start, v)
                     else:
                         # Budget/fault checks all happen BEFORE the root
                         # is folded into the totals: a root is all-in or
                         # not-at-all, which keeps checkpoints consistent.
                         try:
                             ctl.tick()
-                            ctr, delta, local = run_root(v)
+                            ctr, delta, local = run_root(v - start, v)
                         except MemoryError as exc:
                             raise MemoryBudgetExceededError(
                                 f"allocation failure at root {v}",
@@ -557,7 +599,8 @@ class SCTEngine:
                             )
                             if degraded_from is None:
                                 degraded_from = fallen
-                            ctr, delta, local = run_root(v)
+                            ctxs.restart(self.structure, v - start)
+                            ctr, delta, local = run_root(v - start, v)
                         ctl.charge_nodes(ctr.function_calls)
                         ctl.note_memory(ctr.peak_subgraph_bytes)
                     if local is not None:
@@ -600,25 +643,29 @@ class SCTEngine:
     def _count_root_k(
         self, v: int, k: int, ctr: Counters, early_termination: bool = True
     ) -> int:
-        if early_termination and k > 1:
-            # Degree-based candidate pruning (Lonkar & Beamer): when the
-            # out-degree already caps the largest possible clique below
-            # k, skip the build entirely — but charge *exactly* the
-            # counters the built-and-immediately-terminated root would
-            # have produced, so work totals stay path-invariant.
-            est = self.structure.estimate(v)
-            if est is not None:
-                d_est, est_words, est_bytes = est
-                if d_est > 0 and 1 + d_est < k:
-                    ctr.subgraph_builds += 1
-                    ctr.build_words += est_words
-                    ctr.peak_subgraph_bytes = max(
-                        ctr.peak_subgraph_bytes, est_bytes
-                    )
-                    ctr.function_calls += 1
-                    ctr.early_terminations += 1
-                    return 0
-        ctx = self.structure.build(v)
+        if early_termination and 0 < self.structure.dag.degree(v) < k - 1:
+            self._charge_pruned(v, ctr)
+            return 0
+        return self._count_ctx_k(
+            self.structure.build(v), k, ctr, early_termination
+        )
+
+    def _charge_pruned(self, v: int, ctr: Counters) -> None:
+        """Degree-based candidate pruning (Lonkar & Beamer): a root
+        whose out-degree already caps the largest possible clique below
+        k is never built, but is charged *exactly* the counters the
+        built-and-immediately-terminated root would have produced, so
+        work totals stay path-invariant."""
+        _, est_words, est_bytes = self.structure.estimate(v)
+        ctr.subgraph_builds += 1
+        ctr.build_words += est_words
+        ctr.peak_subgraph_bytes = max(ctr.peak_subgraph_bytes, est_bytes)
+        ctr.function_calls += 1
+        ctr.early_terminations += 1
+
+    def _count_ctx_k(
+        self, ctx, k: int, ctr: Counters, early_termination: bool = True
+    ) -> int:
         ctr.subgraph_builds += 1
         ctr.build_words += ctx.build_words
         ctr.peak_subgraph_bytes = max(ctr.peak_subgraph_bytes, ctx.memory_bytes)
@@ -820,8 +867,8 @@ class SCTEngine:
         cb, cr, ccnt, ce = sweep(rows, [fullN], [d])
         return rec(fullN, d, 1, 0, (cb[0], cr[0], ccnt[0], ce[0]))
 
-    def _count_root_all(
-        self, v: int, cap: int, length: int, ctr: Counters
+    def _count_ctx_all(
+        self, ctx, cap: int, length: int, ctr: Counters
     ) -> list[int]:
         """Per-size counts for one root, as a fresh ``length``-long row.
 
@@ -830,7 +877,6 @@ class SCTEngine:
         controller aborts the run on this root.
         """
         counts = [0] * length
-        ctx = self.structure.build(v)
         ctr.subgraph_builds += 1
         ctr.build_words += ctx.build_words
         ctr.peak_subgraph_bytes = max(ctr.peak_subgraph_bytes, ctx.memory_bytes)
@@ -906,7 +952,7 @@ class SCTEngine:
         self, ctx, cap: int, counts: list, acc: list
     ) -> None:
         """Frontier-batched all-k recursion — the counterpart of
-        :meth:`_rec_k_frontier` for :meth:`_count_root_all`; same tree,
+        :meth:`_rec_k_frontier` for :meth:`_count_ctx_all`; same tree,
         same order, same ``acc`` totals as the scalar spine, same
         hybrid small-subtree cutoff."""
         rows = ctx.rows

@@ -17,11 +17,7 @@ slot array clean — no stale adjacency can leak into the next root.
 
 from __future__ import annotations
 
-from repro.counting.structures.base import (
-    RootContext,
-    SubgraphStructure,
-    build_local_rows,
-)
+from repro.counting.structures.base import SubgraphStructure
 
 __all__ = ["DenseStructure"]
 
@@ -38,22 +34,18 @@ class DenseStructure(SubgraphStructure):
         self._slots: list[int] = [0] * graph.num_vertices
         self._touched: list[int] = []
 
-    def estimate(self, v: int) -> tuple[int, float, int]:
-        d, words = self._estimate_build_words(v)
-        return d, words, 8 * self.graph.num_vertices + self.bitset_bytes(d)
+    def memory_bytes(self, d: int) -> int:
+        return 8 * self.graph.num_vertices + self.bitset_bytes(d)
 
-    def build(self, v: int) -> RootContext:
-        out = self.dag.neighbors(v)
-        d = int(out.size)
-        # Reset only previously used slots (cheap reuse, not realloc),
-        # and capture the cleared state before anything can raise: if
-        # the induction below fails, _touched stays empty and every
-        # slot is 0, so the next build starts from a clean index.
+    def _reset(self) -> None:
+        # Reset only previously used slots (cheap reuse, not realloc).
         for gid in self._touched:
             self._slots[gid] = 0
         self._touched = []
-        rows, build_words = build_local_rows(self.graph, out, self.kernel)
-        touched = [int(g) for g in out]
+
+    def _row_accessor(self, out, rows):
+        self._reset()
+        touched = out.tolist()
         slots = self._slots
         for pos, gid in enumerate(touched):
             slots[gid] = pos + 1
@@ -63,14 +55,4 @@ class DenseStructure(SubgraphStructure):
         def row(i: int, _slots=slots, _out=touched, _rows=rows, _k=kernel) -> int:
             return _k.row_int(_rows, _slots[_out[i]] - 1)
 
-        memory = 8 * self.graph.num_vertices + self.bitset_bytes(d)
-        return RootContext(
-            d=d,
-            out=out,
-            row=row,
-            lookup_weight=self.lookup_weight,
-            memory_bytes=memory,
-            build_words=build_words,
-            kernel=kernel,
-            rows=rows,
-        )
+        return row

@@ -10,11 +10,7 @@ cost is paid "only once rather than for every graph operation"
 
 from __future__ import annotations
 
-from repro.counting.structures.base import (
-    RootContext,
-    SubgraphStructure,
-    build_local_rows,
-)
+from repro.counting.structures.base import SubgraphStructure
 
 __all__ = ["RemapStructure"]
 
@@ -24,28 +20,12 @@ class RemapStructure(SubgraphStructure):
 
     name = "remap"
     lookup_weight = 1.0
+    # The one-time remap pass: one (modeled) hash insertion per member;
+    # afterwards rows are indexed by local id directly.
+    member_words = 1.2
 
-    def estimate(self, v: int) -> tuple[int, float, int]:
-        d, words = self._estimate_build_words(v)
-        return d, words + 1.2 * d, 8 * d + self.bitset_bytes(d)
+    def memory_bytes(self, d: int) -> int:
+        return 8 * d + self.bitset_bytes(d)
 
-    def build(self, v: int) -> RootContext:
-        out = self.dag.neighbors(v)
-        d = int(out.size)
-        kernel = self.kernel
-        rows, build_words = build_local_rows(self.graph, out, kernel)
-        # The one-time remap pass: one (modeled) hash insertion per
-        # member; afterwards rows are indexed by local id directly.
-        build_words += 1.2 * d
-
-        memory = 8 * d + self.bitset_bytes(d)
-        return RootContext(
-            d=d,
-            out=out,
-            row=kernel.row_accessor(rows),
-            lookup_weight=self.lookup_weight,
-            memory_bytes=memory,
-            build_words=build_words,
-            kernel=kernel,
-            rows=rows,
-        )
+    def _row_accessor(self, out, rows):
+        return self.kernel.row_accessor(rows)

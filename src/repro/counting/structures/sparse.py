@@ -11,11 +11,7 @@ optimization is able to overcome the scaling plateau from 32 threads to
 
 from __future__ import annotations
 
-from repro.counting.structures.base import (
-    RootContext,
-    SubgraphStructure,
-    build_local_rows,
-)
+from repro.counting.structures.base import SubgraphStructure
 
 __all__ = ["SparseStructure"]
 
@@ -29,30 +25,16 @@ class SparseStructure(SubgraphStructure):
     name = "sparse"
     lookup_weight = 1.2
 
-    def estimate(self, v: int) -> tuple[int, float, int]:
-        d, words = self._estimate_build_words(v)
-        return d, words, _HASH_ENTRY_BYTES * d + self.bitset_bytes(d)
+    def memory_bytes(self, d: int) -> int:
+        return _HASH_ENTRY_BYTES * d + self.bitset_bytes(d)
 
-    def build(self, v: int) -> RootContext:
-        out = self.dag.neighbors(v)
-        d = int(out.size)
-        kernel = self.kernel
-        rows, build_words = build_local_rows(self.graph, out, kernel)
+    def _row_accessor(self, out, rows):
         # hash map: global id -> local row index.
-        table = {int(g): i for i, g in enumerate(out)}
-        out_list = [int(g) for g in out]
+        out_list = out.tolist()
+        table = {g: i for i, g in enumerate(out_list)}
+        kernel = self.kernel
 
         def row(i: int, _table=table, _out=out_list, _rows=rows, _k=kernel) -> int:
             return _k.row_int(_rows, _table[_out[i]])
 
-        memory = _HASH_ENTRY_BYTES * d + self.bitset_bytes(d)
-        return RootContext(
-            d=d,
-            out=out,
-            row=row,
-            lookup_weight=self.lookup_weight,
-            memory_bytes=memory,
-            build_words=build_words,
-            kernel=kernel,
-            rows=rows,
-        )
+        return row

@@ -57,7 +57,7 @@ from typing import Any, Sequence
 
 import numpy as np
 
-__all__ = ["BitsetKernel", "PivotChoice"]
+__all__ = ["BitsetKernel", "PivotChoice", "words_to_ints"]
 
 #: ``pivot_select`` result: ``(best, best_row, best_cnt, edge_sum)``.
 #: ``best`` is the chosen pivot's local id, ``best_row`` the big-int
@@ -65,6 +65,18 @@ __all__ = ["BitsetKernel", "PivotChoice"]
 #: the total popcount of every row actually scanned — the engine's
 #: edge-granular work charge.
 PivotChoice = tuple[int, int, int, int]
+
+
+def words_to_ints(words: np.ndarray) -> list[int]:
+    """Big-int rows from packed ``(d, W)`` little-endian uint64 words."""
+    if words.shape[1] == 1:
+        return words[:, 0].tolist()
+    nb = 8 * words.shape[1]
+    blob = words.tobytes()
+    return [
+        int.from_bytes(blob[i:i + nb], "little")
+        for i in range(0, len(blob), nb)
+    ]
 
 
 class BitsetKernel(abc.ABC):
@@ -98,20 +110,16 @@ class BitsetKernel(abc.ABC):
         """Set row ``i`` to the bitset with ``bits`` (ascending local
         ids, possibly empty) set."""
 
-    def load_rows(
-        self, rows: Any, indptr: np.ndarray, indices: np.ndarray
-    ) -> None:
-        """Bulk-load every row from CSR-shaped local ids.
+    @abc.abstractmethod
+    def load_rows(self, rows: Any, words: np.ndarray) -> None:
+        """Load every row at once from packed words.
 
-        ``indices[indptr[i]:indptr[i + 1]]`` holds row ``i``'s set bits
-        (ascending local ids).  The default loops :meth:`set_row`, so
-        scalar backends keep working; vectorizing backends override to
-        scatter the whole subgraph in one pass — this replaces the
-        per-row Python loop during root setup, a measurable fixed cost
-        on high-degree roots.
+        ``words`` is a ``(d, ⌈d/64⌉)`` little-endian uint64 array (at
+        least one word per row): row ``i``'s local id ``j`` is bit
+        ``j % 64`` of ``words[i, j // 64]`` — the layout the structures'
+        vectorized induction produces, so root setup hands a whole
+        subgraph over in one call.
         """
-        for i in range(self.num_rows(rows)):
-            self.set_row(rows, i, indices[indptr[i]:indptr[i + 1]])
 
     @abc.abstractmethod
     def row_int(self, rows: Any, i: int) -> int:

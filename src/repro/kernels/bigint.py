@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.kernels.base import BitsetKernel, PivotChoice
+from repro.kernels.base import BitsetKernel, PivotChoice, words_to_ints
 
 __all__ = ["BigIntKernel"]
 
@@ -40,6 +40,9 @@ class BigIntKernel(BitsetKernel):
         rows[i] = int.from_bytes(
             np.packbits(flags, bitorder="little").tobytes(), "little"
         )
+
+    def load_rows(self, rows: list[int], words: np.ndarray) -> None:
+        rows[:] = words_to_ints(words)
 
     def row_int(self, rows: list[int], i: int) -> int:
         return rows[i]

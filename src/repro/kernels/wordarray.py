@@ -39,7 +39,7 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from repro.kernels.base import BitsetKernel, PivotChoice
+from repro.kernels.base import BitsetKernel, PivotChoice, words_to_ints
 
 __all__ = ["WordArrayKernel"]
 
@@ -145,31 +145,10 @@ class WordArrayKernel(BitsetKernel):
         rows.mat[i] = packed.view(np.uint64)
         rows.ints[i] = int.from_bytes(packed.tobytes(), "little")
 
-    def load_rows(
-        self, rows: _WordRows, indptr: np.ndarray, indices: np.ndarray
-    ) -> None:
-        # One flat scatter + one packbits for the whole subgraph,
-        # replacing d per-row zero/scatter/pack round-trips.
+    def load_rows(self, rows: _WordRows, words: np.ndarray) -> None:
         rows._matT = None
-        d, width = rows.d, rows.words * 64
-        if d == 0:
-            return
-        indptr = np.asarray(indptr, dtype=np.int64)
-        indices = np.asarray(indices, dtype=np.int64)
-        lens = np.diff(indptr)
-        flags = np.zeros(d * width, dtype=np.uint8)
-        if indices.size:
-            row_of = np.repeat(np.arange(d, dtype=np.int64), lens)
-            flags[row_of * width + indices] = 1
-        packed = np.packbits(flags.reshape(d, width), axis=1,
-                             bitorder="little")
-        rows.mat[:] = packed.view(np.uint64)
-        nb = rows.nbytes_row
-        blob = packed.tobytes()
-        rows.ints = [
-            int.from_bytes(blob[i * nb:(i + 1) * nb], "little")
-            for i in range(d)
-        ]
+        rows.mat[:] = words
+        rows.ints = words_to_ints(words)
 
     def row_int(self, rows: _WordRows, i: int) -> int:
         return rows.ints[i]

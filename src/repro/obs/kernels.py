@@ -70,11 +70,9 @@ class InstrumentedKernel(BitsetKernel):
         self._c_set.inc()
         self.inner.set_row(rows, i, bits)
 
-    def load_rows(
-        self, rows: Any, indptr: np.ndarray, indices: np.ndarray
-    ) -> None:
+    def load_rows(self, rows: Any, words: np.ndarray) -> None:
         self._c_load.inc()
-        self.inner.load_rows(rows, indptr, indices)
+        self.inner.load_rows(rows, words)
 
     def row_int(self, rows: Any, i: int) -> int:
         return self.inner.row_int(rows, i)

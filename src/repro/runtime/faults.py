@@ -276,10 +276,8 @@ class FaultyKernel(BitsetKernel):
     def set_row(self, rows: Any, i: int, bits: np.ndarray) -> None:
         self.inner.set_row(rows, i, bits)
 
-    def load_rows(
-        self, rows: Any, indptr: np.ndarray, indices: np.ndarray
-    ) -> None:
-        self.inner.load_rows(rows, indptr, indices)
+    def load_rows(self, rows: Any, words: np.ndarray) -> None:
+        self.inner.load_rows(rows, words)
 
     def row_int(self, rows: Any, i: int) -> int:
         return self.inner.row_int(rows, i)

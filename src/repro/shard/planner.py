@@ -6,15 +6,16 @@ workers) to balance *bytes*: each shard is a contiguous root range
 configured watermark, so the executor's counting working set stays
 bounded no matter how large the resident graph is.
 
-The per-root byte estimate is a safe upper bound on what
-``build_local_rows`` touches when counting root ``v``:
+The per-root byte estimate is a safe upper bound on what the slice
+must hold to count root ``v``:
 
 * the root's DAG out-neighborhood (``8 * deg⁺(v)`` bytes of indices),
   plus
 * the *full undirected adjacency row* of every out-neighbor
-  (``Σ_{u ∈ N⁺(v)} 8 * deg(u)`` bytes) — full rows, because the kernel
-  intersects each member's complete neighborhood against the local
-  subgraph; truncating them would change counts and work counters.
+  (``Σ_{u ∈ N⁺(v)} 8 * deg(u)`` bytes) — full rows, because the
+  structures charge each member's complete degree and test member
+  adjacency against the slice's rows; truncating them would change
+  counts and work counters.
 
 Closure rows shared between roots of the same shard are counted once
 per root, so the estimate over-counts — the safe direction: a shard

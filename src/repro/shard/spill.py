@@ -8,9 +8,10 @@ length ``n + 1``) so vertex ids need no remapping:
   every other row is empty;
 * **graph slice** — the *complete undirected rows* of every vertex in
   the closure (the union of the shard roots' DAG out-neighborhoods);
-  every other row is empty.  Full rows are load-bearing:
-  ``build_local_rows`` intersects each member's whole neighborhood and
-  charges ``build_words += nbrs.size``, so a truncated row would
+  every other row is empty.  Full rows are load-bearing: a structure
+  reads each root's ``build_words`` charge (the sum of its members'
+  degrees) from the slice's degrees and tests member adjacency against
+  edge keys built from the slice's rows, so a truncated row would
   silently change counters (and, for counts, correctness).
 
 Each of the four arrays is serialized with ``np.save`` into memory and

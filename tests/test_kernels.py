@@ -199,32 +199,36 @@ def test_row_int_round_trip(d):
 
 @pytest.mark.parametrize("d", WIDTHS)
 def test_load_rows_matches_set_row(d):
-    # The bulk CSR loader must land the exact rows the per-row path
-    # does — including rebuilding any cached mirrors.
+    # The bulk loader must land, from packed little-endian uint64
+    # words, the exact rows the per-row path does — including
+    # rebuilding any cached mirrors.
     rng = np.random.default_rng(1000 + d)
     masks = [
         int(rng.integers(0, 2**63)) % (1 << d) & ~(1 << i) if d else 0
         for i in range(d)
     ]
     bits = [np.flatnonzero([(m >> b) & 1 for b in range(d)]) for m in masks]
-    indptr = np.zeros(d + 1, dtype=np.int64)
-    if d:
-        indptr[1:] = np.cumsum([len(b) for b in bits])
-    indices = (
-        np.concatenate(bits).astype(np.int64)
-        if d and indptr[-1]
-        else np.zeros(0, dtype=np.int64)
-    )
+    nw = max(1, (d + 63) >> 6)
+    words = np.array(
+        [[(m >> (64 * w)) & (2**64 - 1) for w in range(nw)] for m in masks],
+        dtype=np.uint64,
+    ).reshape(d, nw)
     for kern in _all_kernels():
-        rows = kern.alloc_rows(d)
-        kern.load_rows(rows, indptr, indices)
+        ref = kern.alloc_rows(d)
         for i in range(d):
-            assert kern.row_int(rows, i) == masks[i]
+            kern.set_row(ref, i, bits[i])
+        expect = [kern.row_int(ref, i) for i in range(d)]
+        rows = kern.alloc_rows(d)
+        kern.load_rows(rows, words)
+        assert [kern.row_int(rows, i) for i in range(d)] == expect == masks
         # Loading over dirty storage must fully overwrite, not OR in.
         if d:
             kern.set_row(rows, 0, np.arange(d, dtype=np.int64))
-            kern.load_rows(rows, indptr, indices)
+            kern.load_rows(rows, words)
             assert kern.row_int(rows, 0) == masks[0]
+            assert kern.count_rows(rows, (1 << d) - 1)[0] == (
+                masks[0].bit_count()
+            )
 
 
 @pytest.mark.parametrize("d", [1, 63, 64, 65, 130])

@@ -9,7 +9,7 @@ from repro.counting.structures import (
     RemapStructure,
     SparseStructure,
 )
-from repro.counting.structures.base import build_local_rows
+from repro.counting.structures.base import SubgraphStructure
 from repro.graph.generators import complete_graph, erdos_renyi
 from repro.ordering import core_ordering, directionalize
 
@@ -30,19 +30,18 @@ def test_registry_names():
 def test_build_local_rows_symmetrized():
     g = complete_graph(4)
     dag = directionalize(g, np.arange(4))
-    out = dag.neighbors(0)  # {1, 2, 3}
-    rows, words = build_local_rows(g, out)
+    ctx = RemapStructure(g, dag).build(0)  # members {1, 2, 3}
     # Induced subgraph of K4's out-neighborhood is K3: each row has the
     # other two bits set.
-    assert [r.bit_count() for r in rows] == [2, 2, 2]
-    assert words > 0
+    assert [r.bit_count() for r in ctx.rows] == [2, 2, 2]
+    assert ctx.build_words > 0
 
 
 def test_rows_symmetric_within_subgraph(pair):
     g, dag = pair
-    out = dag.neighbors(int(np.argmax(dag.degrees)))
-    rows, _ = build_local_rows(g, out)
-    d = out.size
+    ctx = RemapStructure(g, dag).build(int(np.argmax(dag.degrees)))
+    rows = ctx.rows
+    d = ctx.d
     for i in range(d):
         for j in range(d):
             assert ((rows[i] >> j) & 1) == ((rows[j] >> i) & 1)
@@ -159,30 +158,29 @@ def test_dense_no_stale_adjacency_between_roots(pair, kernel):
 @pytest.mark.parametrize("kernel", ["bigint", "wordarray"])
 def test_dense_exception_mid_build_leaves_clean_slots(pair, kernel, monkeypatch):
     """A failed induction must leave the slot index clean: the next
-    build starts from zeroed slots and an empty touched list."""
-    import repro.counting.structures.dense as dense_mod
-
+    build starts from zeroed slots and an empty touched list — on the
+    one-root path and inside a ``build_many`` block alike."""
     g, dag = pair
     dense = DenseStructure(g, dag, kernel=kernel)
     hub = int(np.argmax(dag.degrees))
-    dense.build(hub)  # populate slots with a large root
-
-    real = dense_mod.build_local_rows
+    ref = DenseStructure(g, dag, kernel=kernel).build(hub)
+    ref_rows = [ref.row(i) for i in range(ref.d)]
 
     def boom(*args, **kwargs):
         raise MemoryError("induced failure mid-build")
 
-    monkeypatch.setattr(dense_mod, "build_local_rows", boom)
-    with pytest.raises(MemoryError):
-        dense.build(hub)
-    monkeypatch.setattr(dense_mod, "build_local_rows", real)
+    for fail in (lambda: dense.build(hub),
+                 lambda: next(dense.build_many([hub, 0]))):
+        dense.build(hub)  # populate slots with a large root
+        with monkeypatch.context() as mp:
+            mp.setattr(SubgraphStructure, "_induce_rows", boom)
+            mp.setattr(SubgraphStructure, "_induce_block", boom)
+            with pytest.raises(MemoryError):
+                fail()
 
-    # The failed build reset everything it had touched; no stale
-    # adjacency from the first build may survive.
-    assert dense._touched == []
-    assert all(s == 0 for s in dense._slots)
-    ref = DenseStructure(g, dag, kernel=kernel).build(hub)
-    got = dense.build(hub)
-    assert [got.row(i) for i in range(got.d)] == [
-        ref.row(i) for i in range(ref.d)
-    ]
+        # The failed build reset everything it had touched; no stale
+        # adjacency from the first build may survive.
+        assert dense._touched == []
+        assert all(s == 0 for s in dense._slots)
+        got = dense.build(hub)
+        assert [got.row(i) for i in range(got.d)] == ref_rows
