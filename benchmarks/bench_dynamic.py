@@ -20,11 +20,13 @@ work/memory vectors), and its ``count_all`` must agree across backends
 apply to be **>= 5x** faster than the rebuild on every combination.
 
 The bench graphs are deliberately *sparse*: the dirty-root rule marks
-every lower-ranked neighbour of an edited endpoint, so on dense graphs
-a single edit can dirty a constant fraction of all roots and the
-incremental path degenerates toward a rebuild by design (that regime
-is what the ``reorder``/``auto`` policies are for).  Sparse graphs are
-also the realistic streaming regime.
+an edit's lower-ranked endpoint and the common neighbours of its
+endpoints ranked below both, so on dense graphs — where a pair's
+common neighbourhood is a constant fraction of all vertices — a single
+edit can dirty a constant fraction of all roots and the incremental
+path approaches a rebuild by design (that regime is what the
+``reorder``/``auto`` policies are for).  Sparse graphs are also the
+realistic streaming regime.
 
 Usage::
 

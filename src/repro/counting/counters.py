@@ -74,8 +74,16 @@ class Counters:
         )
 
     @property
+    def recursion_work(self) -> float:
+        """The recursion's share of :attr:`work` (set ops + lookups):
+        a function of the root's induced subgraph alone."""
+        return self.set_op_words + self.index_lookups
+
+    @property
     def work(self) -> float:
-        """Scalar work units for scheduling: the instruction proxy."""
+        """Scalar work units for scheduling: the instruction proxy,
+        exactly ``recursion_work + build_words`` (same additions, same
+        order; spelled out because engines read it once per root)."""
         return self.set_op_words + self.index_lookups + self.build_words
 
     def publish(self, **labels) -> None:

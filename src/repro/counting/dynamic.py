@@ -2,25 +2,30 @@
 
 PivotScale's per-root decomposition gives edge edits a *local* blast
 radius: every clique lives under exactly one root — its minimum-rank
-member — and a root ``r``'s whole record (its leaves *and* its
-build-cost model entries) is a deterministic function of its DAG
-out-neighborhood ``N⁺(r)``, the induced undirected subgraph on it,
-and its members' global degrees.  An edit ``(u, v)`` therefore only
-touches the roots holding an endpoint in their out-neighborhood:
-every *undirected* neighbor ``r`` of an endpoint ``w`` with
-``rank[r] < rank[w]`` — which covers the lower-ranked endpoint itself
-(its out-neighborhood gains/loses the other), the common neighbors
-ranked below both (their induced rows flip a bit), and the roots
-whose build-scan cost shifts with a member's degree — evaluated on
-the pre-edit **and** post-edit graphs so a batch's compound
-membership changes are all caught (see :func:`dirty_roots`).
+member — and a root ``r``'s pivot tree is a deterministic function of
+its DAG out-neighborhood ``N⁺(r)`` and the undirected subgraph induced
+on it (the fact Jain & Seshadhri's SCT rests on).  An edit ``(u, v)``
+therefore re-shapes only the trees of its lower-ranked endpoint (whose
+out-neighborhood gains/loses the other) and of the common neighbors of
+``u`` and ``v`` ranked below both (whose induced subgraph gains/loses
+the edge) — evaluated on the pre-edit **and** post-edit graphs so a
+batch's compound membership changes are all caught (see
+:func:`dirty_roots`).
 
 :func:`apply_edits` computes that dirty set for a whole batch, re-runs
 the pivot recursion for only those roots through the existing
 structure/kernel stack, and patches the forest's flat leaf arrays in
 place (dirty roots' slices are tombstoned and the arrays compacted
-with the replacement leaves, preserving root order) — bit-identical to
-a from-scratch rebuild over the same rank, at a fraction of the work.
+with the replacement leaves, preserving root order).  The per-root
+model vectors also read *global* state — ``per_root_work`` charges
+every member's global degree, the dense structure's ``per_root_memory``
+charges ``|V|`` — so they are recomputed for **all** roots in one
+vectorized pass: each root's stored recursion share
+(:attr:`SCTForest.per_root_recursion
+<repro.counting.forest.SCTForest.per_root_recursion>`) plus the edited
+graph's build charge, the same IEEE addition a rebuild performs.  The
+result is bit-identical to a from-scratch rebuild over the same rank,
+at a cost proportional to what the batch changes.
 
 **Edit model.**  A batch is a sequence of ``("+"|"-", u, v)`` records
 applied in order; the batch's *net* effect against the current graph
@@ -63,7 +68,7 @@ from repro.errors import (
     KernelFaultError,
     MemoryBudgetExceededError,
 )
-from repro.graph.build import from_edge_array
+from repro.graph.build import csr_from_sorted_edges
 from repro.graph.csr import CSRGraph
 from repro.ordering.directionalize import directionalize
 from repro.runtime.checkpoint import graph_fingerprint
@@ -152,34 +157,65 @@ def edit_graph(
     num_vertices: int | None = None,
 ) -> CSRGraph:
     """A new :class:`CSRGraph` with ``adds`` inserted and ``dels``
-    removed (pairs normalized ``u < v``; ``adds`` may grow the vertex
-    set).  The input graph is untouched — CSR graphs stay immutable;
-    *this* is the sanctioned mutation path.
+    removed.  ``adds`` may come in either orientation, repeat, name
+    present edges (no-ops) or self loops (dropped), and may grow the
+    vertex set; ``dels`` must name present edges as ``u < v`` pairs.
+    The input graph is untouched — CSR graphs stay immutable; *this*
+    is the sanctioned mutation path.
+
+    The edit is a splice, not a rebuild: the deleted edges' keys are
+    cut from the graph's sorted ``u·n + w`` entry keys and the added
+    ones inserted at their ``searchsorted`` positions, so no sort over
+    the whole edge set runs.  The result equals
+    :func:`~repro.graph.build.from_edge_array` over the edited edge
+    set, fingerprint included.
     """
     if graph.directed:
         raise CountingError("edit_graph expects an undirected graph")
-    n = graph.num_vertices
-    if adds:
-        n = max(n, max(max(u, v) for u, v in adds) + 1)
+    n0 = graph.num_vertices
+    extra = np.asarray(adds, dtype=np.int64).reshape(-1, 2)
+    n = max(n0, int(extra.max()) + 1) if extra.size else n0
     if num_vertices is not None:
         if num_vertices < n:
             raise GraphFormatError(
                 f"num_vertices={num_vertices} smaller than required {n}"
             )
         n = int(num_vertices)
-    pairs = graph.edge_array()
-    if dels:
-        keys = pairs[:, 0].astype(np.int64) * n + pairs[:, 1]
-        drop = np.array([u * n + v for u, v in dels], dtype=np.int64)
-        missing = ~np.isin(drop, keys)
-        if missing.any():
-            bad = [dels[i] for i in np.flatnonzero(missing)]
+    keys = np.repeat(np.arange(n0, dtype=np.int64) * n, graph.degrees)
+    keys += graph.indices
+    drop = np.asarray(dels, dtype=np.int64).reshape(-1, 2)
+    if drop.size:
+        u, w = drop[:, 0], drop[:, 1]
+        pos, found = _probe(keys, u * n + w)
+        # Out-of-range ids would alias another pair's key.
+        found &= (0 <= u) & (u < w) & (w < n0)
+        if not found.all():
+            bad = [tuple(dels[i]) for i in np.flatnonzero(~found)]
             raise CountingError(f"cannot delete absent edges {bad}")
-        pairs = pairs[~np.isin(keys, drop)]
-    if adds:
-        extra = np.asarray(adds, dtype=np.int64).reshape(-1, 2)
-        pairs = np.concatenate((pairs, extra), axis=0)
-    return from_edge_array(pairs, num_vertices=n)
+        keys = np.delete(
+            keys, np.concatenate((pos, keys.searchsorted(w * n + u)))
+        )
+    if extra.size:
+        if extra.min() < 0:
+            raise GraphFormatError("negative vertex id in edge array")
+        extra = extra[extra[:, 0] != extra[:, 1]]
+        lo, hi = extra.min(axis=1), extra.max(axis=1)
+        new = np.unique(np.concatenate((lo * n + hi, hi * n + lo)))
+        pos, present = _probe(keys, new)
+        keys = np.insert(keys, pos[~present], new[~present])
+    src = keys // max(n, 1)
+    return csr_from_sorted_edges(src, keys - src * n, n)
+
+
+def _probe(
+    keys: np.ndarray, values: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """``searchsorted`` positions of ``values`` in the sorted ``keys``,
+    and whether each value is there."""
+    pos = keys.searchsorted(values)
+    hit = pos < keys.size
+    hit[hit] = keys[pos[hit]] == values[hit]
+    return pos, hit
 
 
 def extend_rank(rank: np.ndarray, num_vertices: int) -> np.ndarray:
@@ -246,21 +282,25 @@ def dirty_roots(
     adds: Sequence[tuple[int, int]],
     dels: Sequence[tuple[int, int]] = (),
 ) -> np.ndarray:
-    """Roots whose SCT subtree the net batch can change, sorted.
+    """Roots whose leaves the net batch can change, sorted.
 
-    A root ``r``'s whole record — leaves *and* the build-cost model
-    ``per_root_work`` — is a function of its member set ``N⁺(r)``, the
-    induced undirected subgraph on it, and the members' global degrees
-    (the ``build_words`` charge covers every member's full neighbor
-    list).  An edit ``(u, v)`` perturbs exactly the roots holding an
-    endpoint in their out-neighborhood: every undirected neighbor ``r``
-    of an endpoint ``w`` with ``rank[r] < rank[w]`` (this covers the
-    lower endpoint itself, the common neighbors whose induced rows
-    change, and the members-degree work shifts) — taken in the old
-    *and* new graphs so a batch's compound membership changes are all
-    caught.  Vertices
-    added by growth are dirty by definition (they have no leaves yet).
-    ``rank`` must cover ``new_graph``'s vertex set.
+    A root ``r``'s leaves are a function of its member set ``N⁺(r)``
+    and the undirected subgraph induced on it.  An edit ``(u, v)``
+    changes the member set of its lower-ranked endpoint only, and the
+    induced subgraph of exactly the roots holding both endpoints as
+    members: the common neighbors of ``u`` and ``v`` ranked below both.
+    Common neighbors are taken in the old *and* the new graph, so a
+    root that gains or loses ``u`` or ``v`` within the same batch is
+    caught (it is then also the lower endpoint of that other edit).
+    Vertices added by growth are dirty by definition (they have no
+    leaves yet).  ``rank`` must cover ``new_graph``'s vertex set.
+
+    A root holding just one endpoint keeps its leaves, though its
+    ``per_root_work`` moves (the build charge reads the members'
+    global degrees); :func:`apply_edits` refreshes that, and the dense
+    structure's ``|V|``-dependent ``per_root_memory``, for every root
+    without re-running it.  The cost is one sorted-row probe per edit
+    per graph: ``O(min(deg u, deg v) · log max(deg u, deg v))``.
     """
     rank = np.asarray(rank, dtype=np.int64)
     if rank.shape != (new_graph.num_vertices,):
@@ -268,17 +308,24 @@ def dirty_roots(
             f"rank has shape {rank.shape}, expected "
             f"({new_graph.num_vertices},)"
         )
-    dirty = set(range(old_graph.num_vertices, new_graph.num_vertices))
+    parts = [
+        np.arange(old_graph.num_vertices, new_graph.num_vertices,
+                  dtype=np.int64),
+    ]
+    lower: list[int] = []
     for u, v in list(adds) + list(dels):
+        lower.append(u if rank[u] < rank[v] else v)
+        floor = min(rank[u], rank[v])
         for g in (old_graph, new_graph):
-            for w in (u, v):
-                if w >= g.num_vertices:
-                    continue
-                nbrs = g.neighbors(w)
-                if nbrs.size:
-                    below = nbrs[rank[nbrs] < rank[w]]
-                    dirty.update(int(r) for r in below)
-    return np.array(sorted(dirty), dtype=np.int64)
+            if max(u, v) >= g.num_vertices:
+                continue
+            a, b = g.neighbors(u), g.neighbors(v)
+            if a.size > b.size:
+                a, b = b, a
+            a = a[rank[a] < floor]
+            parts.append(a[_probe(b, a)[1]])
+    parts.append(np.asarray(lower, dtype=np.int64))
+    return np.unique(np.concatenate(parts))
 
 
 def edits_digest(
@@ -396,8 +443,10 @@ def _recompute_roots(
 ):
     """Re-run the pivot recursion for the dirty roots.
 
-    Returns ``(per_root, totals, kernel_name, degraded_from)`` where
-    ``per_root`` maps root id -> ``(leaves, work, memory)``.  Mirrors
+    Returns ``(per_root, totals, struct, degraded_from)`` where
+    ``per_root`` maps root id -> ``(leaves, recursion_work)`` and
+    ``struct`` is the structure over the edited graph that ran last
+    (its kernel is the one that finished the batch).  Mirrors
     the build loop's controller cooperation — deadline/node budgets,
     checkpoint/resume and kernel-fault fallback — at **dirty-root**
     granularity: a killed ``apply_edits`` resumes recomputation where
@@ -413,7 +462,7 @@ def _recompute_roots(
     )
     totals = Counters()
     degraded_from: str | None = None
-    per_root: dict[int, tuple[list, float, float]] = {}
+    per_root: dict[int, tuple[list, float]] = {}
     start = 0
     ctl = controller
 
@@ -432,8 +481,7 @@ def _recompute_roots(
                     ]
                     for r in done
                 ],
-                "work": [per_root[r][1] for r in done],
-                "memory": [per_root[r][2] for r in done],
+                "recursion": [per_root[r][1] for r in done],
                 "counters": totals.as_dict(),
                 "degraded_from": degraded_from,
             }
@@ -444,9 +492,8 @@ def _recompute_roots(
             state = ctl.begin(descriptor, snapshot)
         if state is not None:
             start = int(state["next_index"])
-            for r, leaves, work, memory in zip(
-                state["roots"], state["leaves"],
-                state["work"], state["memory"],
+            for r, leaves, recursion in zip(
+                state["roots"], state["leaves"], state["recursion"]
             ):
                 per_root[int(r)] = (
                     [
@@ -455,7 +502,7 @@ def _recompute_roots(
                          None if p_ids is None else tuple(p_ids))
                         for h, p, h_ids, p_ids in leaves
                     ],
-                    float(work), float(memory),
+                    float(recursion),
                 )
             totals = Counters.from_dict(state["counters"])
             degraded_from = state.get("degraded_from")
@@ -504,12 +551,12 @@ def _recompute_roots(
                     )
                 ctl.charge_nodes(ctr.function_calls)
                 ctl.note_memory(ctr.peak_subgraph_bytes)
-            per_root[v] = (leaves, ctr.work, ctr.peak_subgraph_bytes)
+            per_root[v] = (leaves, ctr.recursion_work)
             totals.merge(ctr)
             obs.note_memory(ctr.peak_subgraph_bytes)
             if ctl is not None:
                 ctl.complete_root(v)
-    return per_root, totals, struct.kernel.name, degraded_from
+    return per_root, totals, struct, degraded_from
 
 
 def _patch_arrays(forest, dirty: np.ndarray, per_root: dict) -> None:
@@ -677,31 +724,27 @@ def apply_edits(
             descriptor["base_graph_fingerprint"] = (
                 forest.descriptor["graph_fingerprint"]
             )
-            per_root, totals, kernel_name, degraded_from = (
-                _recompute_roots(
-                    forest, new_graph, new_dag, dirty,
-                    controller=controller, descriptor=descriptor,
-                )
+            per_root, totals, struct, degraded_from = _recompute_roots(
+                forest, new_graph, new_dag, dirty,
+                controller=controller, descriptor=descriptor,
             )
+            kernel_name = struct.kernel.name
             report.roots_recomputed = int(dirty.size)
             report.counters = totals
 
             # Commit point: every dirty root recomputed; patch the flat
             # arrays, the per-root vectors, and the identity together.
-            n_new = new_graph.num_vertices
-            if n_new > forest.num_vertices:
-                grow = n_new - forest.num_vertices
-                forest.per_root_work = np.concatenate(
-                    (forest.per_root_work, np.zeros(grow))
-                )
-                forest.per_root_memory = np.concatenate(
-                    (forest.per_root_memory, np.zeros(grow))
-                )
-                forest.num_vertices = n_new
+            recursion = np.zeros(new_graph.num_vertices, dtype=np.float64)
+            recursion[:forest.num_vertices] = forest.per_root_recursion
+            recursion[dirty] = [per_root[v][1] for v in dirty.tolist()]
             _patch_arrays(forest, dirty, per_root)
-            for v, (_, work, memory) in per_root.items():
-                forest.per_root_work[v] = work
-                forest.per_root_memory[v] = memory
+            # Every root's model vectors, clean ones included: the same
+            # ``recursion + build`` sum a rebuild's Counters.work forms.
+            build_words, memory = struct.model_vectors()
+            forest.num_vertices = new_graph.num_vertices
+            forest.per_root_recursion = recursion
+            forest.per_root_work = recursion + build_words
+            forest.per_root_memory = memory
             forest.counters.merge(totals)
             forest.descriptor = {
                 k: v for k, v in descriptor.items()
@@ -760,6 +803,7 @@ def _apply_reorder(forest, new_graph, descriptor, controller) -> None:
     forest.pivot_members = rebuilt.pivot_members
     forest.per_root_work = rebuilt.per_root_work
     forest.per_root_memory = rebuilt.per_root_memory
+    forest.per_root_recursion = rebuilt.per_root_recursion
     forest.counters = rebuilt.counters
     forest.descriptor = rebuilt.descriptor
     forest.degraded_from = rebuilt.degraded_from or forest.degraded_from

@@ -93,7 +93,7 @@ __all__ = [
     "collect_root_leaves",
 ]
 
-FOREST_FORMAT_VERSION = 1
+FOREST_FORMAT_VERSION = 2
 
 #: Vectorized attribution is used only when the query's total clique
 #: count provably bounds every intermediate below int64 range.
@@ -125,6 +125,13 @@ class SCTForest:
     per_root_work / per_root_memory:
         The same per-root task vectors :class:`~repro.counting.sct.CountResult`
         carries — the scheduler model's inputs.
+    per_root_recursion:
+        Each root's :attr:`Counters.recursion_work
+        <repro.counting.counters.Counters.recursion_work>`, the part of
+        its ``per_root_work`` that depends on its induced subgraph
+        alone; :meth:`apply_edits` adds the edited graph's build
+        charges to it instead of re-running roots whose subgraph did
+        not change.
     counters:
         Build-time instrumentation (one full unpruned SCT traversal).
     descriptor:
@@ -143,6 +150,7 @@ class SCTForest:
         pivot_members: np.ndarray | None,
         per_root_work: np.ndarray,
         per_root_memory: np.ndarray,
+        per_root_recursion: np.ndarray,
         counters: Counters,
         descriptor: dict,
         degraded_from: str | None = None,
@@ -161,6 +169,9 @@ class SCTForest:
         )
         self.per_root_work = np.asarray(per_root_work, dtype=np.float64)
         self.per_root_memory = np.asarray(per_root_memory, dtype=np.float64)
+        self.per_root_recursion = np.asarray(
+            per_root_recursion, dtype=np.float64
+        )
         self.counters = counters
         self.descriptor = dict(descriptor)
         self.degraded_from = degraded_from
@@ -262,8 +273,12 @@ class SCTForest:
         those whose closed DAG out-neighborhood contains both endpoints
         of some applied edit, in the old or new graph — are re-run
         through the pivot recursion, and the flat leaf arrays are
-        patched in place, bit-identical to a from-scratch rebuild under
-        the same vertex order (``tests/test_dynamic.py``).
+        patched in place; every root's ``per_root_work`` /
+        ``per_root_memory`` is then recomputed from
+        :attr:`per_root_recursion` and the edited degrees in one
+        vectorized pass.  The result is bit-identical to a
+        from-scratch rebuild under the same vertex order
+        (``tests/test_dynamic.py``).
 
         ``policy`` is one of ``"patch"`` (keep the build-time order;
         default), ``"reorder"`` (full rebuild under a fresh degeneracy
@@ -303,6 +318,7 @@ class SCTForest:
             ),
             per_root_work=self.per_root_work.copy(),
             per_root_memory=self.per_root_memory.copy(),
+            per_root_recursion=self.per_root_recursion.copy(),
             counters=Counters.from_dict(self.counters.as_dict()),
             descriptor=dict(self.descriptor),
             degraded_from=self.degraded_from,
@@ -318,6 +334,7 @@ class SCTForest:
             self.held_n.nbytes + self.pivot_n.nbytes + self.roots.nbytes
             + self.held_off.nbytes + self.pivot_off.nbytes
             + self.per_root_work.nbytes + self.per_root_memory.nbytes
+            + self.per_root_recursion.nbytes
         )
         if self.held_members is not None:
             total += self.held_members.nbytes
@@ -392,6 +409,7 @@ class SCTForest:
         totals = Counters()
         per_root_work = np.zeros(n, dtype=np.float64)
         per_root_memory = np.zeros(n, dtype=np.float64)
+        per_root_recursion = np.zeros(n, dtype=np.float64)
         held_n: list[int] = []
         pivot_n: list[int] = []
         roots: list[int] = []
@@ -435,6 +453,7 @@ class SCTForest:
                     "counters": totals.as_dict(),
                     "per_root_work": per_root_work[:done].tolist(),
                     "per_root_memory": per_root_memory[:done].tolist(),
+                    "per_root_recursion": per_root_recursion[:done].tolist(),
                     "degraded_from": degraded_from,
                     "spilled": spilled,
                 }
@@ -457,6 +476,7 @@ class SCTForest:
                 totals = Counters.from_dict(state["counters"])
                 per_root_work[:start] = state["per_root_work"]
                 per_root_memory[:start] = state["per_root_memory"]
+                per_root_recursion[:start] = state["per_root_recursion"]
                 degraded_from = state.get("degraded_from")
 
         def spill() -> None:
@@ -524,6 +544,7 @@ class SCTForest:
                             pivot_members.extend(p_ids)
                     per_root_work[v] = ctr.work
                     per_root_memory[v] = ctr.peak_subgraph_bytes
+                    per_root_recursion[v] = ctr.recursion_work
                     totals.merge(ctr)
                     obs.note_memory(ctr.peak_subgraph_bytes)
                     done = v + 1
@@ -571,6 +592,7 @@ class SCTForest:
             ),
             per_root_work=per_root_work,
             per_root_memory=per_root_memory,
+            per_root_recursion=per_root_recursion,
             counters=totals,
             descriptor=descriptor,
             degraded_from=degraded_from,
@@ -831,6 +853,7 @@ class SCTForest:
             "roots": self.roots,
             "per_root_work": self.per_root_work,
             "per_root_memory": self.per_root_memory,
+            "per_root_recursion": self.per_root_recursion,
             "meta_json": np.frombuffer(
                 json.dumps(meta).encode("utf-8"), dtype=np.uint8
             ),
@@ -904,6 +927,7 @@ class SCTForest:
                     ),
                     per_root_work=data["per_root_work"],
                     per_root_memory=data["per_root_memory"],
+                    per_root_recursion=data["per_root_recursion"],
                     counters=Counters.from_dict(meta.get("counters", {})),
                     descriptor=stored,
                     degraded_from=meta.get("degraded_from"),

@@ -228,7 +228,7 @@ class SubgraphStructure(abc.ABC):
     @abc.abstractmethod
     def memory_bytes(self, d: int) -> int:
         """Modeled per-thread footprint while a ``d``-member root is
-        processed."""
+        processed (elementwise when ``d`` is an integer array)."""
 
     @abc.abstractmethod
     def _row_accessor(self, out: np.ndarray, rows: Any) -> Callable[[int], int]:
@@ -255,6 +255,13 @@ class SubgraphStructure(abc.ABC):
         """
         d = int(self.dag.degrees[v])
         return d, float(self._build_words[v]), self.memory_bytes(d)
+
+    def model_vectors(self) -> tuple[np.ndarray, np.ndarray]:
+        """Every root's ``build_words`` and ``memory_bytes`` (as in
+        :meth:`estimate`) at once: two float64 arrays indexed by root,
+        the dtype of the per-root model vectors."""
+        memory = self.memory_bytes(self.dag.degrees).astype(np.float64)
+        return self._build_words, memory
 
     def build(self, v: int) -> RootContext:
         """Induce the first-level subgraph for root ``v`` — the one-root

@@ -77,7 +77,8 @@ def csr_from_sorted_edges(
     src: np.ndarray, dst: np.ndarray, n: int, *, directed: bool = False
 ) -> CSRGraph:
     """Assemble a CSR from deduplicated edge endpoints sorted by
-    ``(src, dst)``.  Internal fast path used by the generators."""
+    ``(src, dst)``.  Internal fast path used by the generators and by
+    :func:`repro.counting.dynamic.edit_graph`'s splice."""
     counts = np.bincount(src, minlength=n).astype(np.int64)
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(counts, out=indptr[1:])

@@ -845,6 +845,7 @@ def parallel_build_forest(
     counters_by_root: dict[int, dict] = {}
     per_root_work = np.zeros(n, dtype=np.float64)
     per_root_memory = np.zeros(n, dtype=np.float64)
+    per_root_recursion = np.zeros(n, dtype=np.float64)
     degraded_from: str | None = None
     ctl = controller
     merge_metrics = (
@@ -906,6 +907,7 @@ def parallel_build_forest(
                         ctr = Counters.from_dict(ctr_d)
                         per_root_work[v] = ctr.work
                         per_root_memory[v] = ctr.peak_subgraph_bytes
+                        per_root_recursion[v] = ctr.recursion_work
                         chunk_ctr.merge(ctr)
                     if ctl is not None:
                         ctl.charge_nodes(chunk_ctr.function_calls)
@@ -954,6 +956,7 @@ def parallel_build_forest(
         ),
         per_root_work=per_root_work,
         per_root_memory=per_root_memory,
+        per_root_recursion=per_root_recursion,
         counters=totals,
         descriptor=descriptor,
         degraded_from=degraded_from,

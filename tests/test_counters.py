@@ -29,3 +29,11 @@ def test_merge_sums_and_maxes():
 def test_as_dict_keys():
     d = Counters().as_dict()
     assert "work" in d and "function_calls" in d and "peak_subgraph_bytes" in d
+
+
+def test_work_is_recursion_share_plus_build_bit_exactly():
+    # Values where float addition order shows: (a + b) + c != a + (b + c).
+    c = Counters(set_op_words=1e16, index_lookups=1.0, build_words=1.0)
+    assert c.recursion_work == 1e16 + 1.0
+    assert c.work == c.recursion_work + c.build_words
+    assert c.work != c.set_op_words + (c.index_lookups + c.build_words)

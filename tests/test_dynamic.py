@@ -2,13 +2,17 @@
 
 The contract under test: :meth:`SCTForest.apply_edits` patched in
 place must be **bit-identical** to a from-scratch rebuild under the
-same vertex order — every leaf array, the per-root work/memory model
-vectors, the descriptor fingerprints, and every query answered from
-them (count_all / per-vertex / per-edge) — over the committed
-versioned edit streams of the shared 40-graph corpus, on both
-always-available kernel backends.  480 randomized batches (40 graphs
-x 2 kernels x 6 batches, mixed sizes with duplicates, no-ops, growth
-and one empty batch per stream) ride through that assertion.
+same vertex order — every leaf array, the per-root work/memory/
+recursion model vectors, the descriptor fingerprints, and every query
+answered from them (count_all / per-vertex / per-edge) — over the
+committed versioned edit streams of the shared 40-graph corpus, on all
+three subgraph structures and both always-available kernel backends.
+1,440 randomized batches (40 graphs x 3 structures x 2 kernels x 6
+batches, mixed sizes with duplicates, no-ops, growth and one empty
+batch per stream) ride through that assertion.  ``edit_graph``'s CSR
+splice is held to ``from_edge_array`` over the edited edge set, and
+every way a forest can come to exist (serial or parallel build,
+``.npz`` load, ``copy()``, a reorder) is patched against a rebuild.
 
 On top of the differential net: Hypothesis properties (insert-then-
 delete round-trip, order-insensitivity for dirty-disjoint batches,
@@ -52,6 +56,7 @@ from repro.errors import (
     BudgetExceededError,
     CheckpointError,
     CountingError,
+    GraphFormatError,
     RunInterrupted,
 )
 from repro.graph.build import from_edge_array
@@ -59,6 +64,7 @@ from repro.graph.csr import CSRGraph
 from repro.graph.generators import erdos_renyi
 from repro.ordering import core_ordering
 from repro.ordering.directionalize import directionalize
+from repro.parallel.runtime import parallel_build_forest
 from repro.runtime import FaultPlan, FaultSpec, RunController
 from repro.runtime.budget import Budget
 from repro.runtime.checkpoint import graph_fingerprint
@@ -76,6 +82,14 @@ from tests.corpus import ordering as corpus_ordering
 # resolve falls back to wordarray; exercising it here would double-run
 # wordarray under a warning).
 BACKENDS = ("bigint", "wordarray")
+
+# Every (structure, kernel) pair; the default structure's ids are the
+# bare kernel names.
+STRUCT_KERNELS = [
+    pytest.param(s, k, id=k if s == "remap" else f"{s}-{k}")
+    for s in ("remap", "dense", "sparse")
+    for k in BACKENDS
+]
 
 
 def _assert_same_forest(a: SCTForest, b: SCTForest) -> None:
@@ -98,6 +112,7 @@ def _assert_same_forest(a: SCTForest, b: SCTForest) -> None:
         assert np.array_equal(a.pivot_members, b.pivot_members)
     assert np.array_equal(a.per_root_work, b.per_root_work)
     assert np.array_equal(a.per_root_memory, b.per_root_memory)
+    assert np.array_equal(a.per_root_recursion, b.per_root_recursion)
     assert a.descriptor == b.descriptor
 
 
@@ -109,15 +124,16 @@ def g():
 # ----------------------------------------------------------------------
 # The differential net: committed streams, corpus-wide, both backends
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("kernel", BACKENDS)
+@pytest.mark.parametrize("structure,kernel", STRUCT_KERNELS)
 @pytest.mark.parametrize("name,graph", GRAPHS, ids=IDS)
-def test_apply_edits_bit_identical_to_rebuild(name, graph, kernel):
+def test_apply_edits_bit_identical_to_rebuild(name, graph, structure,
+                                              kernel):
     forest = SCTForest.build(graph, corpus_ordering(name, graph),
-                             "remap", kernel)
+                             structure, kernel)
     for batch in edit_stream(name, graph):
         report = forest.apply_edits(batch)
         rebuilt = SCTForest.build(report.graph, forest.rank,
-                                  "remap", kernel)
+                                  structure, kernel)
         _assert_same_forest(forest, rebuilt)
         assert forest.count_all() == rebuilt.count_all()
     # Ground the final state absolutely, not just against the rebuild.
@@ -125,9 +141,78 @@ def test_apply_edits_bit_identical_to_rebuild(name, graph, kernel):
     if kernel == "bigint":
         for k in (3, 4):
             assert forest.count(k) == brute_force_count(final, k)
-    rebuilt = SCTForest.build(final, forest.rank, "remap", kernel)
+    rebuilt = SCTForest.build(final, forest.rank, structure, kernel)
     assert forest.per_vertex(4) == rebuilt.per_vertex(4)
     assert forest.per_edge(3) == rebuilt.per_edge(3)
+
+
+def _leaves_of(forest: SCTForest, r: int) -> tuple:
+    """Root ``r``'s leaf slice: sizes and member ids."""
+    a, b = np.searchsorted(forest.roots, [r, r + 1])
+    return (
+        forest.held_n[a:b].tolist(), forest.pivot_n[a:b].tolist(),
+        forest.held_members[forest.held_off[a]:forest.held_off[b]].tolist(),
+        forest.pivot_members[
+            forest.pivot_off[a]:forest.pivot_off[b]
+        ].tolist(),
+    )
+
+
+def test_degree_only_root_is_not_rerun(g):
+    """A root holding exactly one endpoint of an edited edge keeps its
+    leaves, so it is not dirty; only its build charge — the global
+    degree of that endpoint — moves, and the vectorized refresh lands
+    it on the rebuild's value."""
+    forest = build_forest(g, core_ordering(g))
+    rank = forest.rank
+    r, u, v = next(
+        (r, u, v)
+        for u in range(g.num_vertices)
+        for v in range(g.num_vertices)
+        if u != v and not g.has_edge(u, v)
+        for r in g.neighbors(u).tolist()
+        if r != v and rank[r] < rank[u] and not g.has_edge(r, v)
+    )
+    before_leaves = _leaves_of(forest, r)
+    before_work = forest.per_root_work[r]
+    report = forest.apply_edits([("+", u, v)])
+    assert r not in report.dirty_roots.tolist()
+    assert _leaves_of(forest, r) == before_leaves
+    assert forest.per_root_work[r] != before_work
+    rebuilt = SCTForest.build(report.graph, forest.rank, "remap", "bigint")
+    assert forest.per_root_work[r] == rebuilt.per_root_work[r]
+    _assert_same_forest(forest, rebuilt)
+
+
+def test_every_forest_origin_patches_to_the_rebuild(tmp_path, g):
+    """However a forest came to exist — serial build, parallel build,
+    ``.npz`` load, ``copy()``, a reorder — it carries the recursion
+    shares the patch needs, and one batch lands it on the rebuild."""
+    o = core_ordering(g)
+    dag = directionalize(g, o)
+    built = build_forest(g, o)
+    built.save(tmp_path / "f.npz")
+    reordered = build_forest(g, o)
+    assert reordered.apply_edits([("+", 0, 9)], policy="reorder").reordered
+    origins = {
+        "serial": (built, {}),
+        "parallel": (
+            parallel_build_forest(g, dag, processes=2),
+            {"graph": g, "ordering": o},
+        ),
+        "npz": (load_forest(tmp_path / "f.npz"), {"graph": g, "ordering": o}),
+        "copy": (built.copy(), {}),
+        "reorder": (reordered, {}),
+    }
+    for name, (forest, inputs) in origins.items():
+        base = inputs.get("graph", forest.graph)
+        present = [tuple(map(int, e)) for e in base.edge_array()[:3]]
+        batch = [("-", u, v) for u, v in present] + [("+", 1, 14)]
+        report = forest.apply_edits(batch, **inputs)
+        assert report.applied >= len(present), name
+        rebuilt = SCTForest.build(report.graph, forest.rank, "remap",
+                                  "bigint")
+        _assert_same_forest(forest, rebuilt)
 
 
 def test_edit_stream_fixtures_are_pinned():
@@ -283,6 +368,83 @@ def test_edit_graph_grows_and_refuses_bad_deletes(g):
         edit_graph(g, [], [absent])
     with pytest.raises(CountingError):
         edit_graph(directionalize(g, core_ordering(g)), [(0, 5)])
+
+
+def _assert_same_graph(got: CSRGraph, want: CSRGraph) -> None:
+    assert got.directed == want.directed
+    assert got.indptr.dtype == want.indptr.dtype == np.int64
+    assert got.indices.dtype == want.indices.dtype == np.int64
+    assert np.array_equal(got.indptr, want.indptr)
+    assert np.array_equal(got.indices, want.indices)
+    assert got.fingerprint() == want.fingerprint()
+
+
+def _rebuilt_edit(graph, adds, dels=(), num_vertices=None) -> CSRGraph:
+    """The oracle: ``from_edge_array`` over the edited edge set."""
+    edges = {tuple(map(int, e)) for e in graph.edge_array()}
+    edges -= set(dels)
+    edges |= {(min(u, v), max(u, v)) for u, v in adds if u != v}
+    n = max([graph.num_vertices] + [max(u, v) + 1 for u, v in adds])
+    pairs = np.array(sorted(edges), dtype=np.int64).reshape(-1, 2)
+    return from_edge_array(
+        pairs, num_vertices=n if num_vertices is None else num_vertices
+    )
+
+
+@pytest.mark.parametrize("name,graph", GRAPHS, ids=IDS)
+def test_edit_graph_splice_matches_rebuild_on_streams(name, graph):
+    g = graph
+    for batch in edit_stream(name, graph):
+        adds, dels, _ = normalize_edits(g, batch)
+        edited = edit_graph(g, adds, dels)
+        _assert_same_graph(edited, _rebuilt_edit(g, adds, dels))
+        g = edited
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_edit_graph_splice_matches_rebuild_on_raw_batches(seed):
+    """Raw (un-normalized) batches: adds in either orientation,
+    duplicated, already present, self loops, growth, ``num_vertices=``
+    padding — all must agree with the rebuild."""
+    rng = np.random.default_rng(seed)
+    g = erdos_renyi(24, 0.2, seed=seed)
+    for step in range(6):
+        n = g.num_vertices
+        present = [tuple(map(int, e)) for e in g.edge_array()]
+        picks = rng.choice(len(present), size=min(3, len(present)),
+                           replace=False)
+        dels = sorted({present[i] for i in picks})
+        adds = [tuple(int(x) for x in rng.integers(0, n + 3, size=2))
+                for _ in range(6)]
+        adds += [adds[0], adds[0][::-1], present[0][::-1], (2, 2)]
+        pad = None
+        if step % 2:
+            pad = max([n] + [max(e) + 1 for e in adds]) + int(step)
+        edited = edit_graph(g, adds, dels, num_vertices=pad)
+        _assert_same_graph(edited, _rebuilt_edit(g, adds, dels, pad))
+        g = edited
+
+
+def test_edit_graph_refuses_absent_deletes_untouched(g):
+    u, v = map(int, g.edge_array()[0])
+    a, b = next(
+        (a, b)
+        for a in range(g.num_vertices)
+        for b in range(a + 1, g.num_vertices)
+        if not g.has_edge(a, b)
+    )
+    n = g.num_vertices
+    fp = g.fingerprint()
+    # (v - 1, n + u) names a vertex beyond |V| whose u·n + w key aliases
+    # the stored entry (v, u).
+    for bad in ((a, b), (v, u), (u, u), (0, n), (v - 1, n + u), (-1, 3)):
+        with pytest.raises(CountingError):
+            edit_graph(g, [(a, b)], [(u, v), bad])
+    with pytest.raises(GraphFormatError):
+        edit_graph(g, [(-1, 3)])
+    with pytest.raises(GraphFormatError):
+        edit_graph(g, [(n, 0)], num_vertices=n)
+    assert g.fingerprint() == fp
 
 
 def test_extend_rank_appends_new_vertices_in_id_order():

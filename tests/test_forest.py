@@ -71,6 +71,7 @@ def _assert_forests_identical(a: SCTForest, b: SCTForest) -> None:
         assert np.array_equal(a.pivot_members, b.pivot_members)
     assert np.array_equal(a.per_root_work, b.per_root_work)
     assert np.array_equal(a.per_root_memory, b.per_root_memory)
+    assert np.array_equal(a.per_root_recursion, b.per_root_recursion)
     assert a.counters.as_dict() == b.counters.as_dict()
     assert a.descriptor == b.descriptor
     assert a.count_all() == b.count_all()
@@ -282,6 +283,45 @@ def test_save_load_roundtrip(tmp_path, g):
     assert loaded.per_edge(3) == forest.per_edge(3)
     # No .tmp debris from the atomic write.
     assert [p.name for p in tmp_path.iterdir()] == ["forest.npz"]
+
+
+def test_load_refuses_format_v1(tmp_path, g):
+    """A version-1 file predates the stored recursion shares: loading it
+    must refuse (not quarantine) rather than guess them."""
+    import json
+
+    forest = build_forest(g, core_ordering(g))
+    meta = {
+        "format_version": 1,
+        "num_vertices": forest.num_vertices,
+        "descriptor": forest.descriptor,
+        "counters": forest.counters.as_dict(),
+        "degraded_from": None,
+        "has_members": False,
+    }
+    path = tmp_path / "v1.npz"
+    np.savez_compressed(
+        path,
+        held_n=forest.held_n, pivot_n=forest.pivot_n, roots=forest.roots,
+        per_root_work=forest.per_root_work,
+        per_root_memory=forest.per_root_memory,
+        meta_json=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8),
+    )
+    with pytest.raises(CheckpointError, match="format version 1"):
+        load_forest(path, g)
+    assert path.exists()
+
+
+def test_nbytes_counts_every_array(g):
+    forest = build_forest(g, core_ordering(g))
+    arrays = (
+        forest.held_n, forest.pivot_n, forest.roots, forest.held_off,
+        forest.pivot_off, forest.per_root_work, forest.per_root_memory,
+        forest.per_root_recursion, forest.held_members,
+        forest.pivot_members,
+    )
+    assert forest.nbytes == sum(a.nbytes for a in arrays)
+    assert forest.per_root_recursion.nbytes == 8 * g.num_vertices
 
 
 def test_load_refuses_wrong_graph(tmp_path, g):

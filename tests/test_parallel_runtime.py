@@ -117,6 +117,9 @@ def test_forest_matches_serial(rt_fork):
         assert np.array_equal(f_s.pivot_n, f_p.pivot_n), name
         assert np.array_equal(f_s.held_members, f_p.held_members), name
         assert np.array_equal(f_s.pivot_members, f_p.pivot_members), name
+        for vec in ("per_root_work", "per_root_memory",
+                    "per_root_recursion"):
+            assert np.array_equal(getattr(f_s, vec), getattr(f_p, vec)), name
         assert f_s.count_all() == f_p.count_all(), name
 
 
