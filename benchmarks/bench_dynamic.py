@@ -44,7 +44,7 @@ from repro.bench.platform import add_store_args, store_and_check
 from repro.counting.forest import SCTForest
 from repro.datasets import load
 from repro.graph.generators import chung_lu, erdos_renyi, power_law_degrees
-from repro.kernels import available_kernels
+from repro.kernels import KERNELS
 from repro.ordering import core_ordering
 
 #: The gated workload: one absent-pair insert + one present-edge delete.
@@ -138,7 +138,7 @@ def run_dynamic_bench(*, smoke, number, repeats, out_path, seed=11,
     """Time small-batch apply vs rebuild; returns the payload."""
     if graphs is None:
         graphs = _bench_graphs(smoke, seed)
-    kernels = available_kernels()
+    kernels = list(KERNELS)
     table = Table(
         title=f"incremental apply_edits vs full rebuild "
               f"({EDITS_PER_BATCH}-edit batch)",

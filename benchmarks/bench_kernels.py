@@ -5,30 +5,19 @@ results), these time the actual Python kernels so performance
 regressions in the implementation are visible.  Two entry points:
 
 * ``pytest benchmarks/bench_kernels.py`` — pytest-benchmark timings of
-  ordering, structure-build, counting, and every available
-  bitset-kernel backend (backends that are registered but unavailable
-  here — e.g. ``numba`` without the ``[jit]`` extra — skip cleanly);
+  ordering, structure-build, counting, and every bitset-kernel backend;
 * ``python benchmarks/bench_kernels.py [--smoke]`` — a standalone
   old-vs-new kernel comparison on a dense-structure root.  It times
-
-  - the fused ``count_rows`` (intersect + popcount) in its tier-1
-    single-mask form, and
-  - ``pivot_select`` / ``intersect_count_sweep`` in their tier-2
-    *frontier* forms — one batched call over a 32-mask frontier of
-    seeded dense candidate masks, the shape the frontier recursion
-    spine actually issues —
-
+  the fused ``count_rows`` (intersect + popcount) over the whole root,
   plus an end-to-end SCT ``count_kcliques`` run per backend, writes a
   ``BENCH_kernels.json`` artifact, and exits nonzero on a missed gate:
-  the word-array backend must beat big-int by ``FRONTIER_GATE`` (8x
-  hard floor; ~10-20x measured) on both frontier ops, by
-  ``FULL_GATE``/``SMOKE_GATE`` on intersect/popcount, and must stay
-  above the ``E2E_GATE`` floor end-to-end.  The end-to-end floor is a
-  *parity* guard, not a speedup claim: on CPython, big-int bitsets are
-  already word-parallel C and the SCT tree concentrates its work in
-  small-``pc`` subtrees, so the hybrid frontier spine lands at ~0.9-1x
-  wall-clock (the floor catches regressions of the frontier spine
-  itself — a broken hybrid cutoff measured ~0.5x).
+  the word-array backend must beat big-int by ``FULL_GATE`` /
+  ``SMOKE_GATE`` on intersect/popcount and must stay above the
+  ``E2E_GATE`` floor end-to-end.  The end-to-end floor is a *parity*
+  guard, not a speedup claim: on CPython, big-int bitsets are already
+  word-parallel C and the SCT tree concentrates its work in
+  small-candidate subtrees, where both backends run the same big-int
+  scan.
 """
 
 import argparse
@@ -42,7 +31,7 @@ from repro.bench.platform import add_store_args, store_and_check
 from repro.counting import count_kcliques
 from repro.counting.structures import STRUCTURES, DenseStructure
 from repro.graph.generators import erdos_renyi
-from repro.kernels import KERNELS, available_kernels
+from repro.kernels import KERNELS
 from repro.ordering import (
     approx_core_ordering,
     core_ordering,
@@ -53,12 +42,6 @@ from repro.ordering import (
 # ----------------------------------------------------------------------
 # pytest-benchmark suite (excluded from tier-1; run via benchmarks/)
 # ----------------------------------------------------------------------
-
-
-def _require_backend(backend: str) -> None:
-    """Skip (not fail) when a registered backend is unavailable here."""
-    if backend not in available_kernels():
-        pytest.skip(f"kernel backend {backend!r} unavailable")
 
 
 @pytest.fixture(scope="module")
@@ -109,19 +92,18 @@ def test_kernel_counting_k8(benchmark, skitter, structure):
 
 @pytest.fixture(scope="module")
 def hub_root(bench_seed):
-    """A large-degree dense-structure root, built per available backend."""
+    """A large-degree dense-structure root, built per backend."""
     g = erdos_renyi(900, 0.6, seed=bench_seed)
     dag = directionalize(g, core_ordering(g))
     hub = int(np.argmax(dag.degrees))
     return {
         backend: DenseStructure(g, dag, kernel=backend).build(hub)
-        for backend in available_kernels()
+        for backend in KERNELS
     }
 
 
 @pytest.mark.parametrize("backend", sorted(KERNELS))
 def test_kernel_count_rows(benchmark, hub_root, backend):
-    _require_backend(backend)
     ctx = hub_root[backend]
     P = (1 << ctx.d) - 1
     benchmark(ctx.kernel.count_rows, ctx.rows, P)
@@ -129,26 +111,14 @@ def test_kernel_count_rows(benchmark, hub_root, backend):
 
 @pytest.mark.parametrize("backend", sorted(KERNELS))
 def test_kernel_pivot_select(benchmark, hub_root, backend):
-    _require_backend(backend)
     ctx = hub_root[backend]
     P = (1 << ctx.d) - 1
     benchmark(ctx.kernel.pivot_select, ctx.rows, P, ctx.d)
 
 
 @pytest.mark.parametrize("backend", sorted(KERNELS))
-def test_kernel_pivot_select_sweep(benchmark, hub_root, backend, bench_seed):
-    _require_backend(backend)
-    ctx = hub_root[backend]
-    kern, rows = ctx.kernel, ctx.rows
-    mask_ints, pcs = _frontier_masks(ctx.d, bench_seed)
-    native = [kern.to_native(rows, m) for m in mask_ints]
-    benchmark(kern.pivot_select_sweep, rows, native, pcs)
-
-
-@pytest.mark.parametrize("backend", sorted(KERNELS))
 def test_kernel_counting_wordarray_vs_bigint(benchmark, backend,
                                              bench_seed):
-    _require_backend(backend)
     g = erdos_renyi(300, 0.25, seed=bench_seed + 4)
     ordering = core_ordering(g)
     result = benchmark.pedantic(
@@ -168,69 +138,21 @@ FULL_GATE = 2.0
 #: on the fused kernels it exists to accelerate.
 SMOKE_GATE = 1.0
 
-#: Hard floor for the tier-2 frontier forms of ``pivot_select`` and
-#: ``intersect_count_sweep`` in *both* modes: batching a whole frontier
-#: into one word-tile op measures ~10-20x over the scalar big-int scan
-#: on the dense gate root; 8x is the frozen floor with headroom for
-#: machine noise (raised from the pre-batching 1.0x floors).
-FRONTIER_GATE = 8.0
-
-#: End-to-end floor: a full SCT count on the word-array frontier spine
-#: must stay within ~1.7x of big-int wall-clock.  Measured ~0.9-1.0x
-#: (see module docstring — this is a parity/regression guard; the
-#: pre-hybrid frontier spine measured ~0.5x and would fail it).
+#: End-to-end floor: a full SCT count on the word-array backend must
+#: stay within ~1.7x of big-int wall-clock (see module docstring —
+#: this is a parity/regression guard, not a speedup claim).
 E2E_GATE = 0.6
 
-#: The ops timed in tier-2 frontier form (one batched call over a
-#: :data:`FRONTIER_F`-mask frontier), gated at :data:`FRONTIER_GATE`.
-FRONTIER_OPS = ("pivot_select", "intersect_count_sweep")
-
 #: The ops the gate applies to.
-GATED_OPS = ("intersect_popcount",) + FRONTIER_OPS
-
-#: Frontier shape for the batched-op benchmarks: 32 candidate masks at
-#: ~0.9 density over the hub root — a dense upper-level frontier, the
-#: regime the tier-2 kernels exist for.
-FRONTIER_F = 32
-FRONTIER_DENSITY = 0.9
+GATED_OPS = ("intersect_popcount",)
 
 
-def _op_gate(op: str, gate: float) -> float:
-    """Required speedup for ``op`` under mode threshold ``gate``."""
-    return FRONTIER_GATE if op in FRONTIER_OPS else gate
-
-
-def _frontier_masks(d: int, seed: int) -> tuple[list[int], list[int]]:
-    """Seeded dense candidate-mask frontier: big-int masks + popcounts."""
-    rng = np.random.default_rng(seed ^ 0xF0)
-    bits = rng.random((FRONTIER_F, d)) < FRONTIER_DENSITY
-    mask_ints = [
-        int.from_bytes(
-            np.packbits(row, bitorder="little").tobytes(), "little"
-        )
-        for row in bits
-    ]
-    return mask_ints, [m.bit_count() for m in mask_ints]
-
-
-def _bench_ops(ctx, mask_ints, pcs, *, number, repeats):
-    """Per-repeat timing samples of the kernel ops on one built root.
-
-    ``intersect_popcount`` times the tier-1 single-mask ``count_rows``;
-    the :data:`FRONTIER_OPS` time the tier-2 batched forms over the
-    shared mask frontier.  Native-mask conversion happens *outside* the
-    timed region — the recursion holds native masks across calls, so
-    conversion is not part of the steady-state cost being measured.
-    """
-    kern, rows, d = ctx.kernel, ctx.rows, ctx.d
-    P = (1 << d) - 1
-    native = [kern.to_native(rows, m) for m in mask_ints]
-    ops = {
-        "intersect_popcount": lambda: kern.count_rows(rows, P),
-        "pivot_select": lambda: kern.pivot_select_sweep(rows, native, pcs),
-        "intersect_count_sweep":
-            lambda: kern.intersect_count_sweep(rows, native),
-    }
+def _bench_ops(ctx, *, number, repeats):
+    """Per-repeat timing samples of the kernel ops on one built root:
+    ``intersect_popcount`` times ``count_rows`` over every row."""
+    kern, rows = ctx.kernel, ctx.rows
+    P = (1 << ctx.d) - 1
+    ops = {"intersect_popcount": lambda: kern.count_rows(rows, P)}
     return {
         name: time_samples(fn, number=number, repeats=repeats)
         for name, fn in ops.items()
@@ -266,7 +188,7 @@ def _bench_e2e(backends, *, n, p, k, seed, repeats):
 
 def _work_metrics(seed):
     """Exact work counters for the record: a deterministic small count
-    on every available backend, whose engine/kernel totals depend only
+    on every backend, whose engine/kernel totals depend only
     on the seed (any drift is an algorithmic change, not timing
     noise)."""
     from repro import obs
@@ -274,7 +196,7 @@ def _work_metrics(seed):
     g = erdos_renyi(120, 0.3, seed=seed)
     ordering = core_ordering(g)
     with obs.collecting() as registry:
-        for backend in available_kernels():
+        for backend in KERNELS:
             count_kcliques(g, 4, ordering, kernel=backend)
     return registry
 
@@ -285,33 +207,25 @@ def run_kernel_bench(*, n, p, seed, number, repeats, gate, e2e, out_path,
 
     Returns the payload dict (also written to ``out_path``); the
     ``gate`` entry records whether the word-array backend met the
-    required speedups on the fused/frontier kernels and the end-to-end
-    floor.  ``e2e`` is the ``(n, p, k)`` config of the end-to-end SCT
+    required speedup on the fused kernel and the end-to-end floor.  ``e2e`` is the ``(n, p, k)`` config of the end-to-end SCT
     count.  The invocation is also appended to the run store and
     checked against the promoted baseline (``payload["store_result"]``,
     never written to the legacy artifact).
     """
-    backends = list(available_kernels())
+    backends = list(KERNELS)
     g = erdos_renyi(n, p, seed=seed)
     dag = directionalize(g, core_ordering(g))
     hub = int(np.argmax(dag.degrees))
 
     timings = {}
-    d = words = 0
-    mask_ints = pcs = None
+    d = int(dag.degrees[hub])
+    words = (d + 63) // 64
     for backend in backends:
         ctx = DenseStructure(g, dag, kernel=backend).build(hub)
-        if mask_ints is None:
-            d = ctx.d
-            words = (d + 63) // 64
-            mask_ints, pcs = _frontier_masks(d, seed)
-        timings[backend] = _bench_ops(
-            ctx, mask_ints, pcs, number=number, repeats=repeats
-        )
+        timings[backend] = _bench_ops(ctx, number=number, repeats=repeats)
 
     table = Table(
-        title=(f"bitset kernels, dense root d={d} ({words} words), "
-               f"frontier F={FRONTIER_F}"),
+        title=f"bitset kernels, dense root d={d} ({words} words)",
         columns=["op", "bigint", "wordarray", "speedup", "wa words/s"],
     )
     ops_payload = {}
@@ -319,14 +233,12 @@ def run_kernel_bench(*, n, p, seed, number, repeats, gate, e2e, out_path,
         bi = min(timings["bigint"][op])
         wa = min(timings["wordarray"][op])
         speedup = bi / wa
-        scale = FRONTIER_F if op in FRONTIER_OPS else 1
-        words_per_s = scale * d * words / wa
+        words_per_s = d * words / wa
         ops_payload[op] = {
-            "form": "frontier" if op in FRONTIER_OPS else "single",
             "speedup": round(speedup, 3),
             "wordarray_words_per_s": words_per_s,
             "gated": op in GATED_OPS,
-            "gate_threshold": _op_gate(op, gate) if op in GATED_OPS else None,
+            "gate_threshold": gate if op in GATED_OPS else None,
         }
         for backend in backends:
             ops_payload[op][f"{backend}_s"] = min(timings[backend][op])
@@ -353,27 +265,23 @@ def run_kernel_bench(*, n, p, seed, number, repeats, gate, e2e, out_path,
               f"{e2e_speedup:.2f}x", "-")
 
     gate_pass = all(
-        ops_payload[op]["speedup"] >= _op_gate(op, gate) for op in GATED_OPS
+        ops_payload[op]["speedup"] >= gate for op in GATED_OPS
     ) and e2e_speedup >= E2E_GATE
     table.note(
-        f"gate: intersect/popcount >= {gate:.1f}x, frontier ops >= "
-        f"{FRONTIER_GATE:.1f}x, end-to-end >= {E2E_GATE:.1f}x -> "
-        f"{'PASS' if gate_pass else 'FAIL'}"
+        f"gate: intersect/popcount >= {gate:.1f}x, end-to-end >= "
+        f"{E2E_GATE:.1f}x -> {'PASS' if gate_pass else 'FAIL'}"
     )
     table.show()
 
     payload = {
         "bench": "kernels",
         "config": {"n": n, "p": p, "seed": seed,
-                   "number": number, "repeats": repeats,
-                   "frontier_f": FRONTIER_F,
-                   "frontier_density": FRONTIER_DENSITY},
+                   "number": number, "repeats": repeats},
         "backends": backends,
         "root": {"d": d, "words": words},
         "ops": ops_payload,
         "end_to_end": e2e_payload,
-        "gate": {"threshold": gate, "frontier_threshold": FRONTIER_GATE,
-                 "e2e_threshold": E2E_GATE,
+        "gate": {"threshold": gate, "e2e_threshold": E2E_GATE,
                  "ops": list(GATED_OPS), "pass": gate_pass},
     }
     artifact = write_json_artifact(out_path, payload)

@@ -127,7 +127,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--structure", choices=("dense", "sparse", "remap"), default="remap"
     )
     p_count.add_argument(
-        "--kernel", choices=("bigint", "wordarray", "numba"), default="bigint",
+        "--kernel", choices=("bigint", "wordarray"), default="bigint",
         help="bitset-kernel backend for the counting hot path",
     )
     p_count.add_argument(
@@ -149,7 +149,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_graph_source(p_dist)
     p_dist.add_argument("--max-k", type=int, default=None)
     p_dist.add_argument(
-        "--kernel", choices=("bigint", "wordarray", "numba"), default="bigint",
+        "--kernel", choices=("bigint", "wordarray"), default="bigint",
         help="bitset-kernel backend for the counting hot path",
     )
     add_parallel(p_dist)
@@ -210,7 +210,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--structure", choices=("dense", "sparse", "remap"), default="remap"
     )
     p_stream.add_argument(
-        "--kernel", choices=("bigint", "wordarray", "numba"),
+        "--kernel", choices=("bigint", "wordarray"),
         default="bigint",
         help="bitset-kernel backend for the counting hot path",
     )

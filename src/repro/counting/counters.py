@@ -73,6 +73,25 @@ class Counters:
             self.peak_subgraph_bytes, other.peak_subgraph_bytes
         )
 
+    def charge_root(self, ctx, acc: list) -> None:
+        """Fold one built root into these counters: its induction
+        charges from ``ctx`` (a
+        :class:`~repro.counting.structures.base.RootContext`) and the
+        tally ``acc`` its pivot walk kept in a plain list — ``[nodes,
+        leaves, early exits, scanned candidates, branch vertices,
+        max depth, edge work]``."""
+        self.subgraph_builds += 1
+        self.build_words += ctx.build_words
+        self.peak_subgraph_bytes = max(
+            self.peak_subgraph_bytes, ctx.memory_bytes
+        )
+        self.function_calls += acc[0]
+        self.leaves += acc[1]
+        self.early_terminations += acc[2]
+        self.index_lookups += (acc[3] + acc[4]) * ctx.lookup_weight
+        self.set_op_words += acc[6] + acc[3] + acc[4]
+        self.max_depth = max(self.max_depth, acc[5])
+
     @property
     def recursion_work(self) -> float:
         """The recursion's share of :attr:`work` (set ops + lookups):

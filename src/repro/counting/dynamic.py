@@ -453,7 +453,7 @@ def _recompute_roots(
     it stopped, and the forest arrays are only patched once every
     dirty root has landed (all-or-nothing).
     """
-    from repro.counting.forest import _collect_root
+    from repro.counting.forest import collect_root_leaves
     from repro.counting.structures.base import RootContexts
 
     record_members = forest.has_members
@@ -515,14 +515,14 @@ def _recompute_roots(
             v = int(dirty[i])
             ctr = Counters()
             if ctl is None:
-                leaves = _collect_root(
+                leaves = collect_root_leaves(
                     struct, v, ctr, record_members=record_members,
                     ctx=next(ctxs),
                 )
             else:
                 try:
                     ctl.tick()
-                    leaves = _collect_root(
+                    leaves = collect_root_leaves(
                         struct, v, ctr, record_members=record_members,
                         ctx=next(ctxs),
                     )
@@ -545,7 +545,7 @@ def _recompute_roots(
                     if degraded_from is None:
                         degraded_from = fallen
                     ctr = Counters()
-                    leaves = _collect_root(
+                    leaves = collect_root_leaves(
                         struct, v, ctr, record_members=record_members,
                         ctx=next(ctxs),
                     )

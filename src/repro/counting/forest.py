@@ -40,6 +40,13 @@ stay exact).  Forests are cached in-process keyed by the same
 fingerprint machinery checkpoints use, and can be saved to / loaded
 from an ``.npz`` file next to a run's checkpoints.
 
+The traversal lives here too: :func:`walk_root` is the one
+member-tracking leaf walker.  The forest builds and the dirty-root
+recompute drive it with a sink that records each leaf, and the direct
+attribution engines (per-vertex, per-edge, profiles) with sinks that
+apply their Sec. V-A formulas, on the target-k tree or the size-capped
+one.
+
 When is re-recursing cheaper?  A single ``count(k)`` on a graph you
 will never query again: the forest build costs one full (unpruned)
 traversal plus recording, while a lone target-k run enjoys the early
@@ -64,7 +71,6 @@ import numpy as np
 from repro import obs
 from repro.counting.binomial import binomial, binomial_row
 from repro.counting.counters import Counters
-from repro.counting.sct import _FRONTIER_MIN_PC
 from repro.counting.structures import STRUCTURES, SubgraphStructure
 from repro.counting.structures.base import RootContext, RootContexts
 from repro.errors import (
@@ -91,6 +97,8 @@ __all__ = [
     "forest_cache_key",
     "clear_forest_cache",
     "collect_root_leaves",
+    "walk_root",
+    "walk_roots",
 ]
 
 FOREST_FORMAT_VERSION = 2
@@ -491,7 +499,7 @@ class SCTForest:
 
         def run_root(v: int) -> tuple[Counters, list]:
             ctr = Counters()
-            leaves = _collect_root(
+            leaves = collect_root_leaves(
                 struct, v, ctr, record_members=held_members is not None,
                 ctx=next(ctxs),
             )
@@ -960,156 +968,162 @@ class SCTForest:
 
 
 # ----------------------------------------------------------------------
-# per-root leaf collection (the one traversal everything amortizes)
+# the leaf walker: the one pivot traversal every leaf consumer drives
 # ----------------------------------------------------------------------
-def _collect_root(
-    struct: SubgraphStructure, v: int, ctr: Counters, *,
-    record_members: bool, ctx: RootContext | None = None,
-) -> list:
-    """Full (unpruned) pivot recursion for one root; returns the leaf
-    list as ``(held_ids, pivot_ids)`` tuples (sizes only when
-    ``record_members`` is off).  Counter charging mirrors the direct
-    engines so :attr:`SCTForest.per_root_work` feeds the same
-    scheduler model.  ``ctx`` is ``v``'s already-built context, if the
-    caller has one."""
-    if ctx is None:
-        ctx = struct.build(v)
-    ctr.subgraph_builds += 1
-    ctr.build_words += ctx.build_words
-    ctr.peak_subgraph_bytes = max(ctr.peak_subgraph_bytes, ctx.memory_bytes)
-    d = ctx.d
+def walk_root(
+    ctx: RootContext, v: int, ctr: Counters, leaf, *,
+    k: int | None = None, cap: int | None = None,
+) -> None:
+    """Walk root ``v``'s pivot tree over its built context ``ctx``,
+    calling ``leaf(held, pivots, held_ids, pivot_ids)`` at every leaf,
+    and charge the walk to ``ctr`` (:meth:`Counters.charge_root`).
+
+    ``held`` / ``pivots`` are the leaf's ``|H|`` / ``|Π|``;
+    ``held_ids`` / ``pivot_ids`` are the walk's *live* member lists
+    (global ids, ``v`` first), so a sink that keeps them must copy.
+    At most one of ``k`` / ``cap`` is given:
+
+    * ``k`` walks exactly :meth:`SCTEngine.count
+      <repro.counting.sct.SCTEngine.count>`'s target-k tree: a node
+      whose held set reaches ``k`` is a leaf, and one whose reach
+      ``|H| + |Π| + |P|`` falls short of ``k`` is pruned;
+    * ``cap`` cuts every branch whose held set reaches ``cap`` (the
+      all-k tree truncated to cliques below ``cap``);
+    * neither walks the full tree — the forest's.
+    """
     rows = ctx.rows
     kern = ctx.kernel
     pivot_select = kern.pivot_select
     intersect_count = kern.intersect_count
-    lw = ctx.lookup_weight
-    full = (1 << d) - 1
-    out = [int(g) for g in ctx.out]
-    leaves: list = []
+    out = ctx.out.tolist()
     held_ids: list[int] = [v]
     pivot_ids: list[int] = []
     acc = [0, 0, 0, 0, 0, 0, 0]
+    # A held set reaching `stop` ends the branch: at a leaf under `k`,
+    # cut under `cap`; the full tree never gets there (|H| <= d + 1).
+    stop = k if k is not None else cap if cap is not None else ctx.d + 2
+    cut = k is None
+    reach = k or 0
 
-    def leaf(held: int, pivots: int) -> None:
+    def rec(P: int, pc: int, held: int, pivots: int) -> None:
+        acc[0] += 1
+        if held >= stop:
+            if cut:
+                acc[2] += 1
+                return
+        elif pc:
+            if reach and held + pivots + pc < reach:
+                acc[2] += 1
+                return
+            acc[3] += pc
+            best, best_row, best_cnt, edge_sum = pivot_select(rows, P, pc)
+            pivot_ids.append(out[best])
+            rec(best_row, best_cnt, held, pivots + 1)
+            pivot_ids.pop()
+            P &= ~(1 << best)
+            cand = P & ~best_row
+            acc[4] += cand.bit_count()
+            held1 = held + 1
+            while cand:
+                low = cand & -cand
+                w = low.bit_length() - 1
+                child, cc = intersect_count(rows, w, P)
+                edge_sum += cc
+                held_ids.append(out[w])
+                rec(child, cc, held1, pivots)
+                held_ids.pop()
+                P ^= low
+                cand ^= low
+            acc[6] += edge_sum
+            return
         acc[1] += 1
         depth = held + pivots
         if depth > acc[5]:
             acc[5] = depth
-        if record_members:
-            leaves.append((held, pivots, tuple(held_ids), tuple(pivot_ids)))
-        else:
-            leaves.append((held, pivots, None, None))
+        leaf(held, pivots, held_ids, pivot_ids)
 
-    def rec(P: int, pc: int, held: int, pivots: int) -> None:
-        acc[0] += 1
-        if pc == 0:
-            leaf(held, pivots)
-            return
-        acc[3] += pc
-        best, best_row, best_cnt, edge_sum = pivot_select(rows, P, pc)
-        pivot_ids.append(out[best])
-        rec(best_row, best_cnt, held, pivots + 1)
-        pivot_ids.pop()
-        P &= ~(1 << best)
-        cand = P & ~best_row
-        acc[4] += cand.bit_count()
-        held1 = held + 1
-        while cand:
-            low = cand & -cand
-            w = low.bit_length() - 1
-            child, cc = intersect_count(rows, w, P)
-            edge_sum += cc
-            held_ids.append(out[w])
-            rec(child, cc, held1, pivots)
-            held_ids.pop()
-            P ^= low
-            cand ^= low
-        acc[6] += edge_sum
-
-    cutoff = _FRONTIER_MIN_PC
-
-    def rec_frontier(P, pc: int, held: int, pivots: int, choice) -> None:
-        # Tier-2 spine: same depth-first order (so the flat leaf arrays
-        # are bit-identical), but the branch loop collapses into one
-        # expand_children call and the large children share one
-        # pivot_select_sweep; subtrees below the hybrid cutoff are
-        # handed whole to the scalar closure (see sct.py).
-        acc[0] += 1
-        if pc == 0:
-            leaf(held, pivots)
-            return
-        acc[3] += pc
-        best, best_row, best_cnt, edge_sum = choice
-        ws, children, ccs = expand(rows, P, best, best_row)
-        nb = len(ws)
-        acc[4] += nb
-        edge_sum += sum(ccs)
-        acc[6] += edge_sum
-        big_pivot = best_cnt >= cutoff
-        masks = []
-        pcs = []
-        slots = []
-        if big_pivot:
-            masks.append(best_row)
-            pcs.append(best_cnt)
-            slots.append(-1)
-        for i in range(nb):
-            if ccs[i] >= cutoff:
-                masks.append(children[i])
-                pcs.append(ccs[i])
-                slots.append(i)
-        pivot_choice = None
-        child_choice = [None] * nb
-        if masks:
-            cb, cr, ccnt, ce = sweep(rows, masks, pcs)
-            for t, s in enumerate(slots):
-                if s < 0:
-                    pivot_choice = (cb[t], cr[t], ccnt[t], ce[t])
-                else:
-                    child_choice[s] = (cb[t], cr[t], ccnt[t], ce[t])
-        pivot_ids.append(out[best])
-        if big_pivot:
-            rec_frontier(best_row, best_cnt, held, pivots + 1, pivot_choice)
-        else:
-            rec(mask_int(rows, best_row), best_cnt, held, pivots + 1)
-        pivot_ids.pop()
-        held1 = held + 1
-        for i in range(nb):
-            held_ids.append(out[ws[i]])
-            if ccs[i] >= cutoff:
-                rec_frontier(children[i], ccs[i], held1, pivots,
-                             child_choice[i])
-            else:
-                rec(mask_int(rows, children[i]), ccs[i], held1, pivots)
-            held_ids.pop()
-
-    if kern.frontier and d >= cutoff:
-        expand = kern.expand_children
-        sweep = kern.pivot_select_sweep
-        mask_int = kern.mask_int
-        fullN = kern.to_native(rows, full)
-        cb, cr, ccnt, ce = sweep(rows, [fullN], [d])
-        rec_frontier(fullN, d, 1, 0, (cb[0], cr[0], ccnt[0], ce[0]))
-    else:
-        rec(full, d, 1, 0)
-    ctr.function_calls += acc[0]
-    ctr.leaves += acc[1]
-    ctr.index_lookups += (acc[3] + acc[4]) * lw
-    ctr.set_op_words += acc[6] + acc[3] + acc[4]
-    ctr.max_depth = max(ctr.max_depth, acc[5])
-    return leaves
+    rec((1 << ctx.d) - 1, ctx.d, 1, 0)
+    ctr.charge_root(ctx, acc)
 
 
 def collect_root_leaves(
     struct: SubgraphStructure, v: int, ctr: Counters, *,
-    record_members: bool = True,
+    record_members: bool = True, ctx: RootContext | None = None,
 ) -> list:
-    """Public per-root leaf collection — the parallel forest build's
-    worker task unit (see :mod:`repro.parallel.runtime`).  Same leaf
-    tuples and counter charging as the serial :meth:`SCTForest.build`
-    traversal, so leaves gathered by any worker in any order reassemble
-    into a bit-identical forest."""
-    return _collect_root(struct, v, ctr, record_members=record_members)
+    """Root ``v``'s full-tree leaves as ``(|H|, |Π|, held_ids,
+    pivot_ids)`` tuples (ids ``None`` when ``record_members`` is off),
+    charging ``ctr`` — the unit the serial and parallel forest builds
+    and the dirty-root recompute share, so leaves gathered by any of
+    them in any order reassemble into a bit-identical forest.  ``ctx``
+    is ``v``'s already-built context, if the caller has one."""
+    leaves: list = []
+    append = leaves.append
+    if record_members:
+        def leaf(held, pivots, held_ids, pivot_ids):
+            append((held, pivots, tuple(held_ids), tuple(pivot_ids)))
+    else:
+        def leaf(held, pivots, held_ids, pivot_ids):
+            append((held, pivots, None, None))
+    walk_root(struct.build(v) if ctx is None else ctx, v, ctr, leaf)
+    return leaves
+
+
+def attribution_structure(
+    graph: CSRGraph,
+    ordering: Ordering | np.ndarray | CSRGraph,
+    structure: str = "remap",
+    kernel: str | BitsetKernel | None = None,
+) -> SubgraphStructure:
+    """The structure an attribution engine walks, over ``graph`` and
+    the DAG of ``ordering`` (or ``ordering`` itself when it is one)."""
+    if graph.directed:
+        raise CountingError("input graph must be undirected")
+    if isinstance(ordering, CSRGraph):
+        dag = ordering
+        if not dag.directed:
+            raise CountingError("pass a DAG or an ordering")
+    else:
+        dag = directionalize(graph, ordering)
+    return STRUCTURES[structure](graph, dag, kernel=kernel)
+
+
+def walk_roots(
+    struct: SubgraphStructure, roots, leaf, *,
+    k: int | None = None, cap: int | None = None,
+    controller: RunController | None = None, engine: str = "",
+) -> Counters:
+    """:func:`walk_root` over every root of ``roots`` in order, their
+    contexts induced in :class:`RootContexts` batches — the root loop
+    of the attribution engines.  Returns the summed counters.
+
+    A ``controller`` is begun under an ``engine`` descriptor and
+    consulted at root granularity for budgets and fault injection.
+    Attribution keeps no checkpoint state: a budget abort discards the
+    run.
+    """
+    roots = np.asarray(roots, dtype=np.int64)
+    ctl = controller
+    if ctl is not None:
+        ctl.begin({
+            "engine": engine,
+            "k": k,
+            "structure": struct.name,
+            "kernel": struct.kernel.name,
+            "graph": graph_fingerprint(struct.graph),
+        })
+    totals = Counters()
+    ctxs = RootContexts(struct, roots)
+    with ctl.guard() if ctl is not None else nullcontext():
+        for v in roots.tolist():
+            calls = totals.function_calls
+            if ctl is not None:
+                ctl.tick()
+            walk_root(next(ctxs), v, totals, leaf, k=k, cap=cap)
+            if ctl is not None:
+                ctl.charge_nodes(totals.function_calls - calls)
+                ctl.note_memory(totals.peak_subgraph_bytes)
+                ctl.complete_root(v)
+    return totals
 
 
 # ----------------------------------------------------------------------

@@ -5,9 +5,11 @@ The natural companion to the per-vertex extension: for every edge
 dense-subgraph discovery and k-clique-densest-subgraph peeling (the
 paper's community-detection motivation).
 
-Attribution mirrors :mod:`repro.counting.pervertex`: at an SCT leaf
-with held set ``H`` and pivot set ``Π`` contributing ``C(|Π|, j)``
-k-cliques (``j = k - |H|``):
+Attribution mirrors :mod:`repro.counting.pervertex` — a leaf sink on
+the shared leaf walker's target-k tree
+(:func:`repro.counting.forest.walk_root`): at an SCT leaf with held set
+``H`` and pivot set ``Π`` contributing ``C(|Π|, j)`` k-cliques
+(``j = k - |H|``):
 
 * a held-held pair appears in every one of them: ``C(|Π|, j)``;
 * a held-pivot pair (pivot chosen): ``C(|Π| - 1, j - 1)``;
@@ -19,19 +21,16 @@ Invariant (tested): summing over all edges gives
 
 from __future__ import annotations
 
-from contextlib import nullcontext
 from itertools import combinations
 
 import numpy as np
 
 from repro.counting.binomial import binomial
-from repro.counting.structures import STRUCTURES
+from repro.counting.forest import attribution_structure, walk_roots
 from repro.errors import CountingError
 from repro.graph.csr import CSRGraph
 from repro.kernels import BitsetKernel
 from repro.ordering.base import Ordering
-from repro.ordering.directionalize import directionalize
-from repro.runtime.checkpoint import graph_fingerprint
 from repro.runtime.controller import RunController
 
 __all__ = ["per_edge_counts"]
@@ -60,58 +59,14 @@ def per_edge_counts(
         raise CountingError(f"per-edge counts need k >= 2, got {k}")
     if forest is not None:
         return forest.per_edge(k)
-    if graph.directed:
-        raise CountingError("input graph must be undirected")
-    if isinstance(ordering, CSRGraph):
-        dag = ordering
-        if not dag.directed:
-            raise CountingError("pass a DAG or an ordering")
-    else:
-        dag = directionalize(graph, ordering)
-    struct = STRUCTURES[structure](graph, dag, kernel=kernel)
+    struct = attribution_structure(graph, ordering, structure, kernel)
     per: dict[tuple[int, int], int] = {}
 
     def credit(u: int, v: int, c: int) -> None:
         key = (u, v) if u < v else (v, u)
         per[key] = per.get(key, 0) + c
 
-    if controller is not None:
-        controller.begin(
-            {
-                "engine": "per-edge",
-                "k": k,
-                "structure": struct.name,
-                "kernel": struct.kernel.name,
-                "graph": graph_fingerprint(graph),
-            }
-        )
-    with controller.guard() if controller is not None else nullcontext():
-        for v in range(graph.num_vertices):
-            if controller is not None:
-                controller.tick()
-            calls, peak = _root(struct, v, k, credit)
-            if controller is not None:
-                controller.charge_nodes(calls)
-                controller.note_memory(peak)
-                controller.complete_root(v)
-    return per
-
-
-def _root(struct, v: int, k: int, credit) -> tuple[int, int]:
-    """Attribute one root; returns ``(recursion_calls, peak_bytes)``
-    so the caller can meter the run controller."""
-    ctx = struct.build(v)
-    calls = 0
-    d = ctx.d
-    rows = ctx.rows
-    pivot_select = ctx.kernel.pivot_select
-    intersect = ctx.kernel.intersect
-    out = [int(g) for g in ctx.out]
-    full = (1 << d) - 1
-    held_ids: list[int] = [v]
-    pivot_ids: list[int] = []
-
-    def leaf(pivots: int, held: int) -> None:
+    def leaf(held, pivots, held_ids, pivot_ids):
         j = k - held
         c_all = binomial(pivots, j)
         if c_all == 0:
@@ -128,30 +83,6 @@ def _root(struct, v: int, k: int, credit) -> tuple[int, int]:
             for a, b in combinations(pivot_ids, 2):
                 credit(a, b, c_pp)
 
-    def rec(P: int, held: int, pivots: int) -> None:
-        nonlocal calls
-        calls += 1
-        pc = P.bit_count()
-        if pc == 0 or held == k:
-            if held <= k <= held + pivots:
-                leaf(pivots, held)
-            return
-        if held + pivots + pc < k:
-            return
-        best, best_row, _best_cnt, _edges = pivot_select(rows, P, pc)
-        pivot_ids.append(out[best])
-        rec(best_row, held, pivots + 1)
-        pivot_ids.pop()
-        P &= ~(1 << best)
-        cand = P & ~best_row
-        while cand:
-            low = cand & -cand
-            w = low.bit_length() - 1
-            held_ids.append(out[w])
-            rec(intersect(rows, w, P), held + 1, pivots)
-            held_ids.pop()
-            P ^= low
-            cand ^= low
-
-    rec(full, 1, 0)
-    return calls, ctx.memory_bytes
+    walk_roots(struct, range(graph.num_vertices), leaf, k=k,
+               controller=controller, engine="per-edge")
+    return per

@@ -4,30 +4,27 @@
 counts": at each SCT leaf with held set ``H`` and pivot set ``Π``, the
 leaf's ``C(|Π|, k - |H|)`` k-cliques all contain every held vertex, and
 a pivot vertex ``u ∈ Π`` appears in exactly ``C(|Π| - 1, k - |H| - 1)``
-of them.  Tracking the actual member ids along the recursion path makes
-the attribution exact.
+of them.  The shared leaf walker (:func:`repro.counting.forest.walk_root`)
+walks the target-k tree with the member ids of each leaf, so this
+module is only that rule, applied as a leaf sink.
 
 Invariant (tested): per-vertex counts sum to ``k x (total k-cliques)``.
 """
 
 from __future__ import annotations
 
-from contextlib import nullcontext
-
 import numpy as np
 
 from repro.counting.binomial import binomial
 from repro.counting.counters import Counters
-from repro.counting.structures import STRUCTURES
+from repro.counting.forest import attribution_structure, walk_root, walk_roots
 from repro.errors import CountingError
 from repro.graph.csr import CSRGraph
 from repro.kernels import BitsetKernel
 from repro.ordering.base import Ordering
-from repro.ordering.directionalize import directionalize
-from repro.runtime.checkpoint import graph_fingerprint
 from repro.runtime.controller import RunController
 
-__all__ = ["per_vertex_counts", "attribute_root"]
+__all__ = ["per_vertex_counts", "attribute_root", "vertex_sink"]
 
 
 def per_vertex_counts(
@@ -54,67 +51,28 @@ def per_vertex_counts(
         raise CountingError(f"clique size k must be >= 1, got {k}")
     if forest is not None:
         return forest.per_vertex(k)
-    if graph.directed:
-        raise CountingError("input graph must be undirected")
-    if isinstance(ordering, CSRGraph):
-        dag = ordering
-        if not dag.directed:
-            raise CountingError("pass a DAG or an ordering")
-    else:
-        dag = directionalize(graph, ordering)
-    struct = STRUCTURES[structure](graph, dag, kernel=kernel)
+    struct = attribution_structure(graph, ordering, structure, kernel)
     n = graph.num_vertices
     per: list[int] = [0] * n
-    ctr = Counters()
-    if controller is not None:
-        controller.begin(
-            {
-                "engine": "per-vertex",
-                "k": k,
-                "structure": struct.name,
-                "kernel": struct.kernel.name,
-                "graph": graph_fingerprint(graph),
-            }
-        )
-    with controller.guard() if controller is not None else nullcontext():
-        for v in range(n):
-            prev_calls = ctr.function_calls
-            if controller is not None:
-                controller.tick()
-            _root(struct, v, k, per, ctr)
-            if controller is not None:
-                controller.charge_nodes(ctr.function_calls - prev_calls)
-                controller.note_memory(ctr.peak_subgraph_bytes)
-                controller.complete_root(v)
+    walk_roots(struct, range(n), vertex_sink(per, k), k=k,
+               controller=controller, engine="per-vertex")
     return per
 
 
 def attribute_root(
     struct, v: int, k: int, per: list[int], ctr: Counters
 ) -> None:
-    """Public per-root attribution step — the parallel per-vertex
-    workers' task unit.  Adds root ``v``'s exact contribution to every
-    entry of ``per`` it touches, charging ``ctr`` exactly like the
-    serial loop, so chunked attributions folded in any order equal the
-    serial result."""
-    _root(struct, v, k, per, ctr)
+    """Public per-root attribution step.  Adds root ``v``'s exact
+    contribution to every entry of ``per`` it touches, charging ``ctr``
+    exactly like the serial loop, so attributions of disjoint root sets
+    folded in any order equal the serial result."""
+    walk_root(struct.build(v), v, ctr, vertex_sink(per, k), k=k)
 
 
-def _root(struct, v: int, k: int, per: list[int], ctr: Counters) -> None:
-    ctx = struct.build(v)
-    ctr.subgraph_builds += 1
-    ctr.peak_subgraph_bytes = max(ctr.peak_subgraph_bytes, ctx.memory_bytes)
-    d = ctx.d
-    rows = ctx.rows
-    pivot_select = ctx.kernel.pivot_select
-    intersect = ctx.kernel.intersect
-    out = [int(g) for g in ctx.out]
-    full = (1 << d) - 1
-    held_ids: list[int] = [v]
-    pivot_ids: list[int] = []
+def vertex_sink(per: list[int], k: int):
+    """The leaf sink adding each leaf's k-cliques to ``per``."""
 
-    def leaf(pivots: int, held: int) -> None:
-        ctr.leaves += 1
+    def leaf(held, pivots, held_ids, pivot_ids):
         j = k - held
         c = binomial(pivots, j)
         if c == 0:
@@ -126,29 +84,4 @@ def _root(struct, v: int, k: int, per: list[int], ctr: Counters) -> None:
             for u in pivot_ids:
                 per[u] += c_in
 
-    def rec(P: int, held: int, pivots: int) -> None:
-        ctr.function_calls += 1
-        pc = P.bit_count()
-        if pc == 0 or held == k:
-            if held <= k <= held + pivots:
-                leaf(pivots, held)
-            return
-        if held + pivots + pc < k:
-            ctr.early_terminations += 1
-            return
-        best, best_row, _best_cnt, _edges = pivot_select(rows, P, pc)
-        pivot_ids.append(out[best])
-        rec(best_row, held, pivots + 1)
-        pivot_ids.pop()
-        P &= ~(1 << best)
-        cand = P & ~best_row
-        while cand:
-            low = cand & -cand
-            w = low.bit_length() - 1
-            held_ids.append(out[w])
-            rec(intersect(rows, w, P), held + 1, pivots)
-            held_ids.pop()
-            P ^= low
-            cand ^= low
-
-    rec(full, 1, 0)
+    return leaf

@@ -5,7 +5,9 @@ Generalizes :mod:`repro.counting.pervertex` the way
 yields, for every vertex, its participation count in cliques of every
 size — the local clique profile used in graph mining as a structural
 feature vector (and by the k-clique peeling in
-:mod:`repro.apps.cliquecore`).
+:mod:`repro.apps.cliquecore`).  The pass is the shared leaf walker
+(:func:`repro.counting.forest.walk_root`) cut at the size cap; this
+module is the leaf sink.
 
 Leaf rule: at a leaf with held set ``H`` and pivot set ``Π``, for each
 size ``s = |H| + j``:
@@ -22,11 +24,10 @@ from __future__ import annotations
 import numpy as np
 
 from repro.counting.binomial import binomial_row
-from repro.counting.structures import STRUCTURES
+from repro.counting.forest import attribution_structure, walk_roots
 from repro.errors import CountingError
 from repro.graph.csr import CSRGraph
 from repro.ordering.base import Ordering
-from repro.ordering.directionalize import directionalize
 
 __all__ = ["per_vertex_profiles"]
 
@@ -51,44 +52,16 @@ def per_vertex_profiles(
         raise CountingError("input graph must be undirected")
     if forest is not None:
         return forest.profiles(max_k)
-    if isinstance(ordering, CSRGraph):
-        dag = ordering
-        if not dag.directed:
-            raise CountingError("pass a DAG or an ordering")
-    else:
-        dag = directionalize(graph, ordering)
-    struct = STRUCTURES[structure](graph, dag)
+    struct = attribution_structure(graph, ordering, structure)
     n = graph.num_vertices
-    cap = dag.max_degree + 2
+    cap = struct.dag.max_degree + 2
     if max_k is not None:
         if max_k < 1:
             raise CountingError("max_k must be >= 1")
         cap = min(cap, max_k + 1)
     profiles: list[list[int]] = [[0] * cap for _ in range(n)]
-    for v in range(n):
-        _root(struct, v, profiles, cap)
-    # Trim trailing all-zero columns (keep at least sizes 0..1).
-    top = 1
-    for v in range(n):
-        row = profiles[v]
-        for s in range(cap - 1, top, -1):
-            if row[s]:
-                top = max(top, s)
-                break
-    width = top + 1
-    return [row[:width] for row in profiles]
 
-
-def _root(struct, v: int, profiles: list[list[int]], cap: int) -> None:
-    ctx = struct.build(v)
-    d = ctx.d
-    row = ctx.row
-    out = [int(g) for g in ctx.out]
-    full = (1 << d) - 1
-    held_ids: list[int] = [v]
-    pivot_ids: list[int] = []
-
-    def leaf(pivots: int, held: int) -> None:
+    def leaf(held, pivots, held_ids, pivot_ids):
         brow = binomial_row(pivots)
         hi = min(held + pivots + 1, cap)
         for s in range(held, hi):
@@ -102,40 +75,14 @@ def _root(struct, v: int, profiles: list[list[int]], cap: int) -> None:
                 for u in pivot_ids:
                     profiles[u][s] += c_in
 
-    def rec(P: int, held: int, pivots: int) -> None:
-        if held >= cap:
-            return
-        pc = P.bit_count()
-        if pc == 0:
-            leaf(pivots, held)
-            return
-        best = -1
-        best_cnt = -1
-        best_row = 0
-        scan = P
-        while scan:
-            low = scan & -scan
-            r = row(low.bit_length() - 1) & P
-            c = r.bit_count()
-            if c > best_cnt:
-                best_cnt = c
-                best = low.bit_length() - 1
-                best_row = r
-                if c == pc - 1:
-                    break
-            scan ^= low
-        pivot_ids.append(out[best])
-        rec(best_row, held, pivots + 1)
-        pivot_ids.pop()
-        P &= ~(1 << best)
-        cand = P & ~best_row
-        while cand:
-            low = cand & -cand
-            w = low.bit_length() - 1
-            held_ids.append(out[w])
-            rec(row(w) & P, held + 1, pivots)
-            held_ids.pop()
-            P ^= low
-            cand ^= low
-
-    rec(full, 1, 0)
+    walk_roots(struct, range(n), leaf, cap=cap)
+    # Trim trailing all-zero columns (keep at least sizes 0..1).
+    top = 1
+    for v in range(n):
+        row = profiles[v]
+        for s in range(cap - 1, top, -1):
+            if row[s]:
+                top = max(top, s)
+                break
+    width = top + 1
+    return [row[:width] for row in profiles]

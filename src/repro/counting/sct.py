@@ -62,20 +62,6 @@ __all__ = [
     "count_all_sizes",
 ]
 
-#: Hybrid-spine cutoff for frontier backends: a subtree whose candidate
-#: count ``pc`` drops below this is recursed by the scalar big-int
-#: closure instead of the frontier spine.  Recursion work concentrates
-#: in the small-``pc`` tail (node count grows far faster with depth
-#: than ``pc`` shrinks), where CPython big-int scanning beats the
-#: per-node overhead of building/distributing frontier batches; the
-#: word-tile sweeps only pay for themselves on the dense upper levels.
-#: Both spines charge identical counters, so the cutoff is purely a
-#: wall-clock knob (measured crossover on 1-core x86, ~two uint64
-#: words — below it the NumPy tile pipeline's fixed per-level cost
-#: exceeds the whole subtree's scalar scan time).
-_FRONTIER_MIN_PC = 128
-
-
 @dataclass
 class CountResult:
     """Outcome of one counting run.
@@ -666,51 +652,24 @@ class SCTEngine:
     def _count_ctx_k(
         self, ctx, k: int, ctr: Counters, early_termination: bool = True
     ) -> int:
-        ctr.subgraph_builds += 1
-        ctr.build_words += ctx.build_words
-        ctr.peak_subgraph_bytes = max(ctr.peak_subgraph_bytes, ctx.memory_bytes)
-        d = ctx.d
-        kern = ctx.kernel
-        lw = ctx.lookup_weight
-        full = (1 << d) - 1
         # Hot-path counters accumulate in a plain list (fast item ops)
-        # and fold into the dataclass once per root:
-        # [calls, leaves, early, scan vertices, branch vertices,
-        #  max_depth, edge work].  Work is charged *edge-granularly*
-        #  (one unit per adjacency entry a set operation touches), the
-        #  cost the paper's array-based implementation actually pays —
-        #  this is what makes counting work sensitive to the ordering's
-        #  subgraph sizes (Table II / Table III).
+        # and fold into the dataclass once per root (see
+        # Counters.charge_root for the slots).  Work is charged
+        # *edge-granularly* (one unit per adjacency entry a set
+        # operation touches), the cost the paper's array-based
+        # implementation actually pays — this is what makes counting
+        # work sensitive to the ordering's subgraph sizes (Table II /
+        # Table III).
         acc = [0, 0, 0, 0, 0, 0, 0]
-
-        if kern.frontier:
-            result = self._rec_k_frontier(ctx, k, acc, early_termination)
-            ctr.function_calls += acc[0]
-            ctr.leaves += acc[1]
-            ctr.early_terminations += acc[2]
-            ctr.index_lookups += (acc[3] + acc[4]) * lw
-            ctr.set_op_words += acc[6] + acc[3] + acc[4]
-            ctr.max_depth = max(ctr.max_depth, acc[5])
-            return result
-
         rec = self._make_rec_k(ctx, k, acc, early_termination)
-        result = rec(full, d, 1, 0)
-        ctr.function_calls += acc[0]
-        ctr.leaves += acc[1]
-        ctr.early_terminations += acc[2]
-        ctr.index_lookups += (acc[3] + acc[4]) * lw
-        ctr.set_op_words += acc[6] + acc[3] + acc[4]
-        ctr.max_depth = max(ctr.max_depth, acc[5])
+        result = rec((1 << ctx.d) - 1, ctx.d, 1, 0)
+        ctr.charge_root(ctx, acc)
         return result
 
     def _make_rec_k(self, ctx, k: int, acc: list, early_termination: bool):
-        """The scalar (per-node, big-int-mask) target-k recursion.
-
-        Built as a closure over one root's context; both the scalar
-        spine and the frontier spine's small-subtree fast path
-        (:data:`_FRONTIER_MIN_PC`) run this exact code, so the two
-        spines cannot drift apart semantically.
-        """
+        """The target-k recursion, built as a closure over one root's
+        context: the per-node big-int-mask walk that charges ``acc``
+        and returns the root's k-clique count."""
         rows = ctx.rows
         kern = ctx.kernel
         pivot_select = kern.pivot_select
@@ -755,118 +714,6 @@ class SCTEngine:
 
         return rec
 
-    def _rec_k_frontier(
-        self, ctx, k: int, acc: list, early_termination: bool
-    ) -> int:
-        """Frontier-batched recursion spine (tier-2 kernels).
-
-        Visits the exact same tree as the scalar ``rec`` in the same
-        depth-first order and charges identical ``acc`` totals, but
-        masks stay kernel-native end to end and all of a node's viable
-        children get their pivot chosen by *one*
-        ``pivot_select_sweep`` call (children that a terminal check
-        will absorb are never swept).  The branch loop's per-child
-        ``intersect_count`` calls collapse into one
-        ``expand_children`` call per node.
-
-        The spine is *hybrid*: recursion work concentrates in the vast
-        small-``pc`` tail, where per-node batching overhead costs more
-        than vectorization saves, so any subtree whose candidate count
-        falls below :data:`_FRONTIER_MIN_PC` is handed whole to the
-        scalar big-int recursion (:meth:`_make_rec_k` — the identical
-        code the scalar spine runs, charging the identical ``acc``
-        totals).  Only the dense upper levels pay for — and profit
-        from — the word-tile sweeps.
-        """
-        rows = ctx.rows
-        kern = ctx.kernel
-        expand = kern.expand_children
-        sweep = kern.pivot_select_sweep
-        mask_int = kern.mask_int
-        binom = binomial
-        cutoff = _FRONTIER_MIN_PC
-        srec = self._make_rec_k(ctx, k, acc, early_termination)
-
-        def rec(P, pc: int, held: int, pivots: int, choice) -> int:
-            acc[0] += 1
-            if held == k:
-                acc[1] += 1
-                depth = held + pivots
-                if depth > acc[5]:
-                    acc[5] = depth
-                return 1
-            if pc == 0:
-                acc[1] += 1
-                depth = held + pivots
-                if depth > acc[5]:
-                    acc[5] = depth
-                return binom(pivots, k - held)
-            if early_termination and held + pivots + pc < k:
-                acc[2] += 1
-                return 0
-            acc[3] += pc
-            best, best_row, best_cnt, edge_sum = choice
-            ws, children, ccs = expand(rows, P, best, best_row)
-            nb = len(ws)
-            acc[4] += nb
-            edge_sum += sum(ccs)
-            acc[6] += edge_sum
-            held1 = held + 1
-            pivots1 = pivots + 1
-            masks = []
-            pcs = []
-            slots = []
-            big_pivot = best_cnt >= cutoff
-            if big_pivot and not (
-                early_termination and held + pivots1 + best_cnt < k
-            ):
-                masks.append(best_row)
-                pcs.append(best_cnt)
-                slots.append(-1)
-            if held1 != k:
-                for i in range(nb):
-                    cc = ccs[i]
-                    if cc >= cutoff and not (
-                        early_termination and held1 + pivots + cc < k
-                    ):
-                        masks.append(children[i])
-                        pcs.append(cc)
-                        slots.append(i)
-            pivot_choice = None
-            child_choice = [None] * nb
-            if masks:
-                cb, cr, ccnt, ce = sweep(rows, masks, pcs)
-                for t, s in enumerate(slots):
-                    if s < 0:
-                        pivot_choice = (cb[t], cr[t], ccnt[t], ce[t])
-                    else:
-                        child_choice[s] = (cb[t], cr[t], ccnt[t], ce[t])
-            if big_pivot:
-                total = rec(best_row, best_cnt, held, pivots1, pivot_choice)
-            else:
-                total = srec(
-                    mask_int(rows, best_row), best_cnt, held, pivots1
-                )
-            for i in range(nb):
-                cc = ccs[i]
-                if cc >= cutoff:
-                    total += rec(
-                        children[i], cc, held1, pivots, child_choice[i]
-                    )
-                else:
-                    total += srec(
-                        mask_int(rows, children[i]), cc, held1, pivots
-                    )
-            return total
-
-        d = ctx.d
-        full = (1 << d) - 1
-        if d < cutoff or k == 1 or (early_termination and 1 + d < k):
-            return srec(full, d, 1, 0)
-        fullN = kern.to_native(rows, full)
-        cb, cr, ccnt, ce = sweep(rows, [fullN], [d])
-        return rec(fullN, d, 1, 0, (cb[0], cr[0], ccnt[0], ce[0]))
-
     def _count_ctx_all(
         self, ctx, cap: int, length: int, ctr: Counters
     ) -> list[int]:
@@ -877,39 +724,15 @@ class SCTEngine:
         controller aborts the run on this root.
         """
         counts = [0] * length
-        ctr.subgraph_builds += 1
-        ctr.build_words += ctx.build_words
-        ctr.peak_subgraph_bytes = max(ctr.peak_subgraph_bytes, ctx.memory_bytes)
-        d = ctx.d
-        kern = ctx.kernel
-        lw = ctx.lookup_weight
-        full = (1 << d) - 1
         acc = [0, 0, 0, 0, 0, 0, 0]
-
-        if kern.frontier:
-            self._rec_all_frontier(ctx, cap, counts, acc)
-            ctr.function_calls += acc[0]
-            ctr.leaves += acc[1]
-            ctr.early_terminations += acc[2]
-            ctr.index_lookups += (acc[3] + acc[4]) * lw
-            ctr.set_op_words += acc[6] + acc[3] + acc[4]
-            ctr.max_depth = max(ctr.max_depth, acc[5])
-            return counts
-
         rec = self._make_rec_all(ctx, cap, counts, acc)
-        rec(full, d, 1, 0)
-        ctr.function_calls += acc[0]
-        ctr.leaves += acc[1]
-        ctr.early_terminations += acc[2]
-        ctr.index_lookups += (acc[3] + acc[4]) * lw
-        ctr.set_op_words += acc[6] + acc[3] + acc[4]
-        ctr.max_depth = max(ctr.max_depth, acc[5])
+        rec((1 << ctx.d) - 1, ctx.d, 1, 0)
+        ctr.charge_root(ctx, acc)
         return counts
 
     def _make_rec_all(self, ctx, cap: int, counts: list, acc: list):
-        """The scalar all-k recursion closure — shared verbatim by the
-        scalar spine and the frontier spine's small-subtree fast path
-        (see :meth:`_make_rec_k`)."""
+        """The all-k recursion closure: the target-k tree without the
+        reach prune, adding a binomial row per leaf into ``counts``."""
         rows = ctx.rows
         kern = ctx.kernel
         pivot_select = kern.pivot_select
@@ -947,87 +770,6 @@ class SCTEngine:
             acc[6] += edge_sum
 
         return rec
-
-    def _rec_all_frontier(
-        self, ctx, cap: int, counts: list, acc: list
-    ) -> None:
-        """Frontier-batched all-k recursion — the counterpart of
-        :meth:`_rec_k_frontier` for :meth:`_count_ctx_all`; same tree,
-        same order, same ``acc`` totals as the scalar spine, same
-        hybrid small-subtree cutoff."""
-        rows = ctx.rows
-        kern = ctx.kernel
-        expand = kern.expand_children
-        sweep = kern.pivot_select_sweep
-        mask_int = kern.mask_int
-        cutoff = _FRONTIER_MIN_PC
-        srec = self._make_rec_all(ctx, cap, counts, acc)
-
-        def rec(P, pc: int, held: int, pivots: int, choice) -> None:
-            acc[0] += 1
-            if held >= cap:
-                acc[2] += 1
-                return
-            if pc == 0:
-                acc[1] += 1
-                depth = held + pivots
-                if depth > acc[5]:
-                    acc[5] = depth
-                brow = binomial_row(pivots)
-                hi = min(held + pivots + 1, cap)
-                for s in range(held, hi):
-                    counts[s] += brow[s - held]
-                return
-            acc[3] += pc
-            best, best_row, best_cnt, edge_sum = choice
-            ws, children, ccs = expand(rows, P, best, best_row)
-            nb = len(ws)
-            acc[4] += nb
-            edge_sum += sum(ccs)
-            acc[6] += edge_sum
-            held1 = held + 1
-            masks = []
-            pcs = []
-            slots = []
-            big_pivot = best_cnt >= cutoff
-            if big_pivot:
-                masks.append(best_row)
-                pcs.append(best_cnt)
-                slots.append(-1)
-            if held1 < cap:
-                for i in range(nb):
-                    if ccs[i] >= cutoff:
-                        masks.append(children[i])
-                        pcs.append(ccs[i])
-                        slots.append(i)
-            pivot_choice = None
-            child_choice = [None] * nb
-            if masks:
-                cb, cr, ccnt, ce = sweep(rows, masks, pcs)
-                for t, s in enumerate(slots):
-                    if s < 0:
-                        pivot_choice = (cb[t], cr[t], ccnt[t], ce[t])
-                    else:
-                        child_choice[s] = (cb[t], cr[t], ccnt[t], ce[t])
-            if big_pivot:
-                rec(best_row, best_cnt, held, pivots + 1, pivot_choice)
-            else:
-                srec(mask_int(rows, best_row), best_cnt, held, pivots + 1)
-            for i in range(nb):
-                cc = ccs[i]
-                if cc >= cutoff:
-                    rec(children[i], cc, held1, pivots, child_choice[i])
-                else:
-                    srec(mask_int(rows, children[i]), cc, held1, pivots)
-
-        d = ctx.d
-        full = (1 << d) - 1
-        if d < cutoff or cap <= 1:
-            srec(full, d, 1, 0)
-            return
-        fullN = kern.to_native(rows, full)
-        cb, cr, ccnt, ce = sweep(rows, [fullN], [d])
-        rec(fullN, d, 1, 0, (cb[0], cr[0], ccnt[0], ce[0]))
 
 
 # ----------------------------------------------------------------------

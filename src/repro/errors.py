@@ -20,7 +20,6 @@ __all__ = [
     "GraphFormatError",
     "OrderingError",
     "CountingError",
-    "KernelUnavailableError",
     "ParallelModelError",
     "DatasetError",
     "TraceFormatError",
@@ -54,20 +53,6 @@ class OrderingError(ReproError):
 
 class CountingError(ReproError):
     """Raised for invalid clique-counting requests (e.g. ``k < 1``)."""
-
-
-class KernelUnavailableError(CountingError):
-    """An optional kernel backend cannot run on this interpreter.
-
-    Carries the *reason* (e.g. the underlying ``ImportError`` text for
-    the numba backend) so :func:`repro.kernels.resolve_kernel` can
-    report why — not just that — a registered backend is unavailable.
-    """
-
-    def __init__(self, backend: str, reason: str) -> None:
-        super().__init__(f"kernel backend {backend!r} unavailable: {reason}")
-        self.backend = backend
-        self.reason = reason
 
 
 class ParallelModelError(ReproError):

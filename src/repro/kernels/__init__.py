@@ -1,71 +1,34 @@
 """Swappable bitset kernels for the counting hot path.
 
-Three interchangeable backends implement the word-parallel
+Two interchangeable backends implement the word-parallel
 intersect-and-count operations at the heart of every engine:
 
 * ``"bigint"`` — Python arbitrary-precision ints as bitsets (the
   reference semantics; the default);
 * ``"wordarray"`` — NumPy uint64 word arrays with vectorized ``&`` and
-  hardware popcount, fused single-row kernels plus the tier-2 batched
-  frontier kernels (``pivot_select_sweep`` / ``expand_children``);
-* ``"numba"`` — opt-in nopython JIT compilation of the same frontier
-  kernels (the ``[jit]`` extra); when numba is not importable,
-  resolving it falls back to ``wordarray`` with a warning.
+  hardware popcount behind the fused single-row kernels.
 
 Select a backend per run via ``PivotScaleConfig(kernel=...)``, the CLI
-``--kernel`` flag, the ``REPRO_KERNEL`` environment variable, or any
-engine's ``kernel=`` parameter.  The differential suite
-(``tests/test_differential.py``) holds the backends to byte-identical
-counts and counters; ``benchmarks/bench_kernels.py`` records the
-throughput gap.
+``--kernel`` flag, or any engine's ``kernel=`` parameter.  The
+differential suite (``tests/test_differential.py``) holds the backends
+to byte-identical counts and counters; ``benchmarks/bench_kernels.py``
+records the throughput gap.
 """
 
 from __future__ import annotations
 
-import os
-import warnings
-
-from repro.errors import CountingError, KernelUnavailableError
+from repro.errors import CountingError
 from repro.kernels.base import BitsetKernel, PivotChoice
 from repro.kernels.bigint import BigIntKernel
-from repro.kernels.jit import NumbaKernel, numba_unavailable_reason
 from repro.kernels.wordarray import WordArrayKernel
 
 KERNELS: dict[str, type[BitsetKernel]] = {
     "bigint": BigIntKernel,
     "wordarray": WordArrayKernel,
-    "numba": NumbaKernel,
 }
-"""Registry of kernel backends, keyed by CLI/config name.
-
-Every registered name is *valid configuration*; optional backends
-(``numba``) may still be unavailable at runtime — see
-:func:`kernel_availability` and the fallback in :func:`resolve_kernel`.
-"""
+"""Registry of kernel backends, keyed by CLI/config name."""
 
 DEFAULT_KERNEL = "bigint"
-
-#: Environment override for the default backend (used by the CI
-#: ``kernels-numba`` job to re-run whole suites on another backend
-#: without touching every call site).
-KERNEL_ENV = "REPRO_KERNEL"
-
-
-def kernel_availability() -> dict[str, str | None]:
-    """Per-backend availability: ``None`` when the backend can run,
-    else a human-readable reason it cannot."""
-    return {
-        "bigint": None,
-        "wordarray": None,
-        "numba": numba_unavailable_reason(),
-    }
-
-
-def available_kernels() -> list[str]:
-    """Registered backend names that can actually run here, sorted."""
-    return sorted(
-        name for name, why in kernel_availability().items() if why is None
-    )
 
 
 def resolve_kernel(kernel: str | BitsetKernel | None = None) -> BitsetKernel:
@@ -74,13 +37,9 @@ def resolve_kernel(kernel: str | BitsetKernel | None = None) -> BitsetKernel:
     Backends may hold preallocated scratch buffers, so a fresh instance
     is created per call — do not share one across threads.
 
-    ``None`` resolves to the ``REPRO_KERNEL`` environment variable if
-    set, else :data:`DEFAULT_KERNEL`.  An unknown name raises
+    ``None`` resolves to :data:`DEFAULT_KERNEL`.  An unknown name raises
     :class:`~repro.errors.CountingError` listing the registered
-    backends; a *registered but unavailable* optional backend (numba
-    without the ``[jit]`` extra) falls back to ``wordarray`` with a
-    :class:`RuntimeWarning` naming the reason, so configs written for
-    JIT-capable hosts still run everywhere.
+    backends.
 
     This is also the observability seam: when metrics collection is on
     (:func:`repro.obs.enabled`), the resolved backend is wrapped in a
@@ -91,7 +50,7 @@ def resolve_kernel(kernel: str | BitsetKernel | None = None) -> BitsetKernel:
     from repro import obs  # function-local: obs imports kernels.base
 
     if kernel is None:
-        kernel = os.environ.get(KERNEL_ENV) or DEFAULT_KERNEL
+        kernel = DEFAULT_KERNEL
     if isinstance(kernel, BitsetKernel):
         return obs.instrument_kernel(kernel)
     try:
@@ -99,18 +58,9 @@ def resolve_kernel(kernel: str | BitsetKernel | None = None) -> BitsetKernel:
     except KeyError:
         raise CountingError(
             f"unknown kernel {kernel!r}; registered backends: "
-            f"{sorted(KERNELS)} (available here: {available_kernels()})"
+            f"{sorted(KERNELS)}"
         ) from None
-    try:
-        instance = cls()
-    except KernelUnavailableError as exc:
-        warnings.warn(
-            f"{exc} — falling back to 'wordarray'",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        instance = WordArrayKernel()
-    return obs.instrument_kernel(instance)
+    return obs.instrument_kernel(cls())
 
 
 __all__ = [
@@ -118,11 +68,7 @@ __all__ = [
     "PivotChoice",
     "BigIntKernel",
     "WordArrayKernel",
-    "NumbaKernel",
     "KERNELS",
     "DEFAULT_KERNEL",
-    "KERNEL_ENV",
-    "kernel_availability",
-    "available_kernels",
     "resolve_kernel",
 ]

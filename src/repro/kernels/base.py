@@ -31,23 +31,6 @@ opaque backend-owned handle to the ``d`` adjacency rows of one root's
 induced subgraph.  A handle is only valid until the backend's next
 ``alloc_rows`` call (backends may reuse preallocated buffers — the
 paper's Sec. V-B allocation-reuse discipline).
-
-Tier 2: frontier batching
--------------------------
-Backends that set :attr:`BitsetKernel.frontier` additionally accept
-*native* masks — an opaque backend-owned representation (the word-array
-backend uses ``(words,)`` uint64 arrays) that stays native across
-recursive calls, converting to big-int only at the API boundary via
-:meth:`BitsetKernel.mask_int`.  The frontier kernels
-(:meth:`pivot_select_sweep`, :meth:`expand_children`, the batched form
-of :meth:`intersect_count_sweep`) then process a whole frontier level
-of the pivot recursion as single NumPy matrix ops over the uint64 word
-tiles instead of one interpreter round-trip per node — the
-binary-adjacency tiling trick of the GPU clique counters.  Every
-frontier kernel replicates the scalar big-int scan semantics
-bit-for-bit (tie-breaks, perfect-pivot early-exit accounting), so
-counts *and* the per-root work counters stay backend-invariant even
-though the call totals change shape.
 """
 
 from __future__ import annotations
@@ -88,15 +71,8 @@ class BitsetKernel(abc.ABC):
     threads.
     """
 
-    #: registry name ("bigint" / "wordarray" / "numba")
+    #: registry name ("bigint" / "wordarray")
     name: str = "base"
-
-    #: ``True`` when the backend supports native masks and the batched
-    #: frontier kernels (:meth:`pivot_select_sweep` /
-    #: :meth:`expand_children` operating on whole frontier levels).
-    #: Engines use this to pick the frontier recursion spine; scalar
-    #: backends keep the per-node big-int path.
-    frontier: bool = False
 
     # ------------------------------------------------------------------
     # row storage
@@ -133,10 +109,6 @@ class BitsetKernel(abc.ABC):
     # fused kernels — big-int masks in, big-int masks out
     # ------------------------------------------------------------------
     @abc.abstractmethod
-    def intersect(self, rows: Any, i: int, mask: int) -> int:
-        """``row(i) & mask``."""
-
-    @abc.abstractmethod
     def intersect_count(self, rows: Any, i: int, mask: int) -> tuple[int, int]:
         """``(row(i) & mask, popcount)`` — the inner-loop kernel, fused
         so backends never materialize an intermediate they'd re-scan."""
@@ -145,37 +117,6 @@ class BitsetKernel(abc.ABC):
     def count_rows(self, rows: Any, mask: int) -> Sequence[int]:
         """``|row(i) & mask|`` for every ``i`` — the batch
         intersect/popcount kernel the microbenchmarks time."""
-
-    def intersect_count_sweep(self, rows: Any, mask: Any) -> Any:
-        """``(row(i) & mask, popcount)`` for every row — the batched
-        form of :meth:`intersect_count`.
-
-        Polymorphic over ``mask``:
-
-        * a single big-int mask returns ``[(inter, count), ...]`` per
-          row (the tier-1 form — backends override when they can
-          amortize per-call overhead across the sweep);
-        * a *sequence* of masks (the tier-2 frontier form) sweeps every
-          mask over every row and returns a backend-opaque batch; read
-          entries portably with :meth:`sweep_entry`.  Frontier backends
-          run the whole ``(F, d)`` sweep as one word-tile matrix op.
-        """
-        if not isinstance(mask, int):
-            return [self.intersect_count_sweep(rows, self.mask_int(rows, m))
-                    for m in mask]
-        return [
-            self.intersect_count(rows, i, mask)
-            for i in range(self.num_rows(rows))
-        ]
-
-    def sweep_entry(self, rows: Any, batch: Any, j: int, i: int
-                    ) -> tuple[int, int]:
-        """Entry ``(mask j, row i)`` of a frontier
-        :meth:`intersect_count_sweep` batch, as ``(big-int intersection,
-        popcount)`` — the portable accessor the property suite uses to
-        compare backends."""
-        inter, cnt = batch[j][i]
-        return inter, cnt
 
     @abc.abstractmethod
     def pivot_select(self, rows: Any, P: int, pc: int) -> PivotChoice:
@@ -192,75 +133,6 @@ class BitsetKernel(abc.ABC):
           and including the stopping point — identical work accounting
           whether the backend actually short-circuits or vectorizes.
         """
-
-    # ------------------------------------------------------------------
-    # tier-2 frontier kernels — native masks in, native masks out
-    # ------------------------------------------------------------------
-    def mask_int(self, rows: Any, mask: Any) -> int:
-        """A mask (native or big-int) as a big-int — the API-boundary
-        conversion.  Identity for scalar backends."""
-        return mask
-
-    def to_native(self, rows: Any, mask: int) -> Any:
-        """A big-int mask in the backend's native representation.
-        Identity for scalar backends (their native masks *are* ints)."""
-        return mask
-
-    def pivot_select_sweep(
-        self, rows: Any, masks: Sequence[Any], pcs: Sequence[int]
-    ) -> tuple[Sequence[int], Sequence[Any], Sequence[int], Sequence[int]]:
-        """:meth:`pivot_select` over a whole frontier of candidate
-        masks at once.
-
-        ``masks[j]`` (native or big-int, popcount ``pcs[j] >= 1``)
-        yields entry ``j`` of four parallel sequences ``(bests,
-        best_rows, best_cnts, edge_sums)``; ``best_rows[j]`` is native.
-        The default loops the scalar kernel; frontier backends run the
-        whole sweep as one ``(F, words, d)`` word-tile op while
-        emulating the scalar scan's perfect-pivot early-exit accounting
-        per mask.
-        """
-        bests: list[int] = []
-        rows_out: list[Any] = []
-        cnts: list[int] = []
-        edges: list[int] = []
-        for m, pc in zip(masks, pcs):
-            b, br, bc, es = self.pivot_select(rows, self.mask_int(rows, m), pc)
-            bests.append(b)
-            rows_out.append(br)
-            cnts.append(bc)
-            edges.append(es)
-        return bests, rows_out, cnts, edges
-
-    def expand_children(
-        self, rows: Any, P: Any, best: int, best_row: Any
-    ) -> tuple[list[int], list[Any], list[int]]:
-        """Expand one pivot node's branch children in one call.
-
-        Given candidate mask ``P`` and the chosen pivot ``best`` with
-        intersection ``best_row`` (both masks native or big-int),
-        returns ``(ws, children, ccs)``: the branch vertices
-        ``ws = P \\ ({best} ∪ best_row)`` in ascending local-id order,
-        and for each the native child mask ``row(w_i) ∩ P ∩
-        ~{best, w_0..w_{i-1}}`` with its popcount — exactly the masks
-        the scalar branch loop produces one :meth:`intersect_count` at
-        a time.
-        """
-        P0 = self.mask_int(rows, P) & ~(1 << best)
-        cand = P0 & ~self.mask_int(rows, best_row)
-        ws: list[int] = []
-        children: list[Any] = []
-        ccs: list[int] = []
-        while cand:
-            low = cand & -cand
-            w = low.bit_length() - 1
-            child, cc = self.intersect_count(rows, w, P0)
-            ws.append(w)
-            children.append(child)
-            ccs.append(cc)
-            P0 ^= low
-            cand ^= low
-        return ws, children, ccs
 
     # ------------------------------------------------------------------
     # shared helpers

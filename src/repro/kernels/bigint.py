@@ -56,9 +56,6 @@ class BigIntKernel(BitsetKernel):
     # ------------------------------------------------------------------
     # fused kernels
     # ------------------------------------------------------------------
-    def intersect(self, rows: list[int], i: int, mask: int) -> int:
-        return rows[i] & mask
-
     def intersect_count(
         self, rows: list[int], i: int, mask: int
     ) -> tuple[int, int]:

@@ -1,8 +1,8 @@
 """Kernel-call instrumentation — exact fused-op counts per backend.
 
 Wraps a :class:`~repro.kernels.BitsetKernel` and counts every API-level
-call (``intersect``, ``intersect_count``, ``count_rows``,
-``pivot_select``, ``intersect_count_sweep``, ``alloc_rows``) into
+call (``intersect_count``, ``count_rows``, ``pivot_select`` and the
+row-storage ops ``alloc_rows`` / ``set_row`` / ``load_rows``) into
 ``kernel_calls_total{kernel=..., op=...}`` registry counters.  Counts
 are taken at the kernel *contract* boundary, not inside backends, so
 the big-int and word-array backends — which do wildly different work
@@ -45,21 +45,9 @@ class InstrumentedKernel(BitsetKernel):
         self._c_alloc = c("kernel_calls_total", kernel=k, op="alloc_rows")
         self._c_set = c("kernel_calls_total", kernel=k, op="set_row")
         self._c_load = c("kernel_calls_total", kernel=k, op="load_rows")
-        self._c_int = c("kernel_calls_total", kernel=k, op="intersect")
         self._c_ic = c("kernel_calls_total", kernel=k, op="intersect_count")
         self._c_cr = c("kernel_calls_total", kernel=k, op="count_rows")
         self._c_ps = c("kernel_calls_total", kernel=k, op="pivot_select")
-        self._c_sweep = c(
-            "kernel_calls_total", kernel=k, op="intersect_count_sweep"
-        )
-        self._c_pss = c(
-            "kernel_calls_total", kernel=k, op="pivot_select_sweep"
-        )
-        self._c_exp = c("kernel_calls_total", kernel=k, op="expand_children")
-
-    @property
-    def frontier(self) -> bool:
-        return self.inner.frontier
 
     # ---------------------------------------------------------- storage
     def alloc_rows(self, d: int) -> Any:
@@ -83,20 +71,7 @@ class InstrumentedKernel(BitsetKernel):
     def row_accessor(self, rows: Any):
         return self.inner.row_accessor(rows)
 
-    def mask_int(self, rows: Any, mask: Any) -> int:
-        return self.inner.mask_int(rows, mask)
-
-    def to_native(self, rows: Any, mask: int) -> Any:
-        return self.inner.to_native(rows, mask)
-
-    def sweep_entry(self, rows: Any, batch: Any, j: int, i: int):
-        return self.inner.sweep_entry(rows, batch, j, i)
-
     # ----------------------------------------------------- fused kernels
-    def intersect(self, rows: Any, i: int, mask: int) -> int:
-        self._c_int.inc()
-        return self.inner.intersect(rows, i, mask)
-
     def intersect_count(self, rows: Any, i: int, mask: int) -> tuple[int, int]:
         self._c_ic.inc()
         return self.inner.intersect_count(rows, i, mask)
@@ -105,23 +80,9 @@ class InstrumentedKernel(BitsetKernel):
         self._c_cr.inc()
         return self.inner.count_rows(rows, mask)
 
-    def intersect_count_sweep(self, rows: Any, mask: Any):
-        self._c_sweep.inc()
-        return self.inner.intersect_count_sweep(rows, mask)
-
     def pivot_select(self, rows: Any, P: int, pc: int) -> PivotChoice:
         self._c_ps.inc()
         return self.inner.pivot_select(rows, P, pc)
-
-    def pivot_select_sweep(
-        self, rows: Any, masks: Sequence[Any], pcs: Sequence[int]
-    ):
-        self._c_pss.inc()
-        return self.inner.pivot_select_sweep(rows, masks, pcs)
-
-    def expand_children(self, rows: Any, P: Any, best: int, best_row: Any):
-        self._c_exp.inc()
-        return self.inner.expand_children(rows, P, best, best_row)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<InstrumentedKernel {self.inner!r}>"

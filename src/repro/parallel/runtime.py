@@ -187,9 +187,7 @@ def _allk_length(dag: CSRGraph, max_k: int | None) -> int:
 # ----------------------------------------------------------------------
 # Per-process caches, keyed by shared-segment name: attachments keep the
 # mapped segment alive (the graphs are views over its buffer), engines
-# amortize structure construction across the tasks of one run.  Evicted
-# entries are merely dropped — the mapping is released when the last
-# array referencing it is collected.
+# amortize structure construction across the tasks of one run.
 _ATTACHED: "OrderedDict[str, tuple]" = OrderedDict()
 _ENGINES: "OrderedDict[tuple, object]" = OrderedDict()
 _WORKER_CACHE_MAX = 4
@@ -201,12 +199,24 @@ def _attach(spec) -> tuple[CSRGraph, CSRGraph]:
         graph, dag, shm = attach_graph_pair(spec)
         _ATTACHED[spec.name] = entry = (graph, dag, shm)
         while len(_ATTACHED) > _WORKER_CACHE_MAX:
-            stale, _ = _ATTACHED.popitem(last=False)
-            for key in [key for key in _ENGINES if key[0] == stale]:
-                del _ENGINES[key]
+            _detach(next(iter(_ATTACHED)))
     else:
         _ATTACHED.move_to_end(spec.name)
     return entry[0], entry[1]
+
+
+def _detach(name: str) -> None:
+    """Drop one cached attachment and unmap its segment.
+
+    The graphs are views over the segment's buffer, so they and the
+    engines built on them go first: closing a segment whose buffer is
+    still exported raises ``BufferError`` before the segment's file
+    descriptor is closed, leaking it.
+    """
+    shm = _ATTACHED.pop(name)[2]
+    for key in [key for key in _ENGINES if key[0] == name]:
+        del _ENGINES[key]
+    shm.close()
 
 
 def _cached_engine(task: dict, graph: CSRGraph, dag: CSRGraph):
@@ -246,26 +256,29 @@ def _execute_mode(task: dict, engine, graph: CSRGraph) -> dict:
             "per_root_memory": res.per_root_memory,
         }
     if mode == "pervertex":
-        from repro.counting.pervertex import attribute_root
+        from repro.counting.forest import walk_roots
+        from repro.counting.pervertex import vertex_sink
 
+        k = task["k"]
         per = [0] * graph.num_vertices
-        ctr = Counters()
-        for v in roots:
-            attribute_root(engine.structure, v, task["k"], per, ctr)
+        ctr = walk_roots(engine.structure, roots, vertex_sink(per, k), k=k)
         return {
             "per": {i: c for i, c in enumerate(per) if c},
             "counters": ctr.as_dict(),
         }
     if mode == "forest":
         from repro.counting.forest import collect_root_leaves
+        from repro.counting.structures.base import RootContexts
 
         leaves_per_root = []
         counters_per_root = []
         chunk_totals = Counters()
+        ctxs = RootContexts(engine.structure, roots)
         for v in roots:
             ctr = Counters()
             leaves = collect_root_leaves(
-                engine.structure, v, ctr, record_members=task["members"]
+                engine.structure, v, ctr, record_members=task["members"],
+                ctx=next(ctxs),
             )
             leaves_per_root.append(leaves)
             counters_per_root.append(ctr.as_dict())

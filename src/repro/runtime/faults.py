@@ -265,10 +265,6 @@ class FaultyKernel(BitsetKernel):
                 f"(backend {self.inner.name!r})"
             )
 
-    @property
-    def frontier(self) -> bool:
-        return self.inner.frontier
-
     # ---------------------------------------------------------- storage
     def alloc_rows(self, d: int) -> Any:
         return self.inner.alloc_rows(d)
@@ -285,19 +281,7 @@ class FaultyKernel(BitsetKernel):
     def num_rows(self, rows: Any) -> int:
         return self.inner.num_rows(rows)
 
-    def mask_int(self, rows: Any, mask: Any) -> int:
-        return self.inner.mask_int(rows, mask)
-
-    def to_native(self, rows: Any, mask: int) -> Any:
-        return self.inner.to_native(rows, mask)
-
-    def sweep_entry(self, rows: Any, batch: Any, j: int, i: int):
-        return self.inner.sweep_entry(rows, batch, j, i)
-
     # ----------------------------------------------------- fused kernels
-    def intersect(self, rows: Any, i: int, mask: int) -> int:
-        return self.inner.intersect(rows, i, mask)
-
     def intersect_count(self, rows: Any, i: int, mask: int) -> tuple[int, int]:
         self._maybe_fail()
         return self.inner.intersect_count(rows, i, mask)
@@ -308,26 +292,6 @@ class FaultyKernel(BitsetKernel):
     def pivot_select(self, rows: Any, P: int, pc: int) -> PivotChoice:
         self._maybe_fail()
         return self.inner.pivot_select(rows, P, pc)
-
-    def pivot_select_sweep(
-        self, rows: Any, masks: Sequence[Any], pcs: Sequence[int]
-    ):
-        # Tick once per swept mask (each replaces one scalar
-        # pivot_select), *after* the inner call so a fault never leaves
-        # a half-computed batch behind — fail_after indexes stay
-        # comparable between the scalar and frontier spines.
-        out = self.inner.pivot_select_sweep(rows, masks, pcs)
-        for _ in masks:
-            self._maybe_fail()
-        return out
-
-    def expand_children(self, rows: Any, P: Any, best: int, best_row: Any):
-        # Tick once per expanded child (each replaces one scalar
-        # intersect_count in the branch loop).
-        out = self.inner.expand_children(rows, P, best, best_row)
-        for _ in out[0]:
-            self._maybe_fail()
-        return out
 
     def row_accessor(self, rows: Any):
         return self.inner.row_accessor(rows)

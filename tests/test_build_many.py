@@ -23,13 +23,11 @@ from repro.counting.structures.base import (
 )
 from repro.errors import MemoryBudgetExceededError
 from repro.graph.generators import complete_graph, erdos_renyi, overlay
-from repro.kernels import available_kernels, resolve_kernel
+from repro.kernels import KERNELS, resolve_kernel
 from repro.ordering import core_ordering, directionalize
 from repro.parallel.runtime import plan_chunks
 from repro.runtime import FaultPlan, FaultSpec, FaultyKernel, RunController
 from tests.corpus import GRAPHS, ordering
-
-KERNELS = tuple(available_kernels())
 
 
 def _orders(dag):

@@ -3,10 +3,8 @@
 Forty seeded random graphs (R-MAT, Chung-Lu, planted-clique overlays)
 are counted by every engine {SCT, Pivoter baseline, Arb-Count
 enumeration} over every subgraph structure {dense, sparse, remap} and
-every bitset-kernel backend registered *and runnable here* (bigint,
-wordarray, and numba when the ``[jit]`` extra is installed — an
-unavailable optional backend is a skip, not a failure), for target-k
-and all-k runs.  Every combination must return *exactly* the same
+every registered bitset-kernel backend (bigint, wordarray), for
+target-k and all-k runs.  Every combination must return *exactly* the same
 counts, anchored to the brute-force reference at k = 3 and 4; and the
 instrumentation :class:`~repro.counting.counters.Counters` must be
 bit-identical across backends, because the performance model may never
@@ -23,8 +21,16 @@ from repro.counting import (
     count_kcliques,
     count_kcliques_enumeration,
 )
+from repro.counting.forest import build_forest
+from repro.counting.peredge import per_edge_counts
+from repro.counting.pervertex import per_vertex_counts
 from repro.counting.pivoter import run_pivoter
-from repro.kernels import KERNELS, available_kernels
+from repro.counting.sct import SCTEngine
+from repro.datasets import load
+from repro.kernels import KERNELS
+from repro.kernels.wordarray import _PIVOT_SCALAR_PC
+from repro.ordering import core_ordering, directionalize
+from repro.runtime import RunController
 
 from tests.corpus import GRAPHS as _GRAPHS
 from tests.corpus import IDS as _IDS
@@ -32,16 +38,14 @@ from tests.corpus import ordering as _ordering
 from tests.corpus import truth as _truth
 
 STRUCTURES_ALL = ("dense", "sparse", "remap")
-#: Every *runnable* registered backend auto-enrolls (numba included
-#: when importable); see test_registry_covers_backends for the check
-#: that nothing silently drops out of the registry itself.
-BACKENDS = tuple(available_kernels())
+#: Every registered backend auto-enrolls; see
+#: test_registry_covers_backends for the check that nothing silently
+#: drops out of the registry itself.
+BACKENDS = tuple(KERNELS)
 
 
 def test_registry_covers_backends():
-    assert set(BACKENDS) <= set(KERNELS)
-    assert {"bigint", "wordarray"} <= set(BACKENDS)
-    assert "numba" in KERNELS  # registered even when not importable
+    assert set(BACKENDS) == {"bigint", "wordarray"}
 
 
 def test_suite_shape():
@@ -145,3 +149,47 @@ def test_counters_backend_invariant(name, g, structure):
         )
         assert np.array_equal(ref.per_root_work, other.per_root_work)
         assert np.array_equal(ref.per_root_memory, other.per_root_memory)
+
+
+@pytest.mark.parametrize("name,g", _GRAPHS, ids=_IDS)
+def test_attribution_walks_the_target_k_tree(name, g):
+    # The attribution engines walk exactly the tree SCTEngine.count
+    # walks: the nodes they charge a controller equal its node count.
+    o = _ordering(name, g)
+    for structure in STRUCTURES_ALL:
+        for k in (2, 3, 4, 5):
+            nodes = SCTEngine(g, o, structure).count(k).counters
+            for engine in (per_vertex_counts, per_edge_counts):
+                ctl = RunController()
+                engine(g, k, o, structure=structure, controller=ctl)
+                assert ctl.spent.nodes == nodes.function_calls, (
+                    f"{name}: {engine.__name__} {structure} k={k}"
+                )
+
+
+def test_wide_roots_identical_across_backends():
+    # The webedu analog's widest roots hold more candidates than the
+    # word-array pivot scan's scalar cutoff, so this differential runs
+    # its vectorized path inside the engines, not only in isolation.
+    g = load("webedu")
+    dag = directionalize(g, core_ordering(g))
+    assert int((dag.degrees >= _PIVOT_SCALAR_PC).sum()) > 0
+
+    def runs(backend):
+        engine = SCTEngine(g, dag, kernel=backend)
+        return (
+            engine.count(4),
+            engine.count_all(),
+            build_forest(g, dag, kernel=backend),
+        )
+
+    (ref_k, ref_all, ref_f), (k4, allk, forest) = map(runs, BACKENDS)
+    assert k4.count == ref_k.count
+    assert allk.all_counts == ref_all.all_counts
+    for ref, other in ((ref_k, k4), (ref_all, allk), (ref_f, forest)):
+        assert ref.counters.as_dict() == other.counters.as_dict()
+        assert np.array_equal(ref.per_root_work, other.per_root_work)
+        assert np.array_equal(ref.per_root_memory, other.per_root_memory)
+    for field in ("held_n", "pivot_n", "roots", "held_members",
+                  "pivot_members", "per_root_recursion"):
+        assert np.array_equal(getattr(ref_f, field), getattr(forest, field))

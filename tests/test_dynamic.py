@@ -78,9 +78,7 @@ from tests.corpus import (
 )
 from tests.corpus import ordering as corpus_ordering
 
-# The two always-available backends (numba is an optional extra whose
-# resolve falls back to wordarray; exercising it here would double-run
-# wordarray under a warning).
+# Every registered backend.
 BACKENDS = ("bigint", "wordarray")
 
 # Every (structure, kernel) pair; the default structure's ids are the

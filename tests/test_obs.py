@@ -40,7 +40,7 @@ from repro.counting.forest import build_forest, get_forest
 from repro.counting.pivoter import run_pivoter
 from repro.graph.generators import erdos_renyi
 from repro.graph.stats import count_triangles, heuristic_inputs
-from repro.kernels import KERNELS, available_kernels, resolve_kernel
+from repro.kernels import KERNELS, resolve_kernel
 from repro.obs import (
     COUNTER_METRICS,
     InstrumentedKernel,
@@ -51,21 +51,14 @@ from repro.obs import (
 from repro.ordering import core_ordering, degree_ordering
 from repro.runtime import Budget, FaultPlan, FaultSpec, RunController
 
-#: Every runnable registered backend (numba auto-enrolls when the
-#: [jit] extra is importable).
-KERNEL_NAMES = tuple(available_kernels())
+#: Every registered backend.
+KERNEL_NAMES = tuple(KERNELS)
 
 # The kernel API surface the instrumented wrapper counts.
 KERNEL_OPS = (
-    "alloc_rows", "set_row", "load_rows", "intersect", "intersect_count",
-    "count_rows", "pivot_select", "intersect_count_sweep",
-    "pivot_select_sweep", "expand_children",
+    "alloc_rows", "set_row", "load_rows", "intersect_count",
+    "count_rows", "pivot_select",
 )
-
-#: Ops whose counts depend only on the engine's root setup / query
-#: shape, never on which recursion spine (scalar vs frontier) ran —
-#: these must match across *all* backends.
-PATH_INVARIANT_OPS = ("alloc_rows", "set_row", "load_rows", "count_rows")
 
 
 def _kernel_calls(reg: MetricsRegistry, kernel: str) -> dict[str, int]:
@@ -163,31 +156,22 @@ def test_forest_counts_bit_identical_obs_on_off():
 
 
 # ======================================================================
-# 2a. kernel call counts are class-invariant (same DAG, same spine)
+# 2a. kernel call counts are backend-invariant (same DAG)
 # ======================================================================
 @pytest.mark.parametrize("name,g", GRAPHS, ids=IDS)
 def test_kernel_call_counts_identical_across_backends(name, g):
-    # Backends sharing a recursion spine (scalar vs frontier — see
-    # BitsetKernel.frontier) must report identical per-op call counts;
-    # across spines the call totals legitimately change *shape*, but
-    # the root-setup ops stay invariant (the per-root work counters
-    # themselves are held exactly equal by test_differential).
+    # Every backend runs the same recursion, so every per-op call count
+    # must match exactly (the per-root work counters themselves are
+    # held exactly equal by test_differential).
     o = ordering(name, g)
     calls = {}
     for kernel in KERNEL_NAMES:
         with obs.collecting() as reg:
             count_kcliques(g, 4, o, kernel=kernel)
         calls[kernel] = _kernel_calls(reg, kernel)
-    by_class: dict[bool, list[str]] = {}
-    for kernel in KERNEL_NAMES:
-        by_class.setdefault(KERNELS[kernel].frontier, []).append(kernel)
-    for members in by_class.values():
-        for other in members[1:]:
-            assert calls[members[0]] == calls[other], (members[0], other)
     ref = KERNEL_NAMES[0]
     for kernel in KERNEL_NAMES[1:]:
-        for op in PATH_INVARIANT_OPS:
-            assert calls[ref][op] == calls[kernel][op], (kernel, op)
+        assert calls[ref] == calls[kernel], kernel
     # The engine did touch the kernel contract on any non-trivial graph.
     for kernel in KERNEL_NAMES:
         assert sum(calls[kernel].values()) > 0
@@ -195,8 +179,7 @@ def test_kernel_call_counts_identical_across_backends(name, g):
 
 def test_kernel_call_counts_enumeration_backend_invariant():
     # The enumeration engine only uses the scalar single-row ops, so
-    # its call counts stay identical across every backend regardless
-    # of frontier capability.
+    # its call counts stay identical across every backend.
     name, g = GRAPHS[7]
     o = ordering(name, g)
     calls = {}
@@ -564,13 +547,11 @@ def test_instrumented_kernel_counts_and_delegates():
     rows = k.alloc_rows(4)
     k.set_row(rows, 0, np.array([1, 2], dtype=np.int64))
     k.set_row(rows, 1, np.array([0], dtype=np.int64))
-    k.intersect(rows, 0, 0b1111)
     k.intersect_count(rows, 1, 0b1111)
     k.count_rows(rows, 0b1111)
     k.pivot_select(rows, 0b11, 2)
     assert reg.value("kernel_calls_total", kernel="bigint", op="alloc_rows") == 1
     assert reg.value("kernel_calls_total", kernel="bigint", op="set_row") == 2
-    assert reg.value("kernel_calls_total", kernel="bigint", op="intersect") == 1
     assert reg.value("kernel_calls_total", kernel="bigint", op="intersect_count") == 1
     assert reg.value("kernel_calls_total", kernel="bigint", op="count_rows") == 1
     assert reg.value("kernel_calls_total", kernel="bigint", op="pivot_select") == 1

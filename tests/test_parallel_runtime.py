@@ -10,6 +10,8 @@ rung (deterministic fault injection), per-worker metrics merging, and
 the one-task-per-chunk dispatch that keeps scheduling dynamic.
 """
 
+import os
+
 import numpy as np
 import pytest
 
@@ -273,6 +275,53 @@ def test_shared_graph_pair_round_trip():
         finally:
             del g2, dag2
             shm.close()
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
+                    reason="needs /proc/self/fd to count descriptors")
+def test_worker_attachment_eviction_closes_segments(monkeypatch):
+    """A worker caches its last few attachments; evicting one must
+    unmap it and close its descriptor even though the evicted graphs
+    (and the engine built on them) were in use."""
+    import sys
+
+    from repro.ordering.directionalize import directionalize
+    from repro.parallel import runtime
+
+    def open_fds():
+        return len(os.listdir("/proc/self/fd"))
+
+    raised = []
+    monkeypatch.setattr(sys, "unraisablehook", raised.append)
+    monkeypatch.setattr(runtime, "_ATTACHED", type(runtime._ATTACHED)())
+    monkeypatch.setattr(runtime, "_ENGINES", type(runtime._ENGINES)())
+    live = runtime._WORKER_CACHE_MAX
+    pairs = []
+    for seed in range(live + 3):
+        g = erdos_renyi(30, 0.2, seed=seed)
+        dag = directionalize(g, core_ordering(g))
+        pairs.append(publish_graph_pair(g, dag))
+    try:
+        before = open_fds()
+        per_attachment = None
+        for shared in pairs:
+            graph, dag = runtime._attach(shared.spec)
+            task = {"spec": shared.spec, "structure": "remap",
+                    "kernel": "bigint"}
+            runtime._cached_engine(task, graph, dag).count(3)
+            del graph, dag
+            if per_attachment is None:
+                per_attachment = open_fds() - before
+        assert per_attachment >= 1
+        assert len(runtime._ATTACHED) == live
+        assert open_fds() - before == live * per_attachment
+        for name in list(runtime._ATTACHED):
+            runtime._detach(name)
+        assert open_fds() == before
+    finally:
+        for shared in pairs:
+            shared.unlink()
+    assert raised == []
 
 
 # ----------------------------------------------------------------------
