@@ -27,12 +27,19 @@ Implementation subtleties carried over from Sec. V-A:
 * early termination when ``|H| + |Π| + |P| < k`` (target too far);
 * the all-k variant reuses the same tree and charges a whole binomial
   row per leaf.
+
+A root's tree depends only on its induced subgraph, and on sparse
+graphs most roots repeat a subgraph another root already has.  The
+root loop therefore counts each distinct block-induced subgraph once
+per loop call: a repeat folds its first occurrence's stored tally (see
+:meth:`SCTEngine._fold_roots`).
 """
 
 from __future__ import annotations
 
 from contextlib import nullcontext
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -61,6 +68,35 @@ __all__ = [
     "count_kcliques",
     "count_all_sizes",
 ]
+
+#: Distinct root subgraphs one root loop remembers; past this many it
+#: stops inserting.  A key is at most 512 bytes (64 one-word rows).
+_MEMO_MAX = 1 << 14
+
+
+class _RootTally(NamedTuple):
+    """One root's share of a run, save its ``build_words``: the fields
+    of its own :class:`Counters` and its count.  All of it is a function
+    of the root's induced subgraph, so the root loop stores it per
+    subgraph and folds a repeat's copy."""
+
+    result: int | list[int]  # the k-clique count, or the all-k row
+    nodes: int
+    leaves: int
+    early_exits: int
+    set_op_words: float
+    index_lookups: float
+    max_depth: int
+    memory_bytes: int
+
+    @classmethod
+    def of(cls, result, ctr: Counters) -> "_RootTally":
+        return cls(
+            result, ctr.function_calls, ctr.leaves, ctr.early_terminations,
+            ctr.set_op_words, ctr.index_lookups, ctr.max_depth,
+            ctr.peak_subgraph_bytes,
+        )
+
 
 @dataclass
 class CountResult:
@@ -290,7 +326,10 @@ class SCTEngine:
         (``wordarray`` → ``bigint`` mid-batch when ``controller.degrade``
         is set).  ``k=None`` produces the all-k row (untrimmed, of the
         :meth:`_allk_shape` length for ``max_k``) so chunk rows from
-        different workers fold elementwise.
+        different workers fold elementwise.  Roots whose induced
+        subgraphs repeat within one call are counted once (see
+        :meth:`_fold_roots`): results do not depend on how roots are
+        batched into calls, kernel call counts do.
 
         An already-:meth:`~repro.runtime.RunController.begin`-started
         controller is used as-is (the parent began the run; workers and
@@ -307,91 +346,14 @@ class SCTEngine:
             if not 0 <= v < n:
                 raise CountingError(f"root vertex {v} out of range [0, {n})")
         ctl = controller
-        totals = Counters()
-        per_root_work: list[float] = []
-        per_root_memory: list[float] = []
-        all_counts: list[int] | None = None
-        length = cap = 0
-        if k is None:
-            length, cap = self._allk_shape(max_k)
-            all_counts = [0] * length
-        total = 0
-        done = 0
-        degraded_from: str | None = None
-
+        res = self._empty_batch(roots, k, max_k)
         if ctl is not None and not ctl.started:
             ctl.begin(self._descriptor(k, max_k) | {"batch": True})
-
-        order = np.asarray(roots, dtype=np.int64)
-        prune = self._prune_mask(order, k, early_termination)
-        ctxs = RootContexts(self.structure, order, ~prune)
-        run_root = self._root_runner(
-            k, cap, length, early_termination, prune.tolist(), ctxs
+        span = obs.span(
+            "sct.count_roots", roots=len(roots), **self._span_attrs(k, max_k)
         )
-
-        try:
-            with obs.span(
-                "sct.count_roots",
-                roots=len(roots),
-                **self._span_attrs(k, max_k),
-            ), obs.phase("counting"):
-                for i, v in enumerate(roots):
-                    if ctl is None:
-                        ctr, delta, local = run_root(i, v)
-                    else:
-                        try:
-                            ctl.tick()
-                            ctr, delta, local = run_root(i, v)
-                        except MemoryError as exc:
-                            raise MemoryBudgetExceededError(
-                                f"allocation failure at root {v}",
-                                spent=ctl.spent_snapshot(),
-                            ) from exc
-                        except KernelFaultError:
-                            if (
-                                not ctl.degrade
-                                or self.kernel.name == "bigint"
-                            ):
-                                raise
-                            fallen = self._fallback_to_bigint()
-                            obs.degradation(
-                                "kernel_fallback", engine="sct", root=v,
-                                from_kernel=fallen,
-                            )
-                            if degraded_from is None:
-                                degraded_from = fallen
-                            ctxs.restart(self.structure, i)
-                            ctr, delta, local = run_root(i, v)
-                        ctl.charge_nodes(ctr.function_calls)
-                        ctl.note_memory(ctr.peak_subgraph_bytes)
-                    if local is not None:
-                        for s in range(length):
-                            if local[s]:
-                                all_counts[s] += local[s]
-                    else:
-                        total += delta
-                    per_root_work.append(ctr.work)
-                    per_root_memory.append(float(ctr.peak_subgraph_bytes))
-                    totals.merge(ctr)
-                    obs.note_memory(ctr.peak_subgraph_bytes)
-                    done += 1
-                    if ctl is not None:
-                        ctl.complete_root(v)
-        finally:
-            obs.record_run(
-                totals, engine="sct", structure=self.structure.name,
-                kernel=self.kernel.name, roots=done,
-            )
-
-        return RootBatchResult(
-            roots=roots,
-            count=total,
-            all_counts=all_counts,
-            counters=totals,
-            per_root_work=per_root_work,
-            per_root_memory=per_root_memory,
-            degraded_from=degraded_from,
-        )
+        self._fold_roots(res, k, max_k, early_termination, ctl, span)
+        return res
 
     # ------------------------------------------------------------------
     # driver
@@ -407,6 +369,21 @@ class SCTEngine:
         length = max(size_cap, 2)
         cap = length if max_k is None else max_k + 1
         return length, cap
+
+    def _empty_batch(
+        self, roots: list[int], k: int | None, max_k: int | None
+    ) -> RootBatchResult:
+        """A zeroed result over ``roots`` for the root loop to fill."""
+        return RootBatchResult(
+            roots=roots,
+            count=0,
+            all_counts=(
+                None if k is not None else [0] * self._allk_shape(max_k)[0]
+            ),
+            counters=Counters(),
+            per_root_work=[],
+            per_root_memory=[],
+        )
 
     def _descriptor(self, k: int | None, max_k: int | None) -> dict:
         """Checkpoint identity: resuming against anything else fails."""
@@ -446,32 +423,6 @@ class SCTEngine:
         d = self.structure.dag.degrees[roots]
         return (d > 0) & (d < k - 1)
 
-    def _root_runner(
-        self,
-        k: int | None,
-        cap: int,
-        length: int,
-        early_termination: bool,
-        prune: list[bool],
-        ctxs: RootContexts,
-    ):
-        """``run_root(i, v)`` for a root loop: counts the loop's
-        ``i``-th root ``v`` into fresh counters, charging degree-pruned
-        roots without building them and taking the others' contexts
-        from ``ctxs``."""
-
-        def run_root(i: int, v: int) -> tuple[Counters, int, list[int] | None]:
-            ctr = Counters()
-            if prune[i]:
-                self._charge_pruned(v, ctr)
-                return ctr, 0, None
-            ctx = next(ctxs)
-            if k is None:
-                return ctr, 0, self._count_ctx_all(ctx, cap, length, ctr)
-            return ctr, self._count_ctx_k(ctx, k, ctr, early_termination), None
-
-        return run_root
-
     def _fallback_to_bigint(self) -> str:
         """Kernel-fault rung of the degradation ladder: rebuild the
         structure on the ``bigint`` reference backend.  Returns the
@@ -494,18 +445,12 @@ class SCTEngine:
     ) -> CountResult:
         ctl = controller
         n = self.graph.num_vertices
-        totals = Counters()
-        per_root_work = np.zeros(n, dtype=np.float64)
-        per_root_memory = np.zeros(n, dtype=np.float64)
-        all_counts: list[int] | None = None
-        length = cap = 0
-        if k is None:
-            length, cap = self._allk_shape(max_k)
-            all_counts = [0] * length
-        total = 0
+        res = self._empty_batch(list(range(n)), k, max_k)
+        # A resumed run's finished roots: their vectors stay out of the
+        # loop's, which cover res.roots only.
         start = 0
-        done = 0
-        degraded_from: str | None = None
+        prior_work: list[float] = []
+        prior_memory: list[float] = []
 
         if ctl is not None:
             # Zero-argument state provider: invoked only at actual save
@@ -513,60 +458,145 @@ class SCTEngine:
             # so the snapshot is consistent by construction).
             def snapshot() -> dict:
                 return {
-                    "next_root": done,
-                    "total": total,
+                    "next_root": start + len(res.per_root_work),
+                    "total": res.count,
                     "all_counts": (
-                        None if all_counts is None else list(all_counts)
+                        None if res.all_counts is None
+                        else list(res.all_counts)
                     ),
-                    "counters": totals.as_dict(),
-                    "per_root_work": per_root_work[:done].tolist(),
-                    "per_root_memory": per_root_memory[:done].tolist(),
-                    "degraded_from": degraded_from,
+                    "counters": res.counters.as_dict(),
+                    "per_root_work": prior_work + res.per_root_work,
+                    "per_root_memory": prior_memory + res.per_root_memory,
+                    "degraded_from": res.degraded_from,
                 }
 
             state = ctl.begin(self._descriptor(k, max_k), snapshot)
             if state is not None:
-                start = done = int(state["next_root"])
-                total = state["total"]
-                if all_counts is not None:
+                if res.all_counts is not None:
                     stored = state.get("all_counts")
-                    if stored is None or len(stored) != length:
+                    if stored is None or len(stored) != len(res.all_counts):
                         raise CheckpointError(
                             "checkpoint all_counts row does not match "
                             "this run's clique-size cap"
                         )
-                    all_counts = [int(c) for c in stored]
-                totals = Counters.from_dict(state["counters"])
-                per_root_work[:start] = state["per_root_work"]
-                per_root_memory[:start] = state["per_root_memory"]
-                degraded_from = state.get("degraded_from")
+                    res.all_counts = [int(c) for c in stored]
+                start = int(state["next_root"])
+                prior_work = list(state["per_root_work"])
+                prior_memory = list(state["per_root_memory"])
+                res.roots = list(range(start, n))
+                res.count = state["total"]
+                res.counters = Counters.from_dict(state["counters"])
+                res.degraded_from = state.get("degraded_from")
 
-        order = np.arange(start, n, dtype=np.int64)
-        prune = self._prune_mask(order, k, early_termination)
-        ctxs = RootContexts(self.structure, order, ~prune)
-        run_root = self._root_runner(
-            k, cap, length, early_termination, prune.tolist(), ctxs
+        span = obs.span(
+            "sct.count" if k is not None else "sct.count_all",
+            **self._span_attrs(k, max_k),
+        )
+        self._fold_roots(
+            res, k, max_k, early_termination, ctl, span,
+            guard=ctl is not None,
         )
 
+        all_counts = res.all_counts
+        if all_counts is not None:
+            while len(all_counts) > 1 and all_counts[-1] == 0:
+                all_counts.pop()
+        return CountResult(
+            count=None if k is None else res.count,
+            all_counts=all_counts,
+            k=k,
+            counters=res.counters,
+            per_root_work=np.array(
+                prior_work + res.per_root_work, dtype=np.float64
+            ),
+            per_root_memory=np.array(
+                prior_memory + res.per_root_memory, dtype=np.float64
+            ),
+            structure=self.structure.name,
+            kernel=self.kernel.name,
+            degraded_from=res.degraded_from,
+        )
+
+    def _fold_roots(
+        self,
+        res: RootBatchResult,
+        k: int | None,
+        max_k: int | None,
+        early_termination: bool,
+        ctl: RunController | None,
+        span,
+        guard: bool = False,
+    ) -> None:
+        """The root loop: count each of ``res.roots`` in order and fold
+        it into ``res`` — its count (or row) and counters into the
+        running totals, which a resumed run seeds, and its work and
+        memory onto the per-root lists.
+
+        Every root is ticked, counted, metered against ``ctl`` and only
+        then folded, so a budget abort or a checkpoint save at
+        ``ctl.complete_root`` sees whole roots only.  A kernel fault
+        with ``ctl.degrade`` set swaps in the bigint structure and
+        counts the root again.  ``guard`` wraps the loop in
+        ``ctl.guard()`` (the caller owns the run's checkpoints).
+
+        Roots induced in ``build_many`` blocks are memoized by their
+        packed rows for this call only: a repeat skips its rows and its
+        recursion and folds the first occurrence's :class:`_RootTally`
+        with its own ``build_words``.  Those are the same float
+        additions in the same order as :meth:`Counters.charge_root`
+        and :meth:`Counters.merge` make, so results are bit-identical.
+        """
+        length, cap = self._allk_shape(max_k) if k is None else (0, 0)
+        roots = res.roots
+        order = np.asarray(roots, dtype=np.int64)
+        pruned = self._prune_mask(order, k, early_termination)
+        prune = pruned.tolist()
+        memo: dict[bytes, _RootTally] = {}
+        ctxs = RootContexts(self.structure, order, ~pruned, memo)
+        hits = misses = 0
+
+        def run_root(i: int, v: int) -> tuple[_RootTally, float]:
+            nonlocal hits, misses
+            if prune[i]:
+                ctr = Counters()
+                self._charge_pruned(v, ctr)
+                return _RootTally.of(0, ctr), ctr.build_words
+            ctx = next(ctxs)
+            if type(ctx) is tuple:  # (stored tally, build_words)
+                hits += 1
+                return ctx
+            ctr = Counters()
+            if k is None:
+                result = self._count_ctx_all(ctx, cap, length, ctr)
+            else:
+                result = self._count_ctx_k(ctx, k, ctr, early_termination)
+            tally = _RootTally.of(result, ctr)
+            if ctx.key is not None:
+                misses += 1
+                if len(memo) < _MEMO_MAX:
+                    memo[ctx.key] = tally
+            return tally, ctr.build_words
+
+        totals = res.counters
+        all_counts = res.all_counts
+        work = res.per_root_work
+        memory = res.per_root_memory
         # Span + metrics wrap the whole root loop; the `finally` still
         # publishes partial totals when a budget abort unwinds mid-run.
         try:
-            with obs.span(
-                "sct.count" if k is not None else "sct.count_all",
-                **self._span_attrs(k, max_k),
-            ), obs.phase("counting"), (
-                ctl.guard() if ctl is not None else nullcontext()
+            with span, obs.phase("counting"), (
+                ctl.guard() if guard else nullcontext()
             ):
-                for v in range(start, n):
+                for i, v in enumerate(roots):
                     if ctl is None:
-                        ctr, delta, local = run_root(v - start, v)
+                        tally, bw = run_root(i, v)
                     else:
                         # Budget/fault checks all happen BEFORE the root
                         # is folded into the totals: a root is all-in or
                         # not-at-all, which keeps checkpoints consistent.
                         try:
                             ctl.tick()
-                            ctr, delta, local = run_root(v - start, v)
+                            tally, bw = run_root(i, v)
                         except MemoryError as exc:
                             raise MemoryBudgetExceededError(
                                 f"allocation failure at root {v}",
@@ -583,45 +613,46 @@ class SCTEngine:
                                 "kernel_fallback", engine="sct", root=v,
                                 from_kernel=fallen,
                             )
-                            if degraded_from is None:
-                                degraded_from = fallen
-                            ctxs.restart(self.structure, v - start)
-                            ctr, delta, local = run_root(v - start, v)
-                        ctl.charge_nodes(ctr.function_calls)
-                        ctl.note_memory(ctr.peak_subgraph_bytes)
-                    if local is not None:
+                            if res.degraded_from is None:
+                                res.degraded_from = fallen
+                            ctxs.restart(self.structure, i)
+                            tally, bw = run_root(i, v)
+                        ctl.charge_nodes(tally.nodes)
+                        ctl.note_memory(tally.memory_bytes)
+                    (result, nodes, leaves, early, set_ops, lookups,
+                     depth, mem) = tally
+                    if k is None:
                         for s in range(length):
-                            if local[s]:
-                                all_counts[s] += local[s]
+                            if result[s]:
+                                all_counts[s] += result[s]
                     else:
-                        total += delta
-                    per_root_work[v] = ctr.work
-                    per_root_memory[v] = ctr.peak_subgraph_bytes
-                    totals.merge(ctr)
-                    obs.note_memory(ctr.peak_subgraph_bytes)
-                    done = v + 1
+                        res.count += result
+                    work.append(set_ops + lookups + bw)
+                    memory.append(float(mem))
+                    # Counters.merge of the root's own counters, inline
+                    # so that a hit needs no Counters object.
+                    totals.function_calls += nodes
+                    totals.leaves += leaves
+                    totals.set_op_words += set_ops
+                    totals.index_lookups += lookups
+                    totals.subgraph_builds += 1
+                    totals.build_words += bw
+                    totals.early_terminations += early
+                    if depth > totals.max_depth:
+                        totals.max_depth = depth
+                    if mem > totals.peak_subgraph_bytes:
+                        totals.peak_subgraph_bytes = mem
+                    obs.note_memory(mem)
                     if ctl is not None:
                         ctl.complete_root(v)
         finally:
-            obs.record_run(
-                totals, engine="sct", structure=self.structure.name,
-                kernel=self.kernel.name, roots=done - start,
-            )
-
-        if all_counts is not None:
-            while len(all_counts) > 1 and all_counts[-1] == 0:
-                all_counts.pop()
-        return CountResult(
-            count=None if k is None else total,
-            all_counts=all_counts,
-            k=k,
-            counters=totals,
-            per_root_work=per_root_work,
-            per_root_memory=per_root_memory,
-            structure=self.structure.name,
-            kernel=self.kernel.name,
-            degraded_from=degraded_from,
-        )
+            labels = {
+                "engine": "sct",
+                "structure": self.structure.name,
+                "kernel": self.kernel.name,
+            }
+            obs.record_run(totals, roots=len(work), **labels)
+            obs.record_memo(hits, misses, **labels)
 
     # ------------------------------------------------------------------
     # per-root recursions

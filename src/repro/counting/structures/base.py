@@ -28,6 +28,13 @@ Rows are stored by a swappable :class:`~repro.kernels.BitsetKernel`
 backend (big-int masks or NumPy word arrays).  Structures differ only
 in :meth:`RootContext.row` — how a row is reached during the
 recursion — and in the modeled per-thread memory footprint.
+
+A root's pivot tree, and with it every per-root counter, is a function
+of its induced subgraph alone, and on sparse graphs those subgraphs
+repeat.  So :meth:`SubgraphStructure.build_many` can look each block
+root up in a caller's memo keyed by its packed rows, before they are
+converted for any backend, and hand back the stored value instead of
+loading rows for a subgraph the caller has already counted.
 """
 
 from __future__ import annotations
@@ -141,6 +148,10 @@ class RootContext:
         (``intersect_count`` / ``pivot_select``); rows are stored in
         local-id order.  Valid until the owning structure builds its
         next root.
+    key:
+        The packed rows as bytes when this root was looked up in a
+        memo and missed (see :meth:`SubgraphStructure.build_many`),
+        else ``None``.
     """
 
     __slots__ = (
@@ -152,6 +163,7 @@ class RootContext:
         "build_words",
         "kernel",
         "rows",
+        "key",
     )
 
     def __init__(
@@ -173,6 +185,7 @@ class RootContext:
         self.build_words = build_words
         self.kernel = kernel if kernel is not None else resolve_kernel("bigint")
         self.rows = rows
+        self.key: bytes | None = None
 
 
 class SubgraphStructure(abc.ABC):
@@ -278,7 +291,9 @@ class SubgraphStructure(abc.ABC):
             words = self._induce_rows(out, 0, d)
         return self._context(out, d, words, float(self._build_words[v]))
 
-    def build_many(self, roots: Iterable[int]) -> Iterator[RootContext]:
+    def build_many(
+        self, roots: Iterable[int], memo: dict | None = None
+    ) -> Iterator[RootContext | tuple[Any, float]]:
         """Lazily yield ``build(v)`` for every ``v`` in ``roots``, in
         order, inducing a block of roots per vectorized pass (see
         :func:`plan_blocks`).
@@ -288,6 +303,14 @@ class SubgraphStructure(abc.ABC):
         yielded, so a backend's reused buffers stay valid exactly as
         with :meth:`build`, and an error raised by a block's induction
         surfaces on the ``next()`` that advanced to its first root.
+
+        With ``memo``, every root induced in a multi-root block
+        (``d <= 64``, one word per row) is looked up by its key, its
+        packed rows as bytes (their length fixes ``d``).  A hit yields
+        ``(memo[key], build_words)`` and loads nothing; a miss yields
+        the context with :attr:`RootContext.key` set, for the caller to
+        store its value under.  Roots induced alone in row passes are
+        never looked up.
         """
         roots = np.asarray(roots, dtype=np.int64)
         dag = self.dag
@@ -309,12 +332,20 @@ class SubgraphStructure(abc.ABC):
             block = roots[first:stop]
             with obs.phase("root_setup"):
                 mem, words = self._induce_block(block, ds[first:stop])
+            packed = None if memo is None else words.tobytes()
             m0 = 0
             for d, bw in zip(
                 ds[first:stop].tolist(), self._build_words[block].tolist()
             ):
                 m1 = m0 + d
-                yield self._context(mem[m0:m1], d, words[m0:m1], bw)
+                key = None if packed is None else packed[8 * m0 : 8 * m1]
+                hit = None if key is None else memo.get(key)
+                if hit is not None:
+                    yield hit, bw
+                else:
+                    ctx = self._context(mem[m0:m1], d, words[m0:m1], bw)
+                    ctx.key = key
+                    yield ctx
                 m0 = m1
 
     def _context(
@@ -400,9 +431,11 @@ class RootContexts:
 
     A root loop walks ``roots`` in order and builds those ``keep``
     marks (default: all of them); it takes each built root's context
-    with ``next()``.  After a kernel fault swaps in another structure,
-    :meth:`restart` continues at the loop's ``i``-th root on it,
-    whether or not the faulted root's context had already been taken.
+    with ``next()`` — or, with a ``memo``, the memo's value for a root
+    whose subgraph it holds (see :meth:`SubgraphStructure.build_many`).
+    After a kernel fault swaps in another structure, :meth:`restart`
+    continues at the loop's ``i``-th root on it, whether or not the
+    faulted root's context had already been taken, with the same memo.
     """
 
     def __init__(
@@ -410,6 +443,7 @@ class RootContexts:
         struct: SubgraphStructure,
         roots: np.ndarray,
         keep: np.ndarray | None = None,
+        memo: dict | None = None,
     ) -> None:
         roots = np.asarray(roots, dtype=np.int64)
         if keep is None:
@@ -417,11 +451,14 @@ class RootContexts:
         self._built = roots[keep]
         # built roots ahead of each loop position: where a restart begins
         self._before = np.cumsum(keep) - keep
-        self._it = struct.build_many(self._built)
+        self._memo = memo
+        self._it = struct.build_many(self._built, memo)
 
-    def __next__(self) -> RootContext:
+    def __next__(self) -> RootContext | tuple[Any, float]:
         return next(self._it)
 
     def restart(self, struct: SubgraphStructure, i: int) -> None:
         """Rebuild from the loop's ``i``-th root on ``struct``."""
-        self._it = struct.build_many(self._built[self._before[i]:])
+        self._it = struct.build_many(
+            self._built[self._before[i]:], self._memo
+        )

@@ -77,7 +77,8 @@ __all__ = [
     "get_registry", "set_registry", "get_tracer", "set_tracer",
     "get_profiler", "enabled", "enable", "disable", "collecting",
     # hooks the layers call
-    "span", "event", "record_counters", "record_run", "record_ordering",
+    "span", "event", "record_counters", "record_run", "record_memo",
+    "record_ordering",
     "degradation", "checkpoint_write", "instrument_kernel", "phase",
     "note_memory",
 ]
@@ -196,6 +197,18 @@ def record_run(counters, *, engine: str, structure: str, kernel: str,
     if roots:
         _REGISTRY.counter("engine_roots_total", engine=engine,
                           structure=structure, kernel=kernel).inc(roots)
+
+
+def record_memo(hits: int, misses: int, *, engine: str, structure: str,
+                kernel: str) -> None:
+    """Per-root-loop publish point of the root-subgraph memo: roots
+    that reused an earlier root's tally, and looked-up roots that were
+    counted."""
+    if not _REGISTRY.enabled:
+        return
+    labels = {"engine": engine, "structure": structure, "kernel": kernel}
+    _REGISTRY.counter("sct_memo_hits_total", **labels).inc(hits)
+    _REGISTRY.counter("sct_memo_misses_total", **labels).inc(misses)
 
 
 def record_ordering(ordering) -> None:

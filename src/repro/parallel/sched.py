@@ -139,12 +139,17 @@ class DynamicScheduler(Scheduler):
 
     def assign(self, work: np.ndarray, threads: int) -> Assignment:
         work = self._check(work, threads)
+        # Plain floats throughout: a one-task chunk's sum is the task
+        # itself, and larger chunks keep NumPy's sums.
+        if self.chunk == 1:
+            sizes = work.tolist()
+        else:
+            sizes = [float(work[sl].sum()) for sl in self._chunks(work.size)]
         heap = [(0.0, t) for t in range(threads)]
         heapq.heapify(heap)
-        loads = np.zeros(threads, dtype=np.float64)
-        for sl in self._chunks(work.size):
-            w = float(work[sl].sum())
+        loads = [0.0] * threads
+        for w in sizes:
             load, t = heapq.heappop(heap)
-            loads[t] = load + w
-            heapq.heappush(heap, (loads[t], t))
-        return Assignment(loads=loads)
+            loads[t] = load = load + w
+            heapq.heappush(heap, (load, t))
+        return Assignment(loads=np.array(loads, dtype=np.float64))

@@ -38,7 +38,8 @@ from repro.counting.arbcount import count_kcliques_enumeration
 from repro.counting.counters import Counters
 from repro.counting.forest import build_forest, get_forest
 from repro.counting.pivoter import run_pivoter
-from repro.graph.generators import erdos_renyi
+from repro.counting.sct import SCTEngine
+from repro.graph.generators import complete_graph, erdos_renyi, overlay
 from repro.graph.stats import count_triangles, heuristic_inputs
 from repro.kernels import KERNELS, resolve_kernel
 from repro.obs import (
@@ -49,6 +50,7 @@ from repro.obs import (
     Profiler,
 )
 from repro.ordering import core_ordering, degree_ordering
+from repro.ordering.directionalize import directionalize
 from repro.runtime import Budget, FaultPlan, FaultSpec, RunController
 
 #: Every registered backend.
@@ -189,6 +191,30 @@ def test_kernel_call_counts_enumeration_backend_invariant():
         calls[kernel] = _kernel_calls(reg, kernel)
     for kernel in KERNEL_NAMES[1:]:
         assert calls[KERNEL_NAMES[0]] == calls[kernel]
+
+
+@pytest.mark.parametrize("kernel", KERNEL_NAMES)
+@pytest.mark.parametrize("k", [4, None])
+def test_memo_lookups_cover_block_roots_only(kernel, k):
+    # Every root induced in a multi-root block (d <= 64) is looked up
+    # exactly once, hit or miss; the 66-clique's widest root is induced
+    # alone in row passes and never looked up.
+    g = overlay(300, complete_graph(66), erdos_renyi(300, 0.03, seed=5))
+    dag = directionalize(g, core_ordering(g))
+    with obs.collecting() as reg:
+        engine = SCTEngine(g, dag, kernel=kernel)
+        if k is None:
+            engine.count_all()
+        else:
+            engine.count(k)
+    d = dag.degrees
+    built = d if k is None else d[~((d > 0) & (d < k - 1))]
+    assert (built > 64).sum() >= 1
+    labels = {"engine": "sct", "structure": "remap", "kernel": kernel}
+    hits = reg.value("sct_memo_hits_total", **labels)
+    misses = reg.value("sct_memo_misses_total", **labels)
+    assert hits > 0 and misses > 0
+    assert hits + misses == (built <= 64).sum()
 
 
 # ======================================================================

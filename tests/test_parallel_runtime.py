@@ -129,10 +129,18 @@ def test_forest_matches_serial(rt_fork):
 # obs integration: merged worker counters == serial counters
 # ----------------------------------------------------------------------
 def test_worker_metrics_sum_to_serial(rt_fork):
+    # Every chunk is its own root-subgraph memo scope, so kernel calls
+    # depend on the chunk plan: the serial reference counts the pool's
+    # plan one count_roots call per chunk.
+    from repro.ordering.directionalize import directionalize
+
     name, g = GRAPHS[2]
     o = ordering(name, g)
+    dag = directionalize(g, o)
     with obs.collecting() as reg_s:
-        SCTEngine(g, o).count(3)
+        engine = SCTEngine(g, dag)
+        for chunk in plan_chunks(dag.degrees, 2, 4):
+            engine.count_roots(chunk, 3)
     with obs.collecting() as reg_p:
         count_kcliques_processes(g, 3, o, processes=2, runtime=rt_fork)
     for metric in ("engine_nodes_visited_total", "kernel_calls_total",

@@ -107,3 +107,40 @@ def test_empty_work():
     for cls in SCHEDULERS:
         a = cls().assign(np.array([]), 4)
         assert a.makespan == 0.0
+
+
+def _dynamic_loads_reference(work, threads, chunk):
+    """The NumPy-element implementation the plain-float one replaced."""
+    import heapq
+
+    work = np.asarray(work, dtype=np.float64)
+    heap = [(0.0, t) for t in range(threads)]
+    heapq.heapify(heap)
+    loads = np.zeros(threads, dtype=np.float64)
+    for i in range(0, work.size, chunk):
+        w = float(work[i:i + chunk].sum())
+        load, t = heapq.heappop(heap)
+        loads[t] = load + w
+        heapq.heappush(heap, (loads[t], t))
+    return loads
+
+
+def _work_arrays():
+    rng = np.random.default_rng(19)
+    return {
+        "random": rng.random(997) * 1e3,
+        "skewed": rng.pareto(1.1, size=1500) * 1e5 + 0.3,
+        "zeros": np.zeros(130),
+        "empty": np.zeros(0),
+    }
+
+
+@pytest.mark.parametrize("kind", ["random", "skewed", "zeros", "empty"])
+@pytest.mark.parametrize("chunk", [1, 3, 64])
+@pytest.mark.parametrize("threads", [1, 7, 64])
+def test_dynamic_loads_bit_identical_to_reference(kind, chunk, threads):
+    work = _work_arrays()[kind]
+    got = DynamicScheduler(chunk=chunk).assign(work, threads).loads
+    ref = _dynamic_loads_reference(work, threads, chunk)
+    assert got.dtype == ref.dtype and got.shape == ref.shape
+    assert got.tobytes() == ref.tobytes()
