@@ -5,7 +5,7 @@ guarantees (see docs/robustness.md):
 
 1. a fault-injected all-k run, interrupted mid-run and resumed from
    its checkpoint, lands on bit-identical counts, work counters and
-   per-root arrays — on both kernel backends;
+   per-root arrays;
 2. a run whose node budget is exhausted with ``degrade`` enabled
    returns a result flagged ``approximate`` with the exactly-counted
    roots folded in, instead of raising.
@@ -31,9 +31,9 @@ from repro.ordering import core_ordering
 from repro.runtime import FaultPlan, FaultSpec, RunController
 
 
-def check_resume_bit_identical(g, kernel: str, at_op: int) -> None:
+def check_resume_bit_identical(g, at_op: int) -> None:
     order = core_ordering(g)
-    base = SCTEngine(g, order, kernel=kernel).count_all()
+    base = SCTEngine(g, order).count_all()
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "smoke.ck.json"
         ctl = RunController(
@@ -41,7 +41,7 @@ def check_resume_bit_identical(g, kernel: str, at_op: int) -> None:
             faults=FaultPlan(FaultSpec("interrupt", at_op=at_op)),
         )
         try:
-            SCTEngine(g, order, kernel=kernel).count_all(controller=ctl)
+            SCTEngine(g, order).count_all(controller=ctl)
         except RunInterrupted:
             pass
         else:
@@ -49,7 +49,7 @@ def check_resume_bit_identical(g, kernel: str, at_op: int) -> None:
         assert ctl.spent.roots_done == at_op - 1
 
         resumed = RunController(checkpoint_path=path, resume=True)
-        r = SCTEngine(g, order, kernel=kernel).count_all(controller=resumed)
+        r = SCTEngine(g, order).count_all(controller=resumed)
 
     assert r.all_counts == base.all_counts, "resumed counts differ"
     assert r.counters.as_dict() == base.counters.as_dict(), (
@@ -59,7 +59,7 @@ def check_resume_bit_identical(g, kernel: str, at_op: int) -> None:
     assert np.array_equal(r.per_root_memory, base.per_root_memory)
     assert resumed.spent.nodes == base.counters.function_calls
     print(
-        f"  [{kernel}] interrupted at root {at_op}, resumed "
+        f"  interrupted at root {at_op}, resumed "
         f"{g.num_vertices - at_op + 1} roots -> bit-identical "
         f"(k_max={len(base.all_counts) - 1}, "
         f"nodes={base.counters.function_calls:,.0f})"
@@ -88,8 +88,7 @@ def main() -> None:
     print(f"dblp analog: n={g.num_vertices}, m={g.num_edges}")
 
     print("interrupt -> resume round-trip:")
-    for kernel in ("bigint", "wordarray"):
-        check_resume_bit_identical(g, kernel, at_op=g.num_vertices // 2)
+    check_resume_bit_identical(g, at_op=g.num_vertices // 2)
 
     print("budget exhaustion -> flagged approximate:")
     check_degrade_flagged(g, k=6, max_nodes=2000)

@@ -13,8 +13,8 @@ Examples::
 
     python -m repro bench run all --smoke --repeat 3
     python -m repro bench compare --strict
-    python -m repro bench baseline promote kernels
-    python -m repro bench history kernels --metric wordarray.pivot_select
+    python -m repro bench baseline promote forest
+    python -m repro bench history forest --metric er-120.bigint.query_s
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from repro.bench.platform.store import RunStore
 __all__ = ["add_bench_parser", "cmd_bench", "GATED_BENCHES"]
 
 #: The benches migrated onto the run store (``bench run all``).
-GATED_BENCHES = ("kernels", "forest", "obs", "parallel", "shard", "dynamic")
+GATED_BENCHES = ("forest", "obs", "parallel", "shard", "dynamic")
 
 #: Environment override for where the ``bench_*.py`` scripts live.
 BENCH_DIR_ENV = "REPRO_BENCH_DIR"

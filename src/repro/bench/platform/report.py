@@ -13,6 +13,8 @@ The report answers three kinds of question:
 * **regression gate** — the newest runs vs the *promoted baseline*
   (:mod:`repro.bench.platform.baseline`), pooling samples across the
   trailing window so CI's repeated smoke runs gain statistical power.
+  Only runs recorded under the baseline's ``config`` take part: a
+  full-mode run times a different workload than a smoke-mode baseline.
 
 Cross-machine honesty: timings from a different machine fingerprint
 are never silently comparable.  A comparison whose baseline was
@@ -40,6 +42,11 @@ _MACHINE_KEYS = ("cpu_count", "platform", "machine", "python", "numpy")
 
 def _same_machine(a: dict, b: dict) -> bool:
     return all(a.get(k) == b.get(k) for k in _MACHINE_KEYS)
+
+
+def _config_diff(a: dict, b: dict) -> list[str]:
+    """The config keys on which ``a`` and ``b`` disagree."""
+    return sorted(k for k in a.keys() | b.keys() if a.get(k) != b.get(k))
 
 
 @dataclass(frozen=True)
@@ -176,7 +183,7 @@ class ExperimentReport:
         self, bench: str, baseline: RunRecord
     ) -> tuple[dict[str, list[float]], set[str]]:
         """The baseline's samples, enriched with stored runs from the
-        same commit on the same machine taken *no later than* the
+        same commit, config and machine taken *no later than* the
         baseline itself (repeated promote-time runs pool their samples
         for statistical power; runs after promotion stay "current", so
         a same-commit re-run can still be flagged)."""
@@ -189,6 +196,7 @@ class ExperimentReport:
                 continue
             if rec.git_hash is not None \
                     and rec.git_hash == baseline.git_hash \
+                    and rec.config == baseline.config \
                     and _same_machine(rec.machine, baseline.machine):
                 ids.add(rec.run_id)
                 for m, v in rec.samples.items():
@@ -196,7 +204,8 @@ class ExperimentReport:
         return pool, ids
 
     def regressions(self, bench: str) -> BenchComparison:
-        """The gate: newest ``window`` runs vs the promoted baseline."""
+        """The gate: newest ``window`` runs recorded under the promoted
+        baseline's config vs that baseline."""
         records = self.records(bench)
         if not records:
             return BenchComparison(bench, None, (), note="no stored runs")
@@ -216,12 +225,20 @@ class ExperimentReport:
                      f"the history",
             )
         base_pool, base_ids = self._baseline_pool(bench, baseline)
-        current = [r for r in records if r.run_id not in base_ids]
-        current = current[-self.window:]
-        if not current:
+        newer = [r for r in records if r.run_id not in base_ids]
+        if not newer:
             return BenchComparison(
                 bench, baseline_id, (), machine_match=True,
                 note="no runs newer than the baseline pool",
+            )
+        current = [r for r in newer if r.config == baseline.config]
+        current = current[-self.window:]
+        if not current:
+            differ = _config_diff(newer[-1].config, baseline.config)
+            return BenchComparison(
+                bench, baseline_id, (), machine_match=True,
+                note=f"no runs under the baseline's config (config "
+                     f"differs in: {', '.join(differ)})",
             )
         machine_match = all(
             _same_machine(r.machine, baseline.machine) for r in current

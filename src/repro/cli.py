@@ -17,7 +17,6 @@ Commands
 Examples::
 
     python -m repro count --dataset orkut -k 8
-    python -m repro count --dataset orkut -k 8 --kernel wordarray
     python -m repro count --edge-list my.el -k 5 --structure sparse
     python -m repro count --dataset orkut -k 9 --max-nodes 100000 --degrade
     python -m repro dist --dataset dblp --checkpoint run.ckpt
@@ -127,10 +126,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--structure", choices=("dense", "sparse", "remap"), default="remap"
     )
     p_count.add_argument(
-        "--kernel", choices=("bigint", "wordarray"), default="bigint",
-        help="bitset-kernel backend for the counting hot path",
-    )
-    p_count.add_argument(
         "--ordering",
         choices=("heuristic", "core", "degree", "approx_core", "kcore",
                  "centrality"),
@@ -148,10 +143,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_dist = sub.add_parser("dist", help="clique-size distribution")
     add_graph_source(p_dist)
     p_dist.add_argument("--max-k", type=int, default=None)
-    p_dist.add_argument(
-        "--kernel", choices=("bigint", "wordarray"), default="bigint",
-        help="bitset-kernel backend for the counting hot path",
-    )
     add_parallel(p_dist)
     add_forest(p_dist)
     add_resilience(p_dist)
@@ -209,11 +200,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_stream.add_argument(
         "--structure", choices=("dense", "sparse", "remap"), default="remap"
     )
-    p_stream.add_argument(
-        "--kernel", choices=("bigint", "wordarray"),
-        default="bigint",
-        help="bitset-kernel backend for the counting hot path",
-    )
     add_resilience(p_stream)
 
     from repro.bench.platform.cli import add_bench_parser
@@ -257,7 +243,6 @@ def _cmd_count(args) -> int:
     g, eff = _load_graph(args)
     cfg = PivotScaleConfig(
         structure=args.structure,
-        kernel=args.kernel,
         ordering=args.ordering,
         threads=args.threads,
         processes=args.processes,
@@ -275,7 +260,7 @@ def _cmd_count(args) -> int:
         from repro.counting.forest import load_or_rebuild_forest
 
         forest, rebuilt = load_or_rebuild_forest(
-            cfg.forest_path, g, structure=cfg.structure, kernel=cfg.kernel
+            cfg.forest_path, g, structure=cfg.structure
         )
         origin = ("rebuilt; corrupt file quarantined"
                   if rebuilt else f"loaded from {cfg.forest_path}")
@@ -307,7 +292,7 @@ def _cmd_count(args) -> int:
     if cfg.forest == "build" or (cfg.forest == "auto" and args.per_vertex):
         from repro.counting.forest import get_forest
 
-        forest = get_forest(g, r.ordering, cfg.structure, cfg.kernel)
+        forest = get_forest(g, r.ordering, cfg.structure)
         print(f"forest: {forest.num_leaves:,} leaves "
               f"({forest.nbytes:,} bytes materialized)")
         if cfg.forest == "build" and cfg.forest_path is not None:
@@ -335,7 +320,7 @@ def _cmd_dist(args) -> int:
     from repro.ordering import core_ordering
 
     g, _ = _load_graph(args)
-    cfg = PivotScaleConfig(kernel=args.kernel, forest=args.forest,
+    cfg = PivotScaleConfig(forest=args.forest,
                            forest_path=args.forest_path,
                            processes=args.processes,
                            par_chunks=args.par_chunks,
@@ -349,15 +334,14 @@ def _cmd_dist(args) -> int:
             from repro.counting.forest import load_or_rebuild_forest
 
             forest, rebuilt = load_or_rebuild_forest(
-                cfg.forest_path, g, kernel=args.kernel, controller=ctl
+                cfg.forest_path, g, controller=ctl
             )
             origin = ("rebuilt; corrupt file quarantined"
                       if rebuilt else f"loaded from {cfg.forest_path}")
         else:
             from repro.counting.forest import get_forest
 
-            forest = get_forest(g, core_ordering(g), kernel=args.kernel,
-                                controller=ctl)
+            forest = get_forest(g, core_ordering(g), controller=ctl)
             origin = "built"
             if cfg.forest_path is not None:
                 forest.save(cfg.forest_path)
@@ -372,13 +356,13 @@ def _cmd_dist(args) -> int:
         return 0
 
     procs = cfg.processes or 1
-    engine = SCTEngine(g, core_ordering(g), kernel=args.kernel)
+    engine = SCTEngine(g, core_ordering(g))
     try:
         if cfg.shard_mb is not None:
             from repro.shard import count_sharded
 
             r = count_sharded(
-                g, engine.dag, max_k=args.max_k, kernel=args.kernel,
+                g, engine.dag, max_k=args.max_k,
                 shard_mb=cfg.shard_mb, spill_dir=cfg.spill_dir,
                 resume=cfg.resume, controller=ctl, degrade=cfg.degrade,
                 processes=procs, chunks_per_process=cfg.par_chunks,
@@ -389,7 +373,7 @@ def _cmd_dist(args) -> int:
 
             r = count_all_sizes_processes(
                 g, engine.dag, max_k=args.max_k, processes=procs,
-                chunks_per_process=cfg.par_chunks, kernel=args.kernel,
+                chunks_per_process=cfg.par_chunks,
                 controller=ctl, degrade=cfg.degrade,
             )
         else:
@@ -508,7 +492,6 @@ def _cmd_stream(args) -> int:
     # its dirty-root recomputation and later batches start clean.
     cfg = PivotScaleConfig(
         structure=args.structure,
-        kernel=args.kernel,
         dynamic=args.policy,
         reorder_ratio=args.reorder_ratio,
         deadline_seconds=args.deadline,
@@ -519,7 +502,7 @@ def _cmd_stream(args) -> int:
         degrade=args.degrade,
     )
     edits = read_edit_file(args.edits)
-    forest = get_forest(g, core_ordering(g), cfg.structure, cfg.kernel)
+    forest = get_forest(g, core_ordering(g), cfg.structure)
     print(f"graph: {g}")
     print(f"forest: {forest.num_leaves:,} leaves")
     _stream_counts(forest, args)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 from repro.errors import CountingError, ParallelModelError
 from repro.ordering.heuristic import HeuristicConfig
@@ -34,11 +35,9 @@ class PivotScaleConfig:
         Subgraph structure; ``"remap"`` is PivotScale's default
         (Sec. IV), ``"dense"``/``"sparse"`` reproduce the ablations.
     kernel:
-        Bitset-kernel backend for the counting hot path:
-        ``"bigint"`` (default; Python big-int masks) or
-        ``"wordarray"`` (NumPy uint64 word arrays with fused
-        vectorized intersect/popcount).  Counts and counters are
-        backend-invariant (guarded by ``tests/test_differential.py``).
+        The bitset-kernel backend, ``"bigint"`` — a class constant,
+        not a constructor argument: there is one backend, and callers
+        that pass ``kernel=cfg.kernel`` on to the engines keep working.
     ordering:
         ``"heuristic"`` (default) runs the Sec. III-E selector; a
         concrete name forces that ordering (``"core"``, ``"degree"``,
@@ -73,8 +72,9 @@ class PivotScaleConfig:
         JSON checkpoint location and whether to resume from it; a
         resumed all-k run is bit-identical to an uninterrupted one.
     degrade:
-        Enable the graceful-degradation ladder (kernel fallback and
-        budget-exhaustion root sampling) instead of hard failure.
+        Enable the graceful-degradation ladder (budget-exhaustion root
+        sampling, worker and shard recounts, member spill) instead of
+        hard failure.
     checkpoint_every:
         Autosave period in completed roots.
     forest:
@@ -117,8 +117,9 @@ class PivotScaleConfig:
         edited graph's edge count (default 0.25).
     """
 
+    kernel: ClassVar[str] = "bigint"
+
     structure: str = "remap"
-    kernel: str = "bigint"
     ordering: str | None = "heuristic"
     threads: int = 64
     processes: int | None = None
@@ -145,10 +146,6 @@ class PivotScaleConfig:
     def __post_init__(self) -> None:
         if self.structure not in ("dense", "sparse", "remap"):
             raise CountingError(f"unknown structure {self.structure!r}")
-        from repro.kernels import KERNELS
-
-        if self.kernel not in KERNELS:
-            raise CountingError(f"unknown kernel {self.kernel!r}")
         if self.ordering not in _VALID_ORDERINGS:
             raise CountingError(f"unknown ordering {self.ordering!r}")
         if self.threads < 1:

@@ -112,7 +112,6 @@ def count_cliques_hybrid(
                 k,
                 ordering,
                 structure=cfg.structure,
-                kernel=cfg.kernel,
                 controller=ctl,
             )
         except BudgetExceededError:

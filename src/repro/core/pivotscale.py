@@ -77,9 +77,7 @@ def _run(
         with obs.span("pivotscale.ordering"), obs.phase("ordering"):
             ordering, decision = _materialize_ordering(g, config)
             dag = directionalize(g, ordering)
-        engine = SCTEngine(
-            g, dag, structure=config.structure, kernel=config.kernel
-        )
+        engine = SCTEngine(g, dag, structure=config.structure)
         ctl = controller if controller is not None else config.make_controller()
         procs = config.processes or 1
         wall0 = time.perf_counter()
@@ -89,7 +87,7 @@ def _run(
 
                 counting = count_sharded(
                     g, dag, k=k, max_k=max_k,
-                    structure=config.structure, kernel=config.kernel,
+                    structure=config.structure,
                     shard_mb=config.shard_mb, spill_dir=config.spill_dir,
                     resume=config.resume, controller=ctl,
                     degrade=config.degrade, processes=procs,
@@ -105,14 +103,14 @@ def _run(
                 counting = (
                     count_kcliques_processes(
                         g, k, dag, processes=procs,
-                        structure=config.structure, kernel=config.kernel,
+                        structure=config.structure,
                         chunks_per_process=config.par_chunks,
                         controller=ctl, degrade=config.degrade,
                     )
                     if k is not None
                     else count_all_sizes_processes(
                         g, dag, max_k=max_k, processes=procs,
-                        structure=config.structure, kernel=config.kernel,
+                        structure=config.structure,
                         chunks_per_process=config.par_chunks,
                         controller=ctl, degrade=config.degrade,
                     )

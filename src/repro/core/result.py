@@ -60,8 +60,8 @@ class CliqueCountResult:
         then unbiased floats, not exact ints.
     degraded_from:
         Comma-joined record of what was degraded away from (e.g.
-        ``"wordarray"`` after a kernel fallback, ``"exact"`` after
-        budget-exhaustion sampling, or both).
+        ``"worker"`` after an in-process chunk recount, ``"exact"``
+        after budget-exhaustion sampling, or both).
     budget_spent:
         The run controller's final meter (nodes, seconds, peak memory,
         roots completed); ``None`` for unsupervised runs.

@@ -2,15 +2,15 @@
 
 The workhorse is the SCT (succinct clique tree) pivot recursion from
 Pivoter, implemented over local bitset subgraphs with three index
-structures (dense / sparse / remap, paper Fig. 4) and two swappable
-bitset-kernel backends (:mod:`repro.kernels`: big-int masks or NumPy
-word arrays).  An enumeration baseline (Arb-Count / kClist style) and
-brute-force oracles round out the comparison set.  All counts are
+structures (dense / sparse / remap, paper Fig. 4) and a big-int
+bitset kernel (:mod:`repro.kernels`).  An enumeration baseline
+(Arb-Count / kClist style) and brute-force oracles round out the
+comparison set.  All counts are
 exact Python integers — LiveJournal 13-clique counts overflow 64-bit
 by nine decimal orders.
 """
 
-from repro.kernels import KERNELS, BitsetKernel, resolve_kernel
+from repro.kernels import BitsetKernel, resolve_kernel
 
 from repro.counting.binomial import binomial, binomial_row
 from repro.counting.counters import Counters
@@ -72,7 +72,6 @@ __all__ = [
     "brute_force_count",
     "brute_force_all_sizes",
     "networkx_count",
-    "KERNELS",
     "BitsetKernel",
     "resolve_kernel",
     "STRUCTURES",

@@ -31,7 +31,6 @@ from repro.counting.sct import CountResult
 from repro.counting.structures import STRUCTURES
 from repro.errors import (
     CountingError,
-    KernelFaultError,
     MemoryBudgetExceededError,
     NodeBudgetExceededError,
 )
@@ -66,10 +65,9 @@ def count_kcliques_enumeration(
     ``max_nodes`` bounds recursion nodes; past it,
     :class:`~repro.errors.NodeBudgetExceededError` is raised — the
     combinatorial explosion is the *expected* result at large ``k``
-    (Fig. 12).  A ``controller`` adds deadlines, memory watermarks,
-    fault injection and the kernel-fallback rung of the degradation
-    ladder; its node budget and ``max_nodes`` compose (the tighter one
-    wins).
+    (Fig. 12).  A ``controller`` adds deadlines, memory watermarks and
+    fault injection; its node budget and ``max_nodes`` compose (the
+    tighter one wins).
     """
     if k < 1:
         raise CountingError(f"clique size k must be >= 1, got {k}")
@@ -89,7 +87,6 @@ def count_kcliques_enumeration(
     per_root_memory = np.zeros(n, dtype=np.float64)
     total = 0
     done = 0
-    degraded_from: str | None = None
 
     if k == 1:
         total = n
@@ -135,22 +132,6 @@ def count_kcliques_enumeration(
                         f"out of memory while enumerating root {v}",
                         spent=ctl.spent_snapshot() if ctl is not None else None,
                     )
-                except KernelFaultError:
-                    if (
-                        ctl is None
-                        or not ctl.degrade
-                        or struct.kernel.name == "bigint"
-                    ):
-                        raise
-                    if degraded_from is None:
-                        degraded_from = struct.kernel.name
-                    obs.degradation(
-                        "kernel_fallback", engine="enumeration", root=v,
-                        from_kernel=struct.kernel.name,
-                    )
-                    struct = STRUCTURES[structure](graph, dag, kernel="bigint")
-                    ctr = Counters()
-                    delta = _count_root(struct, v, k, ctr, seed_budget())
                 except NodeBudgetExceededError as e:
                     if ctl is not None and e.spent is None:
                         ctl.spent.nodes += ctr.function_calls
@@ -181,7 +162,6 @@ def count_kcliques_enumeration(
         per_root_memory=per_root_memory,
         structure=struct.name,
         kernel=struct.kernel.name,
-        degraded_from=degraded_from,
     )
 
 

@@ -65,11 +65,11 @@ from repro.counting.structures import STRUCTURES
 from repro.errors import (
     CountingError,
     GraphFormatError,
-    KernelFaultError,
     MemoryBudgetExceededError,
 )
 from repro.graph.build import csr_from_sorted_edges
 from repro.graph.csr import CSRGraph
+from repro.kernels import kernel_name
 from repro.ordering.directionalize import directionalize
 from repro.runtime.checkpoint import graph_fingerprint
 from repro.runtime.controller import RunController
@@ -443,25 +443,20 @@ def _recompute_roots(
 ):
     """Re-run the pivot recursion for the dirty roots.
 
-    Returns ``(per_root, totals, struct, degraded_from)`` where
-    ``per_root`` maps root id -> ``(leaves, recursion_work)`` and
-    ``struct`` is the structure over the edited graph that ran last
-    (its kernel is the one that finished the batch).  Mirrors
-    the build loop's controller cooperation — deadline/node budgets,
-    checkpoint/resume and kernel-fault fallback — at **dirty-root**
-    granularity: a killed ``apply_edits`` resumes recomputation where
-    it stopped, and the forest arrays are only patched once every
-    dirty root has landed (all-or-nothing).
+    Returns ``(per_root, totals, struct)`` where ``per_root`` maps
+    root id -> ``(leaves, recursion_work)`` and ``struct`` is the
+    structure over the edited graph.  Mirrors the build loop's
+    controller cooperation — deadline/node budgets and
+    checkpoint/resume — at **dirty-root** granularity: a killed
+    ``apply_edits`` resumes recomputation where it stopped, and the
+    forest arrays are only patched once every dirty root has landed
+    (all-or-nothing).
     """
     from repro.counting.forest import collect_root_leaves
-    from repro.counting.structures.base import RootContexts
 
     record_members = forest.has_members
-    struct = STRUCTURES[descriptor["structure"]](
-        graph, dag, kernel=descriptor["kernel"]
-    )
+    struct = STRUCTURES[descriptor["structure"]](graph, dag)
     totals = Counters()
-    degraded_from: str | None = None
     per_root: dict[int, tuple[list, float]] = {}
     start = 0
     ctl = controller
@@ -483,7 +478,6 @@ def _recompute_roots(
                 ],
                 "recursion": [per_root[r][1] for r in done],
                 "counters": totals.as_dict(),
-                "degraded_from": degraded_from,
             }
 
         if ctl.started:
@@ -505,11 +499,10 @@ def _recompute_roots(
                     float(recursion),
                 )
             totals = Counters.from_dict(state["counters"])
-            degraded_from = state.get("degraded_from")
 
     from contextlib import nullcontext
 
-    ctxs = RootContexts(struct, dirty[start:])
+    ctxs = struct.build_many(dirty[start:])
     with (ctl.guard() if ctl is not None else nullcontext()):
         for i in range(start, dirty.size):
             v = int(dirty[i])
@@ -531,24 +524,6 @@ def _recompute_roots(
                         f"allocation failure at root {v}",
                         spent=ctl.spent_snapshot(),
                     ) from exc
-                except KernelFaultError:
-                    if not ctl.degrade or struct.kernel.name == "bigint":
-                        raise
-                    fallen = struct.kernel.name
-                    obs.degradation(
-                        "kernel_fallback", engine="sct-forest-edits",
-                        root=v, from_kernel=fallen,
-                    )
-                    struct = type(struct)(graph, dag, kernel="bigint")
-                    ctxs.restart(struct, i - start)
-                    descriptor["kernel"] = "bigint"
-                    if degraded_from is None:
-                        degraded_from = fallen
-                    ctr = Counters()
-                    leaves = collect_root_leaves(
-                        struct, v, ctr, record_members=record_members,
-                        ctx=next(ctxs),
-                    )
                 ctl.charge_nodes(ctr.function_calls)
                 ctl.note_memory(ctr.peak_subgraph_bytes)
             per_root[v] = (leaves, ctr.recursion_work)
@@ -556,7 +531,7 @@ def _recompute_roots(
             obs.note_memory(ctr.peak_subgraph_bytes)
             if ctl is not None:
                 ctl.complete_root(v)
-    return per_root, totals, struct, degraded_from
+    return per_root, totals, struct
 
 
 def _patch_arrays(forest, dirty: np.ndarray, per_root: dict) -> None:
@@ -696,6 +671,9 @@ def apply_edits(
     report.policy = policy
 
     descriptor = dict(forest.descriptor)
+    # A forest saved while a second backend existed may name it; the
+    # dirty roots run, and are recorded, on the one backend.
+    descriptor["kernel"] = kernel_name()
     span_attrs = {
         "engine": "sct-forest-edits",
         "structure": descriptor["structure"],
@@ -724,11 +702,10 @@ def apply_edits(
             descriptor["base_graph_fingerprint"] = (
                 forest.descriptor["graph_fingerprint"]
             )
-            per_root, totals, struct, degraded_from = _recompute_roots(
+            per_root, totals, struct = _recompute_roots(
                 forest, new_graph, new_dag, dirty,
                 controller=controller, descriptor=descriptor,
             )
-            kernel_name = struct.kernel.name
             report.roots_recomputed = int(dirty.size)
             report.counters = totals
 
@@ -750,15 +727,12 @@ def apply_edits(
                 k: v for k, v in descriptor.items()
                 if k not in ("edits_digest", "base_graph_fingerprint")
             }
-            forest.descriptor["kernel"] = kernel_name
-            if degraded_from is not None and forest.degraded_from is None:
-                forest.degraded_from = degraded_from
             forest.bind(graph=new_graph, dag=new_dag, rank=new_rank)
             forest._edits_since_reorder = pending_edits
             obs.record_run(
                 totals, engine="sct-forest-edits",
-                structure=descriptor["structure"], kernel=kernel_name,
-                roots=int(dirty.size),
+                structure=descriptor["structure"],
+                kernel=descriptor["kernel"], roots=int(dirty.size),
             )
 
         report.graph = forest.graph
@@ -792,8 +766,7 @@ def _apply_reorder(forest, new_graph, descriptor, controller) -> None:
     ordering = core_ordering(new_graph)
     rebuilt = SCTForest.build(
         new_graph, ordering, descriptor["structure"],
-        descriptor["kernel"], controller=controller,
-        members=forest.has_members,
+        controller=controller, members=forest.has_members,
     )
     forest.num_vertices = rebuilt.num_vertices
     forest.held_n = rebuilt.held_n

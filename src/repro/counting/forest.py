@@ -72,13 +72,12 @@ from repro import obs
 from repro.counting.binomial import binomial, binomial_row
 from repro.counting.counters import Counters
 from repro.counting.structures import STRUCTURES, SubgraphStructure
-from repro.counting.structures.base import RootContext, RootContexts
+from repro.counting.structures.base import RootContext
 from repro.errors import (
     CheckpointError,
     CountingError,
     DegradedResultWarning,
     ForestFormatError,
-    KernelFaultError,
     MemoryBudgetExceededError,
 )
 from repro.graph.csr import CSRGraph
@@ -369,10 +368,9 @@ class SCTForest:
         ``members=False`` skips the held/pivot member id recording —
         counting queries stay exact, attribution queries raise.  A
         ``controller`` is honored at root granularity exactly like the
-        direct engines: deadline/node budgets, checkpoint/resume, and
-        kernel-fault fallback to ``bigint``; a crossed memory
-        watermark raises, or spills the memberships when degradation
-        is enabled.
+        direct engines: deadline/node budgets and checkpoint/resume; a
+        crossed memory watermark raises, or spills the memberships when
+        degradation is enabled.
         """
         if graph.directed:
             raise CountingError("input graph must be undirected")
@@ -495,7 +493,7 @@ class SCTForest:
             if degraded_from is None:
                 degraded_from = "members"
 
-        ctxs = RootContexts(struct, np.arange(start, n, dtype=np.int64))
+        ctxs = struct.build_many(np.arange(start, n, dtype=np.int64))
 
         def run_root(v: int) -> tuple[Counters, list]:
             ctr = Counters()
@@ -525,23 +523,6 @@ class SCTForest:
                                 f"allocation failure at root {v}",
                                 spent=ctl.spent_snapshot(),
                             ) from exc
-                        except KernelFaultError:
-                            if (
-                                not ctl.degrade
-                                or struct.kernel.name == "bigint"
-                            ):
-                                raise
-                            fallen = struct.kernel.name
-                            obs.degradation(
-                                "kernel_fallback", engine="sct-forest",
-                                root=v, from_kernel=fallen,
-                            )
-                            struct = type(struct)(graph, dag, kernel="bigint")
-                            ctxs.restart(struct, v - start)
-                            descriptor["kernel"] = "bigint"
-                            if degraded_from is None:
-                                degraded_from = fallen
-                            ctr, leaves = run_root(v)
                         ctl.charge_nodes(ctr.function_calls)
                     for h_count, p_count, h_ids, p_ids in leaves:
                         held_n.append(h_count)
@@ -1093,8 +1074,9 @@ def walk_roots(
     controller: RunController | None = None, engine: str = "",
 ) -> Counters:
     """:func:`walk_root` over every root of ``roots`` in order, their
-    contexts induced in :class:`RootContexts` batches — the root loop
-    of the attribution engines.  Returns the summed counters.
+    contexts induced in :meth:`~SubgraphStructure.build_many` blocks —
+    the root loop of the attribution engines.  Returns the summed
+    counters.
 
     A ``controller`` is begun under an ``engine`` descriptor and
     consulted at root granularity for budgets and fault injection.
@@ -1112,7 +1094,7 @@ def walk_roots(
             "graph": graph_fingerprint(struct.graph),
         })
     totals = Counters()
-    ctxs = RootContexts(struct, roots)
+    ctxs = struct.build_many(roots)
     with ctl.guard() if ctl is not None else nullcontext():
         for v in roots.tolist():
             calls = totals.function_calls

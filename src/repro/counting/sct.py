@@ -12,13 +12,10 @@ cost is independent of ``k``.
 
 Candidate sets are Python big-int bitsets passed down the recursion
 (playing the role of the C++ reversible subgraph mutations, see
-DESIGN.md); adjacency rows live in a swappable
-:mod:`repro.kernels` backend.  The fused ``pivot_select`` and
-``intersect_count`` kernels do the work of the paper's word-parallel
-set operations — as big-int ``&`` / ``int.bit_count()`` on the default
-``bigint`` backend, as vectorized NumPy word-array passes on the
-``wordarray`` backend — with identical counts and identical
-:class:`~repro.counting.counters.Counters` either way.
+DESIGN.md); adjacency rows live in the :mod:`repro.kernels` backend.
+Its fused ``pivot_select`` and ``intersect_count`` kernels do the work
+of the paper's word-parallel set operations as big-int ``&`` /
+``int.bit_count()``.
 
 Implementation subtleties carried over from Sec. V-A:
 
@@ -47,11 +44,9 @@ from repro import obs
 from repro.counting.binomial import binomial, binomial_row
 from repro.counting.counters import Counters
 from repro.counting.structures import STRUCTURES, SubgraphStructure
-from repro.counting.structures.base import RootContexts
 from repro.errors import (
     CheckpointError,
     CountingError,
-    KernelFaultError,
     MemoryBudgetExceededError,
 )
 from repro.graph.csr import CSRGraph
@@ -123,17 +118,15 @@ class CountResult:
     structure:
         Name of the subgraph structure used.
     kernel:
-        Name of the bitset-kernel backend used (the backend the run
-        *finished* on — see ``degraded_from``).
+        Name of the bitset-kernel backend used.
     approximate:
         True when budget exhaustion degraded the run to sampling:
         ``count`` / ``all_counts`` then mix exact per-root counts with
         an unbiased estimate for the remaining roots and are floats.
     degraded_from:
-        What the run degraded away from, or ``None`` for a clean run:
-        a kernel name (mid-run wordarray→bigint fallback) and/or
-        ``"exact"`` (budget exhaustion → sampling), comma-joined when
-        both happened.
+        What the run degraded away from, or ``None`` for a clean run
+        (e.g. ``"exact"`` after budget exhaustion → sampling;
+        comma-joined when several rungs engaged).
     """
 
     count: int | float | None
@@ -175,7 +168,6 @@ class RootBatchResult:
     counters: Counters
     per_root_work: list[float]
     per_root_memory: list[float]
-    degraded_from: str | None = None
 
 
 class SCTEngine:
@@ -191,9 +183,9 @@ class SCTEngine:
     structure:
         Subgraph structure name (``"remap"`` default) or an instance.
     kernel:
-        Bitset-kernel backend name or instance (``"bigint"`` default,
-        ``"wordarray"`` for the NumPy fast path).  Ignored when
-        ``structure`` is an already-built instance (the instance's
+        ``None``, ``"bigint"`` or a :class:`~repro.kernels.BitsetKernel`
+        instance (see :func:`~repro.kernels.resolve_kernel`).  Ignored
+        when ``structure`` is an already-built instance (the instance's
         kernel wins).
     """
 
@@ -322,12 +314,10 @@ class SCTEngine:
 
         Unlike the throwaway :meth:`count_root`, this path honors the
         full per-root cooperation protocol: obs spans/metrics, budget
-        ticks, memory watermarks, and the kernel-fault degradation rung
-        (``wordarray`` → ``bigint`` mid-batch when ``controller.degrade``
-        is set).  ``k=None`` produces the all-k row (untrimmed, of the
-        :meth:`_allk_shape` length for ``max_k``) so chunk rows from
-        different workers fold elementwise.  Roots whose induced
-        subgraphs repeat within one call are counted once (see
+        ticks and memory watermarks.  ``k=None`` produces the all-k row
+        (untrimmed, of the :meth:`_allk_shape` length for ``max_k``) so
+        chunk rows from different workers fold elementwise.  Roots whose
+        induced subgraphs repeat within one call are counted once (see
         :meth:`_fold_roots`): results do not depend on how roots are
         batched into calls, kernel call counts do.
 
@@ -423,19 +413,6 @@ class SCTEngine:
         d = self.structure.dag.degrees[roots]
         return (d > 0) & (d < k - 1)
 
-    def _fallback_to_bigint(self) -> str:
-        """Kernel-fault rung of the degradation ladder: rebuild the
-        structure on the ``bigint`` reference backend.  Returns the
-        name of the backend abandoned.  Counters are backend-invariant,
-        so the re-verified root and every later root are bit-identical
-        to an unfaulted run."""
-        old = self.kernel.name
-        self.structure = type(self.structure)(
-            self.graph, self.dag, kernel="bigint"
-        )
-        self.kernel = self.structure.kernel
-        return old
-
     def _run(
         self,
         k: int | None,
@@ -467,7 +444,6 @@ class SCTEngine:
                     "counters": res.counters.as_dict(),
                     "per_root_work": prior_work + res.per_root_work,
                     "per_root_memory": prior_memory + res.per_root_memory,
-                    "degraded_from": res.degraded_from,
                 }
 
             state = ctl.begin(self._descriptor(k, max_k), snapshot)
@@ -486,7 +462,6 @@ class SCTEngine:
                 res.roots = list(range(start, n))
                 res.count = state["total"]
                 res.counters = Counters.from_dict(state["counters"])
-                res.degraded_from = state.get("degraded_from")
 
         span = obs.span(
             "sct.count" if k is not None else "sct.count_all",
@@ -514,7 +489,6 @@ class SCTEngine:
             ),
             structure=self.structure.name,
             kernel=self.kernel.name,
-            degraded_from=res.degraded_from,
         )
 
     def _fold_roots(
@@ -534,10 +508,9 @@ class SCTEngine:
 
         Every root is ticked, counted, metered against ``ctl`` and only
         then folded, so a budget abort or a checkpoint save at
-        ``ctl.complete_root`` sees whole roots only.  A kernel fault
-        with ``ctl.degrade`` set swaps in the bigint structure and
-        counts the root again.  ``guard`` wraps the loop in
-        ``ctl.guard()`` (the caller owns the run's checkpoints).
+        ``ctl.complete_root`` sees whole roots only.  ``guard`` wraps
+        the loop in ``ctl.guard()`` (the caller owns the run's
+        checkpoints).
 
         Roots induced in ``build_many`` blocks are memoized by their
         packed rows for this call only: a repeat skips its rows and its
@@ -552,7 +525,7 @@ class SCTEngine:
         pruned = self._prune_mask(order, k, early_termination)
         prune = pruned.tolist()
         memo: dict[bytes, _RootTally] = {}
-        ctxs = RootContexts(self.structure, order, ~pruned, memo)
+        ctxs = self.structure.build_many(order[~pruned], memo)
         hits = misses = 0
 
         def run_root(i: int, v: int) -> tuple[_RootTally, float]:
@@ -602,21 +575,6 @@ class SCTEngine:
                                 f"allocation failure at root {v}",
                                 spent=ctl.spent_snapshot(),
                             ) from exc
-                        except KernelFaultError:
-                            if (
-                                not ctl.degrade
-                                or self.kernel.name == "bigint"
-                            ):
-                                raise
-                            fallen = self._fallback_to_bigint()
-                            obs.degradation(
-                                "kernel_fallback", engine="sct", root=v,
-                                from_kernel=fallen,
-                            )
-                            if res.degraded_from is None:
-                                res.degraded_from = fallen
-                            ctxs.restart(self.structure, i)
-                            tally, bw = run_root(i, v)
                         ctl.charge_nodes(tally.nodes)
                         ctl.note_memory(tally.memory_bytes)
                     (result, nodes, leaves, early, set_ops, lookups,

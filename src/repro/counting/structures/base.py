@@ -21,19 +21,19 @@ done here: the paper's scan of every member's whole undirected neighbor
 list (the sum of the members' degrees), plus the remap pass where
 applicable.  Every root's charge is read from degrees in one pass over
 the DAG when the structure is made, so :meth:`~SubgraphStructure.estimate`
-predicts it exactly without building, and neither the induction
-strategy nor the backend can move it.
+predicts it exactly without building, and the induction strategy
+cannot move it.
 
-Rows are stored by a swappable :class:`~repro.kernels.BitsetKernel`
-backend (big-int masks or NumPy word arrays).  Structures differ only
-in :meth:`RootContext.row` — how a row is reached during the
-recursion — and in the modeled per-thread memory footprint.
+Rows are stored by the :class:`~repro.kernels.BitsetKernel` (big-int
+masks).  Structures differ only in :meth:`RootContext.row` — how a row
+is reached during the recursion — and in the modeled per-thread memory
+footprint.
 
 A root's pivot tree, and with it every per-root counter, is a function
 of its induced subgraph alone, and on sparse graphs those subgraphs
 repeat.  So :meth:`SubgraphStructure.build_many` can look each block
 root up in a caller's memo keyed by its packed rows, before they are
-converted for any backend, and hand back the stored value instead of
+loaded into the kernel, and hand back the stored value instead of
 loading rows for a subgraph the caller has already counted.
 """
 
@@ -51,7 +51,6 @@ from repro.kernels import BitsetKernel, resolve_kernel
 __all__ = [
     "SubgraphStructure",
     "RootContext",
-    "RootContexts",
     "BLOCK_PAIRS",
     "plan_blocks",
 ]
@@ -183,7 +182,7 @@ class RootContext:
         self.lookup_weight = lookup_weight
         self.memory_bytes = memory_bytes
         self.build_words = build_words
-        self.kernel = kernel if kernel is not None else resolve_kernel("bigint")
+        self.kernel = kernel if kernel is not None else resolve_kernel()
         self.rows = rows
         self.key: bytes | None = None
 
@@ -193,14 +192,14 @@ class SubgraphStructure(abc.ABC):
 
     Instances are meant to be reused across roots — the paper's
     allocation-reuse discipline (Sec. V-B); the dense structure in
-    particular allocates its ``|V|``-sized index once, and word-array
-    kernels reuse their row buffers the same way.
+    particular allocates its ``|V|``-sized index once.
 
     Parameters
     ----------
     kernel:
-        Bitset backend name or instance (default ``"bigint"``); owns
-        the row storage every built context exposes as ``ctx.rows``.
+        ``None``, ``"bigint"`` or a :class:`~repro.kernels.BitsetKernel`
+        instance (see :func:`~repro.kernels.resolve_kernel`); owns the
+        row storage every built context exposes as ``ctx.rows``.
     """
 
     #: registry name ("dense" / "sparse" / "remap")
@@ -300,9 +299,8 @@ class SubgraphStructure(abc.ABC):
 
         A block is induced when its first root is advanced to; each
         context's rows are allocated and loaded just before it is
-        yielded, so a backend's reused buffers stay valid exactly as
-        with :meth:`build`, and an error raised by a block's induction
-        surfaces on the ``next()`` that advanced to its first root.
+        yielded, and an error raised by a block's induction surfaces on
+        the ``next()`` that advanced to its first root.
 
         With ``memo``, every root induced in a multi-root block
         (``d <= 64``, one word per row) is looked up by its key, its
@@ -424,41 +422,3 @@ class SubgraphStructure(abc.ABC):
         """Footprint of the ``d x d`` bitset adjacency itself."""
         words = (d + 63) >> 6
         return d * words * 8
-
-
-class RootContexts:
-    """The contexts of a root loop's built roots, restartable.
-
-    A root loop walks ``roots`` in order and builds those ``keep``
-    marks (default: all of them); it takes each built root's context
-    with ``next()`` — or, with a ``memo``, the memo's value for a root
-    whose subgraph it holds (see :meth:`SubgraphStructure.build_many`).
-    After a kernel fault swaps in another structure, :meth:`restart`
-    continues at the loop's ``i``-th root on it, whether or not the
-    faulted root's context had already been taken, with the same memo.
-    """
-
-    def __init__(
-        self,
-        struct: SubgraphStructure,
-        roots: np.ndarray,
-        keep: np.ndarray | None = None,
-        memo: dict | None = None,
-    ) -> None:
-        roots = np.asarray(roots, dtype=np.int64)
-        if keep is None:
-            keep = np.ones(roots.size, dtype=bool)
-        self._built = roots[keep]
-        # built roots ahead of each loop position: where a restart begins
-        self._before = np.cumsum(keep) - keep
-        self._memo = memo
-        self._it = struct.build_many(self._built, memo)
-
-    def __next__(self) -> RootContext | tuple[Any, float]:
-        return next(self._it)
-
-    def restart(self, struct: SubgraphStructure, i: int) -> None:
-        """Rebuild from the loop's ``i``-th root on ``struct``."""
-        self._it = struct.build_many(
-            self._built[self._before[i]:], self._memo
-        )

@@ -5,8 +5,7 @@ All errors raised intentionally by this library derive from
 single ``except`` clause while letting programming errors propagate.
 
 The budget/robustness family (:class:`BudgetExceededError` and its
-subclasses, :class:`CheckpointError`, :class:`KernelFaultError`,
-:class:`RunInterrupted`) backs the :mod:`repro.runtime` run controller:
+subclasses, :class:`CheckpointError`, :class:`RunInterrupted`) backs the :mod:`repro.runtime` run controller:
 engines raise them at root-vertex granularity, harnesses catch
 :class:`BudgetExceededError` to render the paper's "> 2h" cells, and
 the degradation ladder converts them into explicitly-approximate
@@ -31,7 +30,6 @@ __all__ = [
     "CheckpointError",
     "ForestFormatError",
     "IOIntegrityError",
-    "KernelFaultError",
     "RunInterrupted",
     "WorkerCrashError",
     "ShardError",
@@ -143,15 +141,6 @@ class IOIntegrityError(ReproError):
         super().__init__(message)
         self.path = path
         self.quarantined = quarantined
-
-
-class KernelFaultError(ReproError):
-    """A bitset-kernel backend failed mid-run.
-
-    With degradation enabled the engine falls back to the ``bigint``
-    reference backend and re-verifies the active root; without it the
-    fault propagates.
-    """
 
 
 class RunInterrupted(ReproError):

@@ -5,23 +5,19 @@ attribution) spends essentially all of its time doing two things inside
 the pivot recursion: intersecting an adjacency row with the candidate
 set, and popcounting the result ("The Power of Pivoting" and Arb-Count
 both report the intersect-and-count kernel as the dominant cost).  This
-module makes that kernel a first-class, swappable layer:
+module names that kernel's operations:
 
 * a **backend** owns the storage of one root's local adjacency rows and
-  implements the word-parallel operations over them;
+  implements the fused operations over them;
 * the recursion keeps its control flow — and its *masks* — as exact
-  Python big-ints, so counts are trivially identical across backends;
-* every fused kernel reproduces the scalar big-int scan semantics
-  bit-for-bit (same tie-breaks, same early exits, same per-row work
-  totals), so the instrumentation :class:`~repro.counting.counters.Counters`
-  are backend-invariant by construction — the performance model never
-  sees which backend ran.
+  Python big-ints;
+* ``pivot_select`` fixes the scan's tie-break, early exit and per-row
+  work charge, so :class:`~repro.counting.counters.Counters` are a
+  function of the induced subgraph alone.
 
-Backends registered in :mod:`repro.kernels` (``bigint`` — the original
-Python big-int masks — and ``wordarray`` — NumPy uint64 word arrays)
-are selected per engine via :class:`repro.core.config.PivotScaleConfig`
-or the CLI's ``--kernel`` flag.  Later backends (multiprocessing,
-Cython, GPU) plug into the same seam.
+The one backend is :class:`~repro.kernels.bigint.BigIntKernel`; the
+contract stays so :class:`~repro.obs.InstrumentedKernel` and test
+doubles can stand in for it through any engine's ``kernel=``.
 
 Mask convention
 ---------------
@@ -29,18 +25,17 @@ At the API boundary a *mask* is always an arbitrary-precision Python
 int used as a bitset over local vertex ids ``[0, d)``; *rows* is an
 opaque backend-owned handle to the ``d`` adjacency rows of one root's
 induced subgraph.  A handle is only valid until the backend's next
-``alloc_rows`` call (backends may reuse preallocated buffers — the
-paper's Sec. V-B allocation-reuse discipline).
+``alloc_rows`` call.
 """
 
 from __future__ import annotations
 
 import abc
-from typing import Any, Sequence
+from typing import Any
 
 import numpy as np
 
-__all__ = ["BitsetKernel", "PivotChoice", "words_to_ints"]
+__all__ = ["BitsetKernel", "PivotChoice"]
 
 #: ``pivot_select`` result: ``(best, best_row, best_cnt, edge_sum)``.
 #: ``best`` is the chosen pivot's local id, ``best_row`` the big-int
@@ -50,28 +45,14 @@ __all__ = ["BitsetKernel", "PivotChoice", "words_to_ints"]
 PivotChoice = tuple[int, int, int, int]
 
 
-def words_to_ints(words: np.ndarray) -> list[int]:
-    """Big-int rows from packed ``(d, W)`` little-endian uint64 words."""
-    if words.shape[1] == 1:
-        return words[:, 0].tolist()
-    nb = 8 * words.shape[1]
-    blob = words.tobytes()
-    return [
-        int.from_bytes(blob[i:i + nb], "little")
-        for i in range(0, len(blob), nb)
-    ]
-
-
 class BitsetKernel(abc.ABC):
     """One intersect-and-count backend.
 
-    Instances may hold mutable scratch state (preallocated buffers), so
-    each structure/engine gets its own instance via
-    :func:`repro.kernels.resolve_kernel` — never share one across
-    threads.
+    Each structure/engine gets its own instance via
+    :func:`repro.kernels.resolve_kernel`.
     """
 
-    #: registry name ("bigint" / "wordarray")
+    #: backend name, recorded in descriptors, results and metric labels
     name: str = "base"
 
     # ------------------------------------------------------------------
@@ -80,11 +61,6 @@ class BitsetKernel(abc.ABC):
     @abc.abstractmethod
     def alloc_rows(self, d: int) -> Any:
         """Fresh (or reused) storage for ``d`` all-zero rows."""
-
-    @abc.abstractmethod
-    def set_row(self, rows: Any, i: int, bits: np.ndarray) -> None:
-        """Set row ``i`` to the bitset with ``bits`` (ascending local
-        ids, possibly empty) set."""
 
     @abc.abstractmethod
     def load_rows(self, rows: Any, words: np.ndarray) -> None:
@@ -101,22 +77,12 @@ class BitsetKernel(abc.ABC):
     def row_int(self, rows: Any, i: int) -> int:
         """Row ``i`` as a big-int mask (the compat / slow-path view)."""
 
-    @abc.abstractmethod
-    def num_rows(self, rows: Any) -> int:
-        """``d`` of this handle."""
-
     # ------------------------------------------------------------------
     # fused kernels — big-int masks in, big-int masks out
     # ------------------------------------------------------------------
     @abc.abstractmethod
     def intersect_count(self, rows: Any, i: int, mask: int) -> tuple[int, int]:
-        """``(row(i) & mask, popcount)`` — the inner-loop kernel, fused
-        so backends never materialize an intermediate they'd re-scan."""
-
-    @abc.abstractmethod
-    def count_rows(self, rows: Any, mask: int) -> Sequence[int]:
-        """``|row(i) & mask|`` for every ``i`` — the batch
-        intersect/popcount kernel the microbenchmarks time."""
+        """``(row(i) & mask, popcount)`` — the inner-loop kernel."""
 
     @abc.abstractmethod
     def pivot_select(self, rows: Any, P: int, pc: int) -> PivotChoice:
@@ -130,8 +96,7 @@ class BitsetKernel(abc.ABC):
         * the scan stops at the first *perfect* pivot
           (``count == pc - 1``, adjacent to every other candidate);
         * ``edge_sum`` charges the popcount of each row scanned up to
-          and including the stopping point — identical work accounting
-          whether the backend actually short-circuits or vectorizes.
+          and including the stopping point.
         """
 
     # ------------------------------------------------------------------
@@ -139,30 +104,11 @@ class BitsetKernel(abc.ABC):
     # ------------------------------------------------------------------
     def row_accessor(self, rows: Any):
         """Fast ``local id -> big-int row`` callable over ``rows``
-        (backends override when a tighter binding exists)."""
+        (a backend overrides it when a tighter binding exists)."""
         def row(i: int, _rows=rows, _k=self) -> int:
             return _k.row_int(_rows, i)
 
         return row
-
-    def rows_from_ints(self, masks: Sequence[int], d: int) -> Any:
-        """Build a handle from big-int rows (tests / adapters)."""
-        rows = self.alloc_rows(d)
-        for i, m in enumerate(masks):
-            if m:
-                bits = np.flatnonzero(
-                    np.frombuffer(
-                        np.unpackbits(
-                            np.frombuffer(
-                                m.to_bytes((d + 7) >> 3, "little"), dtype=np.uint8
-                            ),
-                            bitorder="little",
-                        ).tobytes(),
-                        dtype=np.uint8,
-                    )
-                )
-                self.set_row(rows, i, bits[bits < d])
-        return rows
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<{type(self).__name__} name={self.name!r}>"

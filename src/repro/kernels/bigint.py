@@ -1,26 +1,33 @@
-"""The reference backend: Python arbitrary-precision ints as bitsets.
+"""The bitset backend: Python arbitrary-precision ints as bitsets.
 
-This is the seed implementation's representation, promoted to a
-backend: one big-int per adjacency row, ``&`` and ``int.bit_count()``
-doing the word-parallel work in CPython's C layer.  It is the semantic
-oracle the property suite holds every other backend against, and it
-stays the default — zero conversion overhead, and unbeatable for the
-many small subgraphs (``d <= 64``) that dominate sparse graphs.
+One big-int per adjacency row, ``&`` and ``int.bit_count()`` doing the
+word-parallel work in CPython's C layer — no conversion between the
+rows and the recursion's big-int masks.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
-from repro.kernels.base import BitsetKernel, PivotChoice, words_to_ints
+from repro.kernels.base import BitsetKernel, PivotChoice
 
 __all__ = ["BigIntKernel"]
 
 
+def words_to_ints(words: np.ndarray) -> list[int]:
+    """Big-int rows from packed ``(d, W)`` little-endian uint64 words."""
+    if words.shape[1] == 1:
+        return words[:, 0].tolist()
+    nb = 8 * words.shape[1]
+    blob = words.tobytes()
+    return [
+        int.from_bytes(blob[i:i + nb], "little")
+        for i in range(0, len(blob), nb)
+    ]
+
+
 class BigIntKernel(BitsetKernel):
-    """Big-int-mask kernels (the original SCT hot path)."""
+    """Big-int-mask kernels (the SCT hot path)."""
 
     name = "bigint"
 
@@ -30,25 +37,11 @@ class BigIntKernel(BitsetKernel):
     def alloc_rows(self, d: int) -> list[int]:
         return [0] * d
 
-    def set_row(self, rows: list[int], i: int, bits: np.ndarray) -> None:
-        if len(bits) == 0:
-            rows[i] = 0
-            return
-        d = len(rows)
-        flags = np.zeros(d, dtype=np.uint8)
-        flags[bits] = 1
-        rows[i] = int.from_bytes(
-            np.packbits(flags, bitorder="little").tobytes(), "little"
-        )
-
     def load_rows(self, rows: list[int], words: np.ndarray) -> None:
         rows[:] = words_to_ints(words)
 
     def row_int(self, rows: list[int], i: int) -> int:
         return rows[i]
-
-    def num_rows(self, rows: list[int]) -> int:
-        return len(rows)
 
     def row_accessor(self, rows: list[int]):
         return rows.__getitem__
@@ -61,9 +54,6 @@ class BigIntKernel(BitsetKernel):
     ) -> tuple[int, int]:
         r = rows[i] & mask
         return r, r.bit_count()
-
-    def count_rows(self, rows: list[int], mask: int) -> Sequence[int]:
-        return [(r & mask).bit_count() for r in rows]
 
     def pivot_select(self, rows: list[int], P: int, pc: int) -> PivotChoice:
         best = -1

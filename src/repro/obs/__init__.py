@@ -8,7 +8,7 @@ nestable :class:`Tracer` emitting structured JSON-lines spans (phase,
 engine, structure, kernel, graph fingerprint, parent span), and an
 opt-in :class:`Profiler` for per-phase wall/CPU time and peak modeled
 memory.  Every engine (SCT, Pivoter configuration, enumeration,
-hybrid), all three structures, both kernel backends, every ordering,
+hybrid), all three structures, the bitset kernel, every ordering,
 the forest build/query path and the
 :class:`~repro.runtime.RunController` publish through the module-level
 hooks below; ``EXPERIMENTS.md`` cells and ``BENCH_*.json`` gates trace
@@ -19,7 +19,7 @@ cost one boolean check per run or per root (never per recursion node),
 the shared :data:`~repro.obs.tracing.NOOP_SPAN` makes ``span()``
 allocation-free, and kernel instrumentation is a wrapper that simply
 is not installed.  ``tests/test_obs.py`` holds all counts bit-identical
-on vs. off on both kernels; ``benchmarks/bench_obs.py`` gates the
+on vs. off; ``benchmarks/bench_obs.py`` gates the
 disabled overhead at <5%.
 
 Typical use::
@@ -236,8 +236,8 @@ def record_ordering(ordering) -> None:
 
 
 def degradation(rung: str, **attrs) -> None:
-    """One degradation-ladder event (kernel_fallback, sampling,
-    enumeration_retry, member_spill): counter + trace event."""
+    """One degradation-ladder event (sampling, enumeration_retry,
+    member_spill, worker_retry, ...): counter + trace event."""
     if _REGISTRY.enabled:
         _REGISTRY.counter("runtime_degradations_total", rung=rung).inc()
     _TRACER.event("degradation", rung=rung, **attrs)

@@ -1,26 +1,22 @@
-"""Kernel-call instrumentation — exact fused-op counts per backend.
+"""Kernel-call instrumentation — exact fused-op counts.
 
 Wraps a :class:`~repro.kernels.BitsetKernel` and counts every API-level
-call (``intersect_count``, ``count_rows``, ``pivot_select`` and the
-row-storage ops ``alloc_rows`` / ``set_row`` / ``load_rows``) into
+call (``intersect_count``, ``pivot_select`` and the row-storage ops
+``alloc_rows`` / ``load_rows``) into
 ``kernel_calls_total{kernel=..., op=...}`` registry counters.  Counts
-are taken at the kernel *contract* boundary, not inside backends, so
-the big-int and word-array backends — which do wildly different work
-per call — report bit-identical call counts on the same DAG: the
-engines' control flow is backend-invariant by construction, and the
-invariant suite (``tests/test_obs.py``) holds them to it.
+are taken at the kernel *contract* boundary, so they follow the
+engines' control flow alone, which the invariant suite
+(``tests/test_obs.py``) pins.
 
 The wrapper exists only while observability is enabled:
 :func:`repro.kernels.resolve_kernel` consults
 :func:`repro.obs.instrument_kernel` and returns the raw backend when
-metrics are off, so the disabled hot path pays nothing — the same
-install-only-when-wanted pattern as
-:class:`~repro.runtime.faults.FaultyKernel`.
+metrics are off, so the disabled hot path pays nothing.
 """
 
 from __future__ import annotations
 
-from typing import Any, Sequence
+from typing import Any
 
 import numpy as np
 
@@ -32,9 +28,8 @@ __all__ = ["InstrumentedKernel"]
 class InstrumentedKernel(BitsetKernel):
     """Count every kernel API call into a metrics registry.
 
-    ``name`` mirrors the wrapped backend so structure/engine logic
-    (degradation's ``kernel.name == "bigint"`` checks, result fields)
-    cannot tell an instrumented kernel from a bare one.
+    ``name`` mirrors the wrapped backend, so descriptors and result
+    fields cannot tell an instrumented kernel from a bare one.
     """
 
     def __init__(self, inner: BitsetKernel, registry) -> None:
@@ -43,20 +38,14 @@ class InstrumentedKernel(BitsetKernel):
         c = registry.counter
         k = inner.name
         self._c_alloc = c("kernel_calls_total", kernel=k, op="alloc_rows")
-        self._c_set = c("kernel_calls_total", kernel=k, op="set_row")
         self._c_load = c("kernel_calls_total", kernel=k, op="load_rows")
         self._c_ic = c("kernel_calls_total", kernel=k, op="intersect_count")
-        self._c_cr = c("kernel_calls_total", kernel=k, op="count_rows")
         self._c_ps = c("kernel_calls_total", kernel=k, op="pivot_select")
 
     # ---------------------------------------------------------- storage
     def alloc_rows(self, d: int) -> Any:
         self._c_alloc.inc()
         return self.inner.alloc_rows(d)
-
-    def set_row(self, rows: Any, i: int, bits: np.ndarray) -> None:
-        self._c_set.inc()
-        self.inner.set_row(rows, i, bits)
 
     def load_rows(self, rows: Any, words: np.ndarray) -> None:
         self._c_load.inc()
@@ -65,9 +54,6 @@ class InstrumentedKernel(BitsetKernel):
     def row_int(self, rows: Any, i: int) -> int:
         return self.inner.row_int(rows, i)
 
-    def num_rows(self, rows: Any) -> int:
-        return self.inner.num_rows(rows)
-
     def row_accessor(self, rows: Any):
         return self.inner.row_accessor(rows)
 
@@ -75,10 +61,6 @@ class InstrumentedKernel(BitsetKernel):
     def intersect_count(self, rows: Any, i: int, mask: int) -> tuple[int, int]:
         self._c_ic.inc()
         return self.inner.intersect_count(rows, i, mask)
-
-    def count_rows(self, rows: Any, mask: int) -> Sequence[int]:
-        self._c_cr.inc()
-        return self.inner.count_rows(rows, mask)
 
     def pivot_select(self, rows: Any, P: int, pc: int) -> PivotChoice:
         self._c_ps.inc()

@@ -15,7 +15,7 @@ Wire format — one JSON object per line, two record types::
      "attrs": {"engine": "sct", "kernel": "bigint"},
      "t0": 0.01, "t1": 0.42}
     {"type": "event", "span": 2, "name": "degradation",
-     "attrs": {"rung": "kernel_fallback"}, "t": 0.17}
+     "attrs": {"rung": "sampling"}, "t": 0.17}
 
 Span records are emitted at span *exit* (children before parents), so a
 truncated trace loses only the spans that never finished — exactly the

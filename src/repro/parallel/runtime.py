@@ -35,9 +35,8 @@ EPYC:
   crash recovers with no loss of exactness and no degradation flag,
   metered by the ``runtime_worker_retries`` registry counter.  Only
   when retries are exhausted does the degradation rung engage: with
-  degradation enabled the chunk re-runs in-process on the ``bigint``
-  reference backend — the result stays exact, flagged
-  ``degraded_from="worker"``; without it a
+  degradation enabled the chunk re-runs in-process — the result stays
+  exact, flagged ``degraded_from="worker"``; without it a
   :class:`~repro.errors.WorkerCrashError` propagates.  Fault injection
   mirrors both shapes: ``fault_chunks`` accepts a set of chunk ids
   (persistent crashes) or a ``{chunk_id: fail_count}`` mapping
@@ -65,12 +64,11 @@ from repro import obs
 from repro.counting.counters import Counters
 from repro.errors import (
     CheckpointError,
-    CountingError,
     ParallelModelError,
     WorkerCrashError,
 )
 from repro.graph.csr import CSRGraph
-from repro.kernels import KERNELS
+from repro.kernels import kernel_name as _kernel_name
 from repro.obs.registry import MetricsRegistry
 from repro.parallel.shm import attach_graph_pair, publish_graph_pair
 from repro.runtime.checkpoint import array_fingerprint, graph_fingerprint
@@ -159,18 +157,6 @@ def _chunk_plan_fingerprint(chunks: list[np.ndarray]) -> str:
         return "empty"
     lengths = np.asarray([c.size for c in chunks], dtype=np.int64)
     return array_fingerprint(np.concatenate([lengths, *chunks]))
-
-
-def _kernel_name(kernel) -> str:
-    if kernel is None:
-        return "bigint"
-    if isinstance(kernel, str):
-        if kernel not in KERNELS:
-            raise CountingError(
-                f"unknown kernel {kernel!r}; expected one of {sorted(KERNELS)}"
-            )
-        return kernel
-    return kernel.name
 
 
 def _allk_length(dag: CSRGraph, max_k: int | None) -> int:
@@ -268,12 +254,11 @@ def _execute_mode(task: dict, engine, graph: CSRGraph) -> dict:
         }
     if mode == "forest":
         from repro.counting.forest import collect_root_leaves
-        from repro.counting.structures.base import RootContexts
 
         leaves_per_root = []
         counters_per_root = []
         chunk_totals = Counters()
-        ctxs = RootContexts(engine.structure, roots)
+        ctxs = engine.structure.build_many(roots)
         for v in roots:
             ctr = Counters()
             leaves = collect_root_leaves(
@@ -471,18 +456,18 @@ def _retry_in_process(
     graph: CSRGraph, dag: CSRGraph, task: dict, error: str
 ) -> dict:
     """The worker-crash degradation rung: re-run the failed chunk in
-    the parent on the ``bigint`` reference backend.  Counts and
-    counters are backend-invariant, so the folded result stays exact —
-    only ``degraded_from`` records that a worker died."""
+    the parent.  The chunk's result does not depend on where it runs,
+    so the folded result stays exact — only ``degraded_from`` records
+    that a worker died."""
     from repro.counting.sct import SCTEngine
 
     obs.degradation(
         "worker_retry", engine="sct-parallel",
         chunk=task["chunk_id"], error=error,
     )
-    retry = dict(task, kernel="bigint", metrics=False)
+    retry = dict(task, metrics=False)
     retry.pop("crash", None)
-    engine = SCTEngine(graph, dag, retry["structure"], kernel="bigint")
+    engine = SCTEngine(graph, dag, retry["structure"], kernel=retry["kernel"])
     payload = _execute_mode(retry, engine, graph)
     payload["ok"] = True
     payload["degraded"] = True
@@ -519,9 +504,9 @@ def _resolve_failure(
     Resubmits the chunk to the pool up to ``worker_retries`` times with
     seeded exponential backoff.  A retry that succeeds returns its
     payload unflagged — a transient crash costs retries, not exactness.
-    On exhaustion the PR 2 degradation ladder takes over: in-process
-    ``bigint`` recount (exact, ``degraded`` flagged) when degradation
-    is enabled, :class:`~repro.errors.WorkerCrashError` otherwise.
+    On exhaustion the degradation ladder takes over: an in-process
+    recount (exact, ``degraded`` flagged) when degradation is enabled,
+    :class:`~repro.errors.WorkerCrashError` otherwise.
     """
     cid = task["chunk_id"]
     rng = random.Random((int(retry_seed) << 20) ^ cid)

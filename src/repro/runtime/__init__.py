@@ -21,7 +21,6 @@ from repro.runtime.faults import (
     FAULT_KINDS,
     FaultPlan,
     FaultSpec,
-    FaultyKernel,
     InjectedClock,
     ManualClock,
 )
@@ -33,7 +32,6 @@ __all__ = [
     "FAULT_KINDS",
     "FaultPlan",
     "FaultSpec",
-    "FaultyKernel",
     "InjectedClock",
     "ManualClock",
     "RunController",

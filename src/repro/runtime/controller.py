@@ -59,10 +59,9 @@ class RunController:
         Load ``checkpoint_path`` at :meth:`begin` and hand the stored
         engine state back so the run continues where it stopped.
     degrade:
-        Enable the graceful-degradation ladder: kernel faults fall
-        back to the ``bigint`` backend mid-run, and budget exhaustion
-        lets drivers return an explicitly-approximate result instead
-        of raising (see :mod:`repro.runtime.degrade`).
+        Enable the graceful-degradation ladder: budget exhaustion lets
+        drivers return an explicitly-approximate result instead of
+        raising (see :mod:`repro.runtime.degrade`).
     faults:
         A :class:`~repro.runtime.faults.FaultPlan` to inject
         deterministic failures (CI / tests).

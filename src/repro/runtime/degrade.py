@@ -5,19 +5,14 @@ with the best result the budget allowed, flagged for what it is.  The
 ladder this module (with the engines) implements, from least to most
 lossy:
 
-1. **kernel fault → reference backend.**  A fused-kernel failure on
-   the ``wordarray`` backend falls back to ``bigint`` mid-run; the
-   active root is re-verified from scratch.  Counts and counters are
-   backend-invariant, so the result is *still exact and bit-identical*
-   — only ``CountResult.degraded_from`` records the downgrade.
-2. **budget exhaustion → root sampling** (this module).  When the
+1. **budget exhaustion → root sampling** (this module).  When the
    node/deadline/memory budget dies at root ``r``, the exact per-root
    counts for roots ``< r`` are kept and the remaining roots are
    estimated with the unbiased root-sampling estimator
    (:func:`repro.counting.sampling.sample_count_roots`), which
    composes exactly with partial progress because the SCT total is a
    sum over roots.  The folded result is flagged ``approximate``.
-3. **hybrid: enumeration → pivoting.**  The hybrid driver retries an
+2. **hybrid: enumeration → pivoting.**  The hybrid driver retries an
    over-budget enumeration run with the pivoting pipeline (whose tree
    is k-insensitive) before resorting to sampling — see
    :mod:`repro.core.hybrid`.

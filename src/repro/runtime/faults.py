@@ -2,16 +2,12 @@
 
 Every degradation path the run controller implements must be testable
 in CI without flaky timing or real resource exhaustion.  This module
-injects the three failure families a traffic-serving deployment
-actually sees, each at an exactly-reproducible point:
+injects the failure families a traffic-serving deployment actually
+sees, each at an exactly-reproducible point:
 
 * **allocation failure** — ``MemoryError`` at the Nth controller
   operation (root boundary), converted by engines into
   :class:`~repro.errors.MemoryBudgetExceededError`;
-* **kernel fault** — :class:`~repro.errors.KernelFaultError` either at
-  the Nth controller operation or (via :class:`FaultyKernel`) at the
-  Nth fused intersect/pivot call inside the hot loop, triggering the
-  wordarray→bigint fallback;
 * **clock jump** — the injectable clock leaps forward N seconds, so
   deadline handling is testable without sleeping;
 * **interrupt** — :class:`~repro.errors.RunInterrupted` between roots,
@@ -22,7 +18,7 @@ Operations are counted by :meth:`FaultPlan.tick`, which the controller
 calls once per root vertex — "the Nth operation" therefore means "the
 Nth root boundary", a stable, engine-independent index.
 
-The shard runtime (PR 7) adds an **I/O fault family** injected through
+The shard runtime adds an **I/O fault family** injected through
 the :mod:`repro.shard.safeio` read/write layer rather than at root
 boundaries:
 
@@ -46,19 +42,14 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Any, Sequence
 
-import numpy as np
-
-from repro.errors import CountingError, KernelFaultError, RunInterrupted
-from repro.kernels.base import BitsetKernel, PivotChoice
+from repro.errors import CountingError, RunInterrupted
 
 __all__ = [
     "FaultSpec",
     "FaultPlan",
     "InjectedClock",
     "ManualClock",
-    "FaultyKernel",
     "FAULT_KINDS",
     "IO_KINDS",
     "IO_READ_KINDS",
@@ -67,7 +58,6 @@ __all__ = [
 
 FAULT_KINDS = (
     "memory",
-    "kernel",
     "clock_jump",
     "interrupt",
     "io_partial_write",
@@ -181,10 +171,6 @@ class FaultPlan:
             self._fired.add(i)
             if spec.kind == "memory":
                 raise MemoryError(f"injected allocation failure at op {self.ops}")
-            if spec.kind == "kernel":
-                raise KernelFaultError(
-                    f"injected kernel fault at op {self.ops}"
-                )
             if spec.kind == "interrupt":
                 raise RunInterrupted(f"injected interrupt at op {self.ops}")
             # clock_jump: silently advance the injectable clock; the
@@ -230,68 +216,3 @@ class ManualClock:
 
     def __call__(self) -> float:
         return self._now
-
-
-class FaultyKernel(BitsetKernel):
-    """Wrap a backend and fail the Nth fused hot-loop call.
-
-    Counts ``intersect_count`` and ``pivot_select`` invocations (the
-    two kernels the recursion lives in) and raises
-    :class:`~repro.errors.KernelFaultError` when the counter reaches
-    ``fail_after``.  By default the fault is transient (fires once) —
-    the degradation ladder still permanently downgrades to ``bigint``,
-    and the re-verified root proves the fallback path; with
-    ``repeat=True`` every subsequent call fails too.
-    """
-
-    def __init__(
-        self, inner: BitsetKernel, fail_after: int, *, repeat: bool = False
-    ) -> None:
-        if fail_after < 1:
-            raise CountingError("fail_after is 1-based and must be >= 1")
-        self.inner = inner
-        self.name = inner.name
-        self.fail_after = fail_after
-        self.repeat = repeat
-        self.calls = 0
-
-    def _maybe_fail(self) -> None:
-        self.calls += 1
-        if self.calls == self.fail_after or (
-            self.repeat and self.calls > self.fail_after
-        ):
-            raise KernelFaultError(
-                f"injected kernel fault on fused call {self.calls} "
-                f"(backend {self.inner.name!r})"
-            )
-
-    # ---------------------------------------------------------- storage
-    def alloc_rows(self, d: int) -> Any:
-        return self.inner.alloc_rows(d)
-
-    def set_row(self, rows: Any, i: int, bits: np.ndarray) -> None:
-        self.inner.set_row(rows, i, bits)
-
-    def load_rows(self, rows: Any, words: np.ndarray) -> None:
-        self.inner.load_rows(rows, words)
-
-    def row_int(self, rows: Any, i: int) -> int:
-        return self.inner.row_int(rows, i)
-
-    def num_rows(self, rows: Any) -> int:
-        return self.inner.num_rows(rows)
-
-    # ----------------------------------------------------- fused kernels
-    def intersect_count(self, rows: Any, i: int, mask: int) -> tuple[int, int]:
-        self._maybe_fail()
-        return self.inner.intersect_count(rows, i, mask)
-
-    def count_rows(self, rows: Any, mask: int) -> Sequence[int]:
-        return self.inner.count_rows(rows, mask)
-
-    def pivot_select(self, rows: Any, P: int, pc: int) -> PivotChoice:
-        self._maybe_fail()
-        return self.inner.pivot_select(rows, P, pc)
-
-    def row_accessor(self, rows: Any):
-        return self.inner.row_accessor(rows)

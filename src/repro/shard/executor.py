@@ -156,8 +156,8 @@ def count_sharded(
     """Count cliques out-of-core through the crash-safe shard runtime.
 
     Exact and bit-identical to the in-memory engines for both target-k
-    (``k`` set) and all-k (``k=None``) runs, on either kernel; see the
-    module docstring for the fault and resume semantics.
+    (``k`` set) and all-k (``k=None``) runs; see the module docstring
+    for the fault and resume semantics.
 
     Parameters
     ----------
@@ -219,7 +219,7 @@ def count_sharded(
         dag = ordering
     else:
         dag = directionalize(graph, ordering)
-    from repro.parallel.runtime import _kernel_name
+    from repro.kernels import kernel_name as _kernel_name
 
     kernel_name = _kernel_name(kernel)
 

@@ -34,12 +34,12 @@ from repro.errors import StoreFormatError
 
 def make_record(bench="kernels", *, seed=7, samples=None, run_id=None,
                 timestamp=1000.0, git_hash="abc123", machine=None,
-                metrics=None):
+                metrics=None, smoke=True):
     return RunRecord(
         bench=bench,
         run_id=run_id or new_run_id(bench),
         timestamp=timestamp,
-        config={"seed": seed, "smoke": True},
+        config={"seed": seed, "smoke": smoke},
         samples=samples or {"wall_s": [0.01, 0.011, 0.012]},
         metrics=metrics or {},
         gate={"pass": True},
@@ -384,6 +384,54 @@ class TestExperimentReport:
         store = self._seeded_store(tmp_path, slow_factor=2.0)
         cmp_ = ExperimentReport(store).regressions("kernels")
         assert cmp_.regressed
+
+    def _baseline_and_slow_runs(self, tmp_path, *, smoke):
+        """A promoted smoke-config baseline and three 5x-slower runs on
+        the same machine, recorded under ``smoke``."""
+        store = RunStore(tmp_path / "runs")
+        baseline = make_record(
+            timestamp=100.0,
+            samples={"wall_s": [1.0, 1.02, 0.98, 1.01, 0.99, 1.03]},
+        )
+        store.append(baseline)
+        BaselineRegistry.for_store(store).promote(baseline)
+        for i in range(3):
+            store.append(make_record(
+                timestamp=200.0 + i, smoke=smoke,
+                samples={"wall_s": [5.0, 5.05, 4.95]},
+            ))
+        return store
+
+    def test_runs_under_another_config_are_not_judged(self, tmp_path):
+        # A full-mode run times another workload than a smoke-mode
+        # baseline; being slower says nothing about a regression.
+        store = self._baseline_and_slow_runs(tmp_path, smoke=False)
+        cmp_ = ExperimentReport(store).regressions("kernels")
+        assert not cmp_.regressed
+        assert cmp_.verdicts == {}
+        assert cmp_.current_ids == ()
+        assert "config" in cmp_.note and "smoke" in cmp_.note
+
+    def test_same_config_slow_runs_still_regress(self, tmp_path):
+        store = self._baseline_and_slow_runs(tmp_path, smoke=True)
+        cmp_ = ExperimentReport(store).regressions("kernels")
+        assert cmp_.machine_match
+        assert cmp_.regressed
+        assert len(cmp_.current_ids) == 3
+
+    def test_other_config_runs_stay_out_of_the_baseline_pool(
+            self, tmp_path):
+        store = RunStore(tmp_path / "runs")
+        store.append(make_record(
+            timestamp=50.0, smoke=False,
+            samples={"wall_s": [9.0, 9.1, 8.9]}))
+        baseline = make_record(
+            timestamp=100.0, samples={"wall_s": [1.0, 1.02, 0.98]})
+        store.append(baseline)
+        pool, ids = ExperimentReport(store)._baseline_pool(
+            "kernels", baseline)
+        assert ids == {baseline.run_id}
+        assert pool["wall_s"] == [1.0, 1.02, 0.98]
 
     def test_no_baseline_means_recording_only(self, tmp_path):
         store = RunStore(tmp_path / "runs")

@@ -12,21 +12,19 @@ import numpy as np
 import pytest
 
 from repro import obs
-from repro.counting.forest import SCTForest
 from repro.counting.sct import SCTEngine
 from repro.counting.structures import STRUCTURES
 from repro.counting.structures.base import (
     BLOCK_PAIRS,
-    RootContexts,
     SubgraphStructure,
     plan_blocks,
 )
 from repro.errors import MemoryBudgetExceededError
 from repro.graph.generators import complete_graph, erdos_renyi, overlay
-from repro.kernels import KERNELS, resolve_kernel
 from repro.ordering import core_ordering, directionalize
 from repro.parallel.runtime import plan_chunks
-from repro.runtime import FaultPlan, FaultSpec, FaultyKernel, RunController
+from repro.runtime import RunController
+from tests.backends import KERNEL_NAMES, make_kernel
 from tests.corpus import GRAPHS, ordering
 
 
@@ -66,8 +64,8 @@ def _naive_rows(adj, out):
 
 
 def _check_pair(g, dag, structure, kernel, orders=None):
-    batch = STRUCTURES[structure](g, dag, kernel=kernel)
-    one = STRUCTURES[structure](g, dag, kernel=kernel)
+    batch = STRUCTURES[structure](g, dag, kernel=make_kernel(kernel))
+    one = STRUCTURES[structure](g, dag, kernel=make_kernel(kernel))
     adj = g.adjacency_sets()
     for name, roots in (orders or _orders(dag)).items():
         got = batch.build_many(roots)
@@ -91,7 +89,7 @@ def _check_pair(g, dag, structure, kernel, orders=None):
             next(got)
 
 
-@pytest.mark.parametrize("kernel", KERNELS)
+@pytest.mark.parametrize("kernel", KERNEL_NAMES)
 @pytest.mark.parametrize("structure", sorted(STRUCTURES))
 def test_corpus_batch_matches_one_root(structure, kernel):
     for name, g in GRAPHS:
@@ -99,7 +97,7 @@ def test_corpus_batch_matches_one_root(structure, kernel):
         _check_pair(g, dag, structure, kernel)
 
 
-@pytest.mark.parametrize("kernel", KERNELS)
+@pytest.mark.parametrize("kernel", KERNEL_NAMES)
 @pytest.mark.parametrize("structure", sorted(STRUCTURES))
 def test_wide_and_many_roots(structure, kernel):
     # K70 under the identity order: root 0 has d = 69 (two words per
@@ -122,7 +120,7 @@ def test_four_word_rows():
     g = overlay(220, complete_graph(200), erdos_renyi(220, 0.05, seed=3))
     dag = directionalize(g, np.arange(220))
     assert 192 < dag.degree(0) < 256
-    for kernel in KERNELS:
+    for kernel in KERNEL_NAMES:
         _check_pair(g, dag, "remap", kernel, {"wide": np.array([0, 1, 219])})
 
 
@@ -149,31 +147,6 @@ def test_plan_blocks_budget_and_coverage():
         covered.extend(range(first, stop))
     assert covered == list(range(ds.size))
     assert list(plan_blocks([])) == []
-
-
-def test_root_contexts_restart_resumes_at_loop_position():
-    # A kernel fault can strike a built root before or after its
-    # context was taken, or a skipped root at its budget tick; the
-    # restarted stream must continue with that root either way.
-    g = erdos_renyi(60, 0.2, seed=2)
-    dag = directionalize(g, core_ordering(g))
-    roots = np.arange(60)
-    keep = dag.degrees >= 3
-    assert keep.any() and not keep.all()
-    faults = [(int(np.flatnonzero(keep)[5]), False),
-              (int(np.flatnonzero(keep)[5]), True),
-              (int(np.flatnonzero(~keep)[-1]), False)]
-    for pos, taken in faults:
-        ctxs = RootContexts(STRUCTURES["remap"](g, dag), roots, keep)
-        for i, v in enumerate(roots.tolist()):
-            if i == pos:
-                if taken:
-                    next(ctxs)
-                ctxs.restart(STRUCTURES["remap"](g, dag, "bigint"), i)
-            if keep[i]:
-                assert np.array_equal(next(ctxs).out, dag.neighbors(v))
-        with pytest.raises(StopIteration):
-            next(ctxs)
 
 
 def test_root_setup_phase_counts_blocks():
@@ -218,47 +191,3 @@ def test_block_memory_error_maps_to_root_advanced_to(monkeypatch):
                        match=f"at root {victim}$") as ei:
         SCTEngine(g, dag).count(4, controller=RunController())
     assert ei.value.spent.roots_done == victim
-
-
-@pytest.mark.parametrize("fault", ["recursion", "tick"])
-def test_kernel_fallback_restarts_batched_loops(fault):
-    """A kernel fault mid-block — inside a root's recursion, or at the
-    budget tick of a degree-pruned root — swaps in the bigint structure
-    and restarts the context stream there; every batched loop then
-    ends bit-identical to an unfaulted bigint run."""
-    g = erdos_renyi(300, 0.05, seed=4)
-    o = core_ordering(g)
-    dag = directionalize(g, o)
-    tick = int(np.flatnonzero(_pruned(dag, 4))[3]) + 1
-
-    def faulty():
-        if fault == "recursion":
-            kern = FaultyKernel(resolve_kernel("wordarray"), fail_after=400)
-            return kern, RunController(degrade=True)
-        plan = FaultPlan(FaultSpec("kernel", at_op=tick))
-        return "wordarray", RunController(degrade=True, faults=plan)
-
-    ref = SCTEngine(g, dag, kernel="bigint").count(4)
-    kern, ctl = faulty()
-    got = SCTEngine(g, dag, kernel=kern).count(4, controller=ctl)
-    assert got.degraded_from == "wordarray"
-    assert got.count == ref.count
-    assert got.counters.as_dict() == ref.counters.as_dict()
-    assert np.array_equal(got.per_root_work, ref.per_root_work)
-
-    order = np.concatenate(plan_chunks(dag.degrees, 2, 4))
-    ref_b = SCTEngine(g, dag, kernel="bigint").count_roots(order, 4)
-    kern, ctl = faulty()
-    got_b = SCTEngine(g, dag, kernel=kern).count_roots(order, 4, controller=ctl)
-    assert got_b.degraded_from == "wordarray"
-    assert got_b.count == ref_b.count
-    assert got_b.counters.as_dict() == ref_b.counters.as_dict()
-    assert got_b.per_root_work == ref_b.per_root_work
-
-    ref_f = SCTForest.build(g, o, "remap", "bigint")
-    kern, ctl = faulty()
-    got_f = SCTForest.build(g, o, "remap", kern, controller=ctl)
-    assert got_f.degraded_from == "wordarray"
-    for name in ("held_n", "pivot_n", "roots", "held_members",
-                 "pivot_members", "per_root_work", "per_root_memory"):
-        assert np.array_equal(getattr(got_f, name), getattr(ref_f, name))

@@ -1,6 +1,6 @@
 """Checkpoint/resume: a resumed all-k run is bit-identical to an
-uninterrupted one, across both kernel backends and multi-interrupt
-chains."""
+uninterrupted one, on both test backends (``tests/backends.py``) and
+across multi-interrupt chains."""
 
 import json
 
@@ -20,6 +20,7 @@ from repro.runtime import (
     save_checkpoint,
 )
 from repro.runtime.budget import BudgetSpent
+from tests.backends import KERNEL_NAMES, make_kernel
 
 
 @pytest.fixture
@@ -27,8 +28,8 @@ def g():
     return erdos_renyi(50, 0.25, seed=23)
 
 
-def _engine(g, kernel):
-    return SCTEngine(g, core_ordering(g), kernel=kernel)
+def _engine(g, kernel="bigint"):
+    return SCTEngine(g, core_ordering(g), kernel=make_kernel(kernel))
 
 
 def _assert_identical(a, b):
@@ -89,16 +90,16 @@ def test_resume_against_wrong_graph_fails(tmp_path, g):
         faults=FaultPlan(FaultSpec("interrupt", at_op=10)),
     )
     with pytest.raises(RunInterrupted):
-        _engine(g, "bigint").count_all(controller=ctl)
+        _engine(g).count_all(controller=ctl)
     other = erdos_renyi(50, 0.25, seed=24)
     with pytest.raises(CheckpointError):
-        _engine(other, "bigint").count_all(
+        _engine(other).count_all(
             controller=RunController(checkpoint_path=path, resume=True)
         )
 
 
 # ------------------------------------------------ interrupt -> resume
-@pytest.mark.parametrize("kernel", ["bigint", "wordarray"])
+@pytest.mark.parametrize("kernel", KERNEL_NAMES)
 @pytest.mark.parametrize("at_op", [1, 7, 25, 49])
 def test_allk_resume_bit_identical(tmp_path, g, kernel, at_op):
     """Interrupt an all-k run at several points; the resumed run's
@@ -128,7 +129,7 @@ def test_allk_resume_bit_identical(tmp_path, g, kernel, at_op):
     assert resumed_ctl.spent.nodes == base.counters.function_calls
 
 
-@pytest.mark.parametrize("kernel", ["bigint", "wordarray"])
+@pytest.mark.parametrize("kernel", KERNEL_NAMES)
 def test_fixed_k_resume_bit_identical(tmp_path, g, kernel):
     base = _engine(g, kernel).count(5)
     path = tmp_path / "ck.json"
@@ -147,7 +148,7 @@ def test_fixed_k_resume_bit_identical(tmp_path, g, kernel):
 def test_multi_interrupt_chain(tmp_path, g):
     """Kill the run three times at different points; each resume picks
     up the chain and the final result is still bit-identical."""
-    base = _engine(g, "bigint").count_all()
+    base = _engine(g).count_all()
     path = tmp_path / "ck.json"
     ops = [5, 9, 3]  # ops are counted per attempt, from each resume point
     resume = False
@@ -163,18 +164,18 @@ def test_multi_interrupt_chain(tmp_path, g):
         )
         if at_op is not None:
             with pytest.raises(RunInterrupted):
-                _engine(g, "bigint").count_all(controller=ctl)
+                _engine(g).count_all(controller=ctl)
         else:
-            r = _engine(g, "bigint").count_all(controller=ctl)
+            r = _engine(g).count_all(controller=ctl)
         resume = True
     _assert_identical(r, base)
 
 
 def test_resume_across_kernel_backends(tmp_path, g):
-    """Counters are backend-invariant, so a run interrupted on
-    wordarray may legitimately resume on bigint bit-identically —
-    the checkpoint descriptor pins the kernel, so this goes through a
-    descriptor override, not silently."""
+    """Counters are backend-invariant, so a run interrupted on the
+    word-array test backend resumes on it bit-identically to a bigint
+    run — but the checkpoint descriptor pins the kernel, so resuming on
+    another backend is refused, not done silently."""
     base = _engine(g, "bigint").count_all()
     path = tmp_path / "ck.json"
     ctl = RunController(
@@ -194,12 +195,57 @@ def test_resume_across_kernel_backends(tmp_path, g):
     _assert_identical(r, base)
 
 
+def test_resume_refuses_another_kernel(tmp_path, g):
+    """The descriptor pins the kernel: a checkpoint naming another
+    backend is refused, not resumed on whatever runs now."""
+    path = tmp_path / "ck.json"
+    ctl = RunController(
+        checkpoint_path=path,
+        faults=FaultPlan(FaultSpec("interrupt", at_op=20)),
+    )
+    with pytest.raises(RunInterrupted):
+        _engine(g).count_all(controller=ctl)
+    ck = load_checkpoint(path)
+    assert ck["descriptor"]["kernel"] == "bigint"
+    ck["descriptor"]["kernel"] = "avx512"
+    save_checkpoint(path, ck["descriptor"], ck["spent"], ck["state"])
+    with pytest.raises(CheckpointError, match="kernel"):
+        _engine(g).count_all(
+            controller=RunController(checkpoint_path=path, resume=True)
+        )
+
+
+def test_descriptors_name_the_bigint_kernel(tmp_path, g):
+    """Checkpoints, forests and shard ledgers record ``"kernel":
+    "bigint"``, as files written while a second backend existed do, so
+    those files keep loading and resuming."""
+    from repro.counting.forest import SCTForest, load_forest
+    from repro.shard import count_sharded
+    from repro.shard.ledger import LEDGER_NAME
+
+    path = tmp_path / "ck.json"
+    _engine(g).count_all(controller=RunController(checkpoint_path=path))
+    assert load_checkpoint(path)["descriptor"]["kernel"] == "bigint"
+
+    forest = SCTForest.build(g, core_ordering(g))
+    assert forest.descriptor["kernel"] == "bigint"
+    forest.save(tmp_path / "forest.npz")
+    loaded = load_forest(tmp_path / "forest.npz", g)
+    assert loaded.descriptor["kernel"] == "bigint"
+
+    spill = tmp_path / "spill"
+    count_sharded(g, core_ordering(g), k=4, shard_mb=512 / (1 << 20),
+                  spill_dir=spill)
+    header = json.loads((spill / LEDGER_NAME).read_text().splitlines()[0])
+    assert header["descriptor"]["kernel"] == "bigint"
+
+
 def test_periodic_autosave(tmp_path, g):
     """Without faults, the checkpoint is refreshed every
     checkpoint_every roots and finalized on success."""
     path = tmp_path / "ck.json"
     ctl = RunController(checkpoint_path=path, checkpoint_every=8)
-    _engine(g, "bigint").count_all(controller=ctl)
+    _engine(g).count_all(controller=ctl)
     payload = load_checkpoint(path)
     assert payload["complete"]
     assert payload["state"]["next_root"] == g.num_vertices
@@ -208,12 +254,12 @@ def test_periodic_autosave(tmp_path, g):
 def test_resume_from_complete_checkpoint_is_noop(tmp_path, g):
     """Resuming a finished run does no further root work."""
     path = tmp_path / "ck.json"
-    _engine(g, "bigint").count_all(
+    _engine(g).count_all(
         controller=RunController(checkpoint_path=path)
     )
-    base = _engine(g, "bigint").count_all()
+    base = _engine(g).count_all()
     ctl = RunController(checkpoint_path=path, resume=True)
-    r = _engine(g, "bigint").count_all(controller=ctl)
+    r = _engine(g).count_all(controller=ctl)
     _assert_identical(r, base)
     assert ctl.spent.nodes == base.counters.function_calls
 
@@ -221,7 +267,7 @@ def test_resume_from_complete_checkpoint_is_noop(tmp_path, g):
 # ------------------------------------------------- content checksums
 def test_checkpoint_carries_verified_checksum(tmp_path, g):
     path = tmp_path / "ck.json"
-    _engine(g, "bigint").count_all(
+    _engine(g).count_all(
         controller=RunController(checkpoint_path=path)
     )
     payload = json.loads(path.read_text())
@@ -233,7 +279,7 @@ def test_tampered_checkpoint_refused(tmp_path, g):
     """Any post-write bit flip — here a partial-sum tamper — fails the
     checksum before the descriptor is even looked at."""
     path = tmp_path / "ck.json"
-    _engine(g, "bigint").count_all(
+    _engine(g).count_all(
         controller=RunController(checkpoint_path=path)
     )
     payload = json.loads(path.read_text())
@@ -245,7 +291,7 @@ def test_tampered_checkpoint_refused(tmp_path, g):
 
 def test_truncated_checkpoint_refused(tmp_path, g):
     path = tmp_path / "ck.json"
-    _engine(g, "bigint").count_all(
+    _engine(g).count_all(
         controller=RunController(checkpoint_path=path)
     )
     raw = path.read_bytes()
@@ -258,7 +304,7 @@ def test_pre_checksum_checkpoint_still_loads(tmp_path, g):
     """Checkpoints written before the checksum existed lack the key —
     they must keep loading (forward compatibility)."""
     path = tmp_path / "ck.json"
-    _engine(g, "bigint").count_all(
+    _engine(g).count_all(
         controller=RunController(checkpoint_path=path)
     )
     payload = json.loads(path.read_text())

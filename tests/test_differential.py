@@ -3,12 +3,15 @@
 Forty seeded random graphs (R-MAT, Chung-Lu, planted-clique overlays)
 are counted by every engine {SCT, Pivoter baseline, Arb-Count
 enumeration} over every subgraph structure {dense, sparse, remap} and
-every registered bitset-kernel backend (bigint, wordarray), for
-target-k and all-k runs.  Every combination must return *exactly* the same
-counts, anchored to the brute-force reference at k = 3 and 4; and the
-instrumentation :class:`~repro.counting.counters.Counters` must be
-bit-identical across backends, because the performance model may never
-be able to tell which backend produced a run.
+both test bitset backends (the program's bigint and the word-array
+implementation in ``tests/backends.py``), for target-k and all-k runs.
+Every combination must return *exactly* the same counts, anchored to
+the brute-force reference at k = 3 and 4; and the instrumentation
+:class:`~repro.counting.counters.Counters` must be bit-identical across
+backends, because the performance model may never be able to tell
+which backend produced a run.  The corpus graphs have at most 32
+vertices, so a web-graph analog with roots several words wide holds
+the pivoting paths to both backends and to the enumeration engine.
 """
 
 from __future__ import annotations
@@ -27,25 +30,29 @@ from repro.counting.pervertex import per_vertex_counts
 from repro.counting.pivoter import run_pivoter
 from repro.counting.sct import SCTEngine
 from repro.datasets import load
-from repro.kernels import KERNELS
-from repro.kernels.wordarray import _PIVOT_SCALAR_PC
 from repro.ordering import core_ordering, directionalize
 from repro.runtime import RunController
 
+from tests.backends import KERNEL_NAMES, make_kernel
 from tests.corpus import GRAPHS as _GRAPHS
 from tests.corpus import IDS as _IDS
 from tests.corpus import ordering as _ordering
 from tests.corpus import truth as _truth
 
 STRUCTURES_ALL = ("dense", "sparse", "remap")
-#: Every registered backend auto-enrolls; see
-#: test_registry_covers_backends for the check that nothing silently
-#: drops out of the registry itself.
-BACKENDS = tuple(KERNELS)
+BACKENDS = KERNEL_NAMES
 
 
 def test_registry_covers_backends():
+    # Each backend reaches the engines as itself: were an instance
+    # swapped for the default, every cross-backend check here would
+    # hold bigint against bigint.
     assert set(BACKENDS) == {"bigint", "wordarray"}
+    name, g = _GRAPHS[0]
+    for backend in BACKENDS:
+        r = count_kcliques(g, 3, _ordering(name, g),
+                           kernel=make_kernel(backend))
+        assert r.kernel == backend
 
 
 def test_suite_shape():
@@ -63,7 +70,7 @@ def test_sct_all_structures_all_backends(name, g):
         for structure in STRUCTURES_ALL:
             for backend in BACKENDS:
                 r = count_kcliques(g, k, o, structure=structure,
-                                   kernel=backend)
+                                   kernel=make_kernel(backend))
                 assert r.count == expect, (
                     f"{name}: SCT {structure}/{backend} k={k} "
                     f"got {r.count}, brute force {expect}"
@@ -80,7 +87,7 @@ def test_arbcount_all_structures_all_backends(name, g):
         for structure in structures:
             for backend in BACKENDS:
                 r = count_kcliques_enumeration(g, k, o, structure=structure,
-                                               kernel=backend)
+                                               kernel=make_kernel(backend))
                 assert r.count == expect, (
                     f"{name}: arbcount {structure}/{backend} k={k} "
                     f"got {r.count}, brute force {expect}"
@@ -91,7 +98,7 @@ def test_arbcount_all_structures_all_backends(name, g):
 def test_pivoter_baseline_both_backends(name, g):
     expect = _truth(name, g, 4)
     for backend in BACKENDS:
-        run = run_pivoter(g, 4, kernel=backend)
+        run = run_pivoter(g, 4, kernel=make_kernel(backend))
         assert run.result.count == expect, f"{name}: pivoter/{backend}"
         assert run.result.structure == "dense"
 
@@ -103,7 +110,7 @@ def test_all_k_identical_across_combos(name, g):
     for structure in STRUCTURES_ALL:
         for backend in BACKENDS:
             counts = count_all_sizes(g, o, structure=structure,
-                                     kernel=backend).all_counts
+                                     kernel=make_kernel(backend)).all_counts
             if reference is None:
                 reference = counts
             else:
@@ -136,10 +143,12 @@ def test_counters_backend_invariant(name, g, structure):
 
     def runs(backend):
         return (
-            count_kcliques(g, 4, o, structure=structure, kernel=backend),
-            count_all_sizes(g, o, structure=structure, kernel=backend),
+            count_kcliques(g, 4, o, structure=structure,
+                           kernel=make_kernel(backend)),
+            count_all_sizes(g, o, structure=structure,
+                            kernel=make_kernel(backend)),
             count_kcliques_enumeration(g, 4, o, structure=structure,
-                                       kernel=backend),
+                                       kernel=make_kernel(backend)),
         )
 
     for ref, other in zip(runs("bigint"), runs("wordarray")):
@@ -168,19 +177,19 @@ def test_attribution_walks_the_target_k_tree(name, g):
 
 
 def test_wide_roots_identical_across_backends():
-    # The webedu analog's widest roots hold more candidates than the
-    # word-array pivot scan's scalar cutoff, so this differential runs
-    # its vectorized path inside the engines, not only in isolation.
+    # The webedu analog's widest roots span several words per row, so
+    # the word-array backend's multi-word passes run inside the
+    # engines, not only in isolation.
     g = load("webedu")
     dag = directionalize(g, core_ordering(g))
-    assert int((dag.degrees >= _PIVOT_SCALAR_PC).sum()) > 0
+    assert int((dag.degrees > 128).sum()) > 0
 
     def runs(backend):
-        engine = SCTEngine(g, dag, kernel=backend)
+        engine = SCTEngine(g, dag, kernel=make_kernel(backend))
         return (
             engine.count(4),
             engine.count_all(),
-            build_forest(g, dag, kernel=backend),
+            build_forest(g, dag, kernel=make_kernel(backend)),
         )
 
     (ref_k, ref_all, ref_f), (k4, allk, forest) = map(runs, BACKENDS)
@@ -193,3 +202,17 @@ def test_wide_roots_identical_across_backends():
     for field in ("held_n", "pivot_n", "roots", "held_members",
                   "pivot_members", "per_root_recursion"):
         assert np.array_equal(getattr(ref_f, field), getattr(forest, field))
+
+
+def test_wide_roots_match_enumeration():
+    # The same wide roots, held to an algorithm that takes no pivots:
+    # the pivoting paths must count the 4-cliques exactly as the
+    # enumeration engine does.
+    g = load("webedu")
+    dag = directionalize(g, core_ordering(g))
+    assert int((dag.degrees > 128).sum()) > 0
+    expect = count_kcliques_enumeration(g, 4, dag).count
+    engine = SCTEngine(g, dag)
+    assert engine.count(4).count == expect
+    assert engine.count_all().all_counts[4] == expect
+    assert build_forest(g, dag).count(4) == expect

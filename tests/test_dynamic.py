@@ -6,10 +6,11 @@ same vertex order — every leaf array, the per-root work/memory/
 recursion model vectors, the descriptor fingerprints, and every query
 answered from them (count_all / per-vertex / per-edge) — over the
 committed versioned edit streams of the shared 40-graph corpus, on all
-three subgraph structures and both always-available kernel backends.
-1,440 randomized batches (40 graphs x 3 structures x 2 kernels x 6
-batches, mixed sizes with duplicates, no-ops, growth and one empty
-batch per stream) ride through that assertion.  ``edit_graph``'s CSR
+three subgraph structures and both test bitset backends
+(``tests/backends.py``).  1,440 randomized batches (40 graphs x 3
+structures x 2 kernels x 6 batches, mixed sizes with duplicates,
+no-ops, growth and one empty batch per stream) ride through that
+assertion.  ``edit_graph``'s CSR
 splice is held to ``from_edge_array`` over the edited edge set, and
 every way a forest can come to exist (serial or parallel build,
 ``.npz`` load, ``copy()``, a reorder) is patched against a rebuild.
@@ -19,7 +20,7 @@ delete round-trip, order-insensitivity for dirty-disjoint batches,
 empty batch is a no-op on arrays and counters), the stale-cache
 regressions (in-process LRU re-keying after edits; fingerprints under
 forced graph mutation), controller budgets/checkpoint-resume at
-dirty-root granularity, kernel-fault degradation, policy selection,
+dirty-root granularity, policy selection,
 config plumbing, the ``stream`` CLI, and persistence after edits.
 """
 
@@ -69,6 +70,7 @@ from repro.runtime import FaultPlan, FaultSpec, RunController
 from repro.runtime.budget import Budget
 from repro.runtime.checkpoint import graph_fingerprint
 
+from tests.backends import KERNEL_NAMES, make_kernel
 from tests.corpus import (
     EDIT_STREAM_VERSION,
     GRAPHS,
@@ -78,15 +80,14 @@ from tests.corpus import (
 )
 from tests.corpus import ordering as corpus_ordering
 
-# Every registered backend.
-BACKENDS = ("bigint", "wordarray")
+STRUCTURES = ("remap", "dense", "sparse")
 
 # Every (structure, kernel) pair; the default structure's ids are the
 # bare kernel names.
 STRUCT_KERNELS = [
     pytest.param(s, k, id=k if s == "remap" else f"{s}-{k}")
-    for s in ("remap", "dense", "sparse")
-    for k in BACKENDS
+    for s in STRUCTURES
+    for k in KERNEL_NAMES
 ]
 
 
@@ -127,11 +128,18 @@ def g():
 def test_apply_edits_bit_identical_to_rebuild(name, graph, structure,
                                               kernel):
     forest = SCTForest.build(graph, corpus_ordering(name, graph),
-                             structure, kernel)
+                             structure, make_kernel(kernel))
+    # Dirty roots run on the program's one backend, and the patched
+    # forest's descriptor names it from the first batch that changed
+    # the graph on (test_edits_record_the_running_kernel).
+    ran_on = kernel
     for batch in edit_stream(name, graph):
         report = forest.apply_edits(batch)
+        if report.added or report.removed:
+            ran_on = "bigint"
         rebuilt = SCTForest.build(report.graph, forest.rank,
-                                  structure, kernel)
+                                  structure, make_kernel(kernel))
+        rebuilt.descriptor["kernel"] = ran_on
         _assert_same_forest(forest, rebuilt)
         assert forest.count_all() == rebuilt.count_all()
     # Ground the final state absolutely, not just against the rebuild.
@@ -139,7 +147,8 @@ def test_apply_edits_bit_identical_to_rebuild(name, graph, structure,
     if kernel == "bigint":
         for k in (3, 4):
             assert forest.count(k) == brute_force_count(final, k)
-    rebuilt = SCTForest.build(final, forest.rank, structure, kernel)
+    rebuilt = SCTForest.build(final, forest.rank, structure,
+                              make_kernel(kernel))
     assert forest.per_vertex(4) == rebuilt.per_vertex(4)
     assert forest.per_edge(3) == rebuilt.per_edge(3)
 
@@ -177,7 +186,7 @@ def test_degree_only_root_is_not_rerun(g):
     assert r not in report.dirty_roots.tolist()
     assert _leaves_of(forest, r) == before_leaves
     assert forest.per_root_work[r] != before_work
-    rebuilt = SCTForest.build(report.graph, forest.rank, "remap", "bigint")
+    rebuilt = SCTForest.build(report.graph, forest.rank, "remap")
     assert forest.per_root_work[r] == rebuilt.per_root_work[r]
     _assert_same_forest(forest, rebuilt)
 
@@ -208,8 +217,7 @@ def test_every_forest_origin_patches_to_the_rebuild(tmp_path, g):
         batch = [("-", u, v) for u, v in present] + [("+", 1, 14)]
         report = forest.apply_edits(batch, **inputs)
         assert report.applied >= len(present), name
-        rebuilt = SCTForest.build(report.graph, forest.rank, "remap",
-                                  "bigint")
+        rebuilt = SCTForest.build(report.graph, forest.rank, "remap")
         _assert_same_forest(forest, rebuilt)
 
 
@@ -245,8 +253,7 @@ def _hyp_graph():
 
 
 _HYP_G = _hyp_graph()
-_HYP_BASE = SCTForest.build(_HYP_G, core_ordering(_HYP_G), "remap",
-                            "bigint")
+_HYP_BASE = SCTForest.build(_HYP_G, core_ordering(_HYP_G), "remap")
 _ABSENT = [
     (u, v)
     for u in range(_HYP_G.num_vertices)
@@ -502,14 +509,14 @@ def test_cache_rekeyed_after_edits(g):
     must be served the patched object."""
     clear_forest_cache()
     o = core_ordering(g)
-    forest = get_forest(g, o, "remap", "bigint")
+    forest = get_forest(g, o, "remap")
     baseline = forest.count_all()
     report = forest.apply_edits([("+", 0, 1), ("+", 0, 2), ("+", 1, 2)])
     assert report.applied >= 1
-    served = get_forest(g, o, "remap", "bigint")
+    served = get_forest(g, o, "remap")
     assert served is not forest
     assert served.count_all() == baseline
-    again = get_forest(report.graph, forest.rank, "remap", "bigint")
+    again = get_forest(report.graph, forest.rank, "remap")
     assert again is forest
     clear_forest_cache()
 
@@ -524,14 +531,14 @@ def test_mutated_graph_never_served_stale_fingerprint():
     assert fp1 == graph_fingerprint(g1)
     assert g1.fingerprint() == fp1  # memo hit, same value
     clear_forest_cache()
-    forest = get_forest(g1, core_ordering(g1), "remap", "bigint")
+    forest = get_forest(g1, core_ordering(g1), "remap")
     assert forest.count(2) == 4
     # Degree-preserving in-place relabel: 4-cycle -> the other 4-cycle
     # (0-2-1-3-0).  Same indptr, every row still sorted and symmetric.
     g1.indices.setflags(write=True)
     g1.indices[:] = [2, 3, 2, 3, 0, 1, 0, 1]
     assert g1.fingerprint() != fp1  # writeable guard drops the memo
-    served = get_forest(g1, core_ordering(g1), "remap", "bigint")
+    served = get_forest(g1, core_ordering(g1), "remap")
     assert served is not forest
     assert served.count(2) == 4
     g1.indices.setflags(write=False)
@@ -596,21 +603,18 @@ def test_interrupted_edit_batch_resumes_bit_identical(tmp_path, g, at_op):
     direct = oracle.apply_edits(_BIG_BATCH)
     assert direct.applied == report.applied
     _assert_same_forest(forest, oracle)
-    rebuilt = SCTForest.build(report.graph, forest.rank, "remap", "bigint")
+    rebuilt = SCTForest.build(report.graph, forest.rank, "remap")
     _assert_same_forest(forest, rebuilt)
 
 
-def test_kernel_fault_falls_back_to_bigint(g):
-    forest = build_forest(g, core_ordering(g), kernel="wordarray")
-    ctl = RunController(
-        degrade=True, faults=FaultPlan(FaultSpec("kernel", at_op=2))
-    )
-    report = forest.apply_edits(_BIG_BATCH[:8], controller=ctl)
+def test_edits_record_the_running_kernel(g):
+    # A saved forest may name a backend that no longer exists; once
+    # edited it names the one its dirty roots ran on.
+    forest = build_forest(g, core_ordering(g))
+    forest.descriptor["kernel"] = "avx512"
+    report = forest.apply_edits(_BIG_BATCH[:4])
     assert forest.descriptor["kernel"] == "bigint"
-    assert forest.degraded_from == "wordarray"
-    rebuilt = SCTForest.build(report.graph, forest.rank, "remap", "bigint")
-    assert forest.count_all() == rebuilt.count_all()
-    assert np.array_equal(forest.held_n, rebuilt.held_n)
+    _assert_same_forest(forest, SCTForest.build(report.graph, forest.rank))
 
 
 # ----------------------------------------------------------------------
@@ -623,7 +627,7 @@ def test_reorder_policy_matches_fresh_core_build(g):
     assert report.reordered
     assert report.roots_recomputed == report.graph.num_vertices
     fresh = SCTForest.build(report.graph, core_ordering(report.graph),
-                            "remap", "bigint")
+                            "remap")
     assert np.array_equal(forest.held_n, fresh.held_n)
     assert forest.count_all() == fresh.count_all()
     assert forest._edits_since_reorder == 0
@@ -657,7 +661,7 @@ def test_loaded_forest_needs_explicit_inputs(tmp_path, g):
         loaded.apply_edits([("+", 0, 9)])
     report = loaded.apply_edits([("+", 0, 9)], graph=g, ordering=o)
     assert report.applied in (0, 1)
-    rebuilt = SCTForest.build(report.graph, loaded.rank, "remap", "bigint")
+    rebuilt = SCTForest.build(report.graph, loaded.rank, "remap")
     _assert_same_forest(loaded, rebuilt)
 
 

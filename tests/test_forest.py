@@ -3,8 +3,8 @@
 A :class:`~repro.counting.forest.SCTForest` built once must answer
 every counting query **bit-identically** to the direct engines: total
 counts, the all-k distribution, per-vertex and per-edge attribution —
-across the shared 40-graph corpus, on both kernel backends, and for a
-checkpoint-resumed build.  On top of the differential net, property
+across the shared 40-graph corpus, on both test bitset backends
+(``tests/backends.py``), and for a checkpoint-resumed build.  On top of the differential net, property
 tests pin the uniform clique sampler (real cliques, seeded
 determinism, leaf-weight proportions on a planted two-clique graph),
 the degradation ladder (member spill vs hard memory failure), the
@@ -42,16 +42,16 @@ from repro.errors import (
 )
 from repro.graph.build import from_edge_list
 from repro.graph.generators import erdos_renyi, path_graph
-from repro.kernels import KERNELS
 from repro.ordering import core_ordering
 from repro.runtime import FaultPlan, FaultSpec, RunController
 from repro.runtime.budget import Budget
 
+from tests.backends import KERNEL_NAMES, make_kernel
 from tests.corpus import GRAPHS, IDS
 from tests.corpus import ordering as corpus_ordering
 from tests.corpus import truth as corpus_truth
 
-BACKENDS = tuple(sorted(KERNELS))  # ("bigint", "wordarray")
+BACKENDS = KERNEL_NAMES
 
 
 @pytest.fixture
@@ -85,8 +85,8 @@ def test_forest_matches_direct_engines(name, g):
     o = corpus_ordering(name, g)
     reference_allk = None
     for backend in BACKENDS:
-        forest = build_forest(g, o, kernel=backend)
-        allk = count_all_sizes(g, o, kernel=backend).all_counts
+        forest = build_forest(g, o, kernel=make_kernel(backend))
+        allk = count_all_sizes(g, o, kernel=make_kernel(backend)).all_counts
         assert forest.count_all() == allk, (
             f"{name}/{backend}: forest all-k diverged"
         )
@@ -101,13 +101,13 @@ def test_forest_matches_direct_engines(name, g):
                 f"{name}/{backend}: forest count({k}) != brute force"
             )
             assert forest.count(k) == count_kcliques(
-                g, k, o, kernel=backend
+                g, k, o, kernel=make_kernel(backend)
             ).count
         assert forest.per_vertex(3) == per_vertex_counts(
-            g, 3, o, kernel=backend
+            g, 3, o, kernel=make_kernel(backend)
         ), f"{name}/{backend}: per-vertex diverged"
         assert forest.per_edge(3) == per_edge_counts(
-            g, 3, o, kernel=backend
+            g, 3, o, kernel=make_kernel(backend)
         ), f"{name}/{backend}: per-edge diverged"
 
 
@@ -119,8 +119,8 @@ _COUNTER_GRAPHS = GRAPHS[::5]
 def test_forest_counters_backend_invariant(name, g):
     """The build's instrumentation must not betray the backend."""
     o = corpus_ordering(name, g)
-    ref = build_forest(g, o, kernel="bigint")
-    other = build_forest(g, o, kernel="wordarray")
+    ref = build_forest(g, o, kernel=make_kernel("bigint"))
+    other = build_forest(g, o, kernel=make_kernel("wordarray"))
     assert ref.counters.as_dict() == other.counters.as_dict()
     assert np.array_equal(ref.per_root_work, other.per_root_work)
     assert np.array_equal(ref.per_root_memory, other.per_root_memory)
@@ -167,19 +167,20 @@ def test_engine_forest_accessor(g):
 # ----------------------------------------------------------------------
 # Checkpoint/resume: an interrupted build resumes bit-identically
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("kernel", ["bigint", "wordarray"])
+@pytest.mark.parametrize("kernel", KERNEL_NAMES)
 @pytest.mark.parametrize("at_op", [1, 7, 25])
 def test_forest_build_resume_bit_identical(tmp_path, g, kernel, at_op):
-    base = build_forest(g, core_ordering(g), kernel=kernel)
+    base = build_forest(g, core_ordering(g), kernel=make_kernel(kernel))
     path = tmp_path / "ck.json"
     ctl = RunController(
         checkpoint_path=path,
         faults=FaultPlan(FaultSpec("interrupt", at_op=at_op)),
     )
     with pytest.raises(RunInterrupted):
-        build_forest(g, core_ordering(g), kernel=kernel, controller=ctl)
+        build_forest(g, core_ordering(g), kernel=make_kernel(kernel),
+                     controller=ctl)
     resumed = build_forest(
-        g, core_ordering(g), kernel=kernel,
+        g, core_ordering(g), kernel=make_kernel(kernel),
         controller=RunController(checkpoint_path=path, resume=True),
     )
     _assert_forests_identical(resumed, base)
@@ -345,9 +346,10 @@ def test_get_forest_cache_identity(g):
     o = core_ordering(g)
     a = get_forest(g, o)
     assert get_forest(g, o) is a
-    # A different kernel is a different cache entry.
-    b = get_forest(g, o, kernel="wordarray")
+    # A different structure is a different cache entry.
+    b = get_forest(g, o, "dense")
     assert b is not a
+    assert get_forest(g, o, "dense") is b
     clear_forest_cache()
     assert get_forest(g, o) is not a
     clear_forest_cache()

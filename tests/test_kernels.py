@@ -1,44 +1,115 @@
-"""Property-based tests: every backend == big-int semantics.
+"""The bitset kernel against a plain set-based oracle.
 
-The big-int backend is the semantic oracle; every operation of every
-registered backend must round-trip against it bit-for-bit — including
-the pivot argmax tie-breaks and the perfect-pivot early exit that make
-the engines' :class:`~repro.counting.counters.Counters`
-backend-invariant.  Widths deliberately straddle the 64-bit word
-boundary (empty rows, 1-bit rows, 63/64/65, multi-word), and the
-pivot tests include candidate sets of at least ``_PIVOT_SCALAR_PC``
-so the word-array backend's vectorized scan runs, not only its scalar
-small-scan path.
+:class:`~repro.kernels.BigIntKernel` is the one backend; its fused ops
+are held here against scans written over Python sets, so the pivot
+argmax tie-break, the perfect-pivot early exit and the ``edge_sum``
+work charge — which fix every engine's
+:class:`~repro.counting.counters.Counters` — are pinned independently
+of the big-int implementation.  The word-array backend the
+differential suites also run (``tests/backends.py``) is held to the
+same rules and, op by op, to the big-int results.  Widths straddle the
+64-bit word boundary (empty rows, 1-bit rows, 63/64/65, multi-word).
 """
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core import PivotScaleConfig
+from repro.counting.sct import SCTEngine
 from repro.errors import CountingError
-from repro.kernels import (
-    DEFAULT_KERNEL,
-    KERNELS,
-    BigIntKernel,
-    WordArrayKernel,
-    resolve_kernel,
-)
-from repro.kernels.wordarray import _PIVOT_SCALAR_PC
+from repro.graph.generators import erdos_renyi
+from repro.kernels import BigIntKernel, kernel_name, resolve_kernel
+from repro.ordering import core_ordering, directionalize
+from repro.parallel.runtime import parallel_count
+from tests.backends import KERNEL_NAMES, KERNELS, WordArrayKernel, make_kernel
 
 WIDTHS = [0, 1, 2, 7, 63, 64, 65, 100, 128, 130, 200]
 
-#: Every registered backend; the differential suite uses the same roster.
-AVAILABLE = tuple(KERNELS)
-#: Backends checked against the big-int oracle.
-OTHERS = tuple(n for n in AVAILABLE if n != "bigint")
-
-
-def _kern(name):
-    return KERNELS[name]()
+#: Backends checked op by op against the big-int results.
+OTHERS = tuple(n for n in KERNEL_NAMES if n != "bigint")
 
 
 def _all_kernels():
-    return [_kern(name) for name in AVAILABLE]
+    return [make_kernel(name) for name in KERNEL_NAMES]
+
+
+def _pack(masks, d):
+    """Rows as the ``(d, ⌈d/64⌉)`` little-endian uint64 words that
+    ``load_rows`` takes."""
+    nw = max(1, (d + 63) >> 6)
+    return np.array(
+        [[(m >> (64 * w)) & (2**64 - 1) for w in range(nw)] for m in masks],
+        dtype=np.uint64,
+    ).reshape(d, nw)
+
+
+def _load(masks, d, kern=None):
+    kern = kern or BigIntKernel()
+    rows = kern.alloc_rows(d)
+    if d:
+        kern.load_rows(rows, _pack(masks, d))
+    return kern, rows
+
+
+def _pair(d, masks, other):
+    return _load(masks, d), _load(masks, d, make_kernel(other))
+
+
+def _set_row(bits):
+    """A row built one bit at a time — the reference for the bulk
+    loader's word encoding."""
+    row = 0
+    for b in bits:
+        row |= 1 << int(b)
+    return row
+
+
+def _bits(mask):
+    return {i for i in range(mask.bit_length()) if mask >> i & 1}
+
+
+def _set_scan(row_sets, P):
+    """The pivot scan over sets: candidates in ascending id order, the
+    first maximum wins, the scan stops at the first candidate adjacent
+    to every other, and ``edge_sum`` sums the counts scanned up to that
+    stop.  Returns ``(best, best_set, best_cnt, edge_sum)``."""
+    pc = len(P)
+    best, best_set, best_cnt, edge_sum = -1, set(), -1, 0
+    for i in sorted(P):
+        inter = row_sets[i] & P
+        edge_sum += len(inter)
+        if len(inter) > best_cnt:
+            best, best_set, best_cnt = i, inter, len(inter)
+            if best_cnt == pc - 1:
+                break
+    return best, best_set, best_cnt, edge_sum
+
+
+# ------------------------------------------------------------ strategies
+#: Widths on and around every word boundary up to 200, plus any width.
+_WIDTH = st.one_of(
+    st.sampled_from([1, 2, 63, 64, 65, 127, 128, 129, 191, 192, 193, 200]),
+    st.integers(min_value=1, max_value=200),
+)
+
+
+@st.composite
+def rows_and_candidates(draw):
+    """``(d, row masks without self-bits, a non-empty candidate mask)``.
+
+    Row and candidate densities are drawn from a few levels, 0 and 1
+    included, so that all-tied scans and perfect pivots are common."""
+    d = draw(_WIDTH)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    density = draw(st.sampled_from([0.0, 0.1, 0.5, 0.9, 1.0]))
+    adj = rng.random((d, d)) < density
+    np.fill_diagonal(adj, False)
+    masks = [sum(1 << int(j) for j in np.flatnonzero(r)) for r in adj]
+    keep = rng.random(d) < draw(st.sampled_from([0.2, 0.6, 1.0]))
+    keep[int(rng.integers(d))] = True
+    P = sum(1 << int(j) for j in np.flatnonzero(keep))
+    return d, masks, P
 
 
 # ------------------------------------------------------------ strategies
@@ -54,79 +125,109 @@ def rows_and_mask(draw):
     return d, masks, P
 
 
-def _pair(d, masks, other="wordarray"):
-    bi, ot = BigIntKernel(), _kern(other)
-    return (bi, bi.rows_from_ints(masks, d)), (ot, ot.rows_from_ints(masks, d))
-
-
-# ------------------------------------------------------------ registry
+# ------------------------------------------------------------ resolution
 def test_registry_and_resolve():
+    # The suites' backends reach the engines as themselves: resolve
+    # passes an instance through unchanged, builds the one program
+    # backend by name, and refuses every other name, the test
+    # backend's included.
     assert set(KERNELS) == {"bigint", "wordarray"}
-    assert DEFAULT_KERNEL == "bigint"
-    for name in AVAILABLE:
-        cls = KERNELS[name]
-        assert cls.name == name
-        assert resolve_kernel(name).name == name
-    inst = WordArrayKernel()
-    assert resolve_kernel(inst) is inst
+    for name in KERNEL_NAMES:
+        inst = make_kernel(name)
+        assert inst.name == name
+        assert resolve_kernel(inst) is inst
+        assert kernel_name(inst) == name
     assert resolve_kernel(None).name == "bigint"
-    with pytest.raises(CountingError, match="registered backends"):
-        resolve_kernel("avx512")
+    with pytest.raises(CountingError, match="only backend"):
+        resolve_kernel("wordarray")
+
+
+def test_resolve_kernel():
+    assert isinstance(resolve_kernel(), BigIntKernel)
+    assert resolve_kernel("bigint").name == "bigint"
+    assert resolve_kernel(None).name == "bigint"
+    inst = BigIntKernel()
+    assert resolve_kernel(inst) is inst
+    assert kernel_name() == kernel_name("bigint") == kernel_name(inst)
+    for bad in ("avx512", "BIGINT"):
+        with pytest.raises(CountingError, match="only backend"):
+            resolve_kernel(bad)
+        with pytest.raises(CountingError, match="only backend"):
+            kernel_name(bad)
+
+
+def test_engines_take_none_name_or_instance():
+    # The kernel= seam callers (and the frozen benchmark) pass: None,
+    # "bigint" or an instance; PivotScaleConfig names the backend as a
+    # class constant, not a constructor argument.
+    g = erdos_renyi(30, 0.3, seed=1)
+    dag = directionalize(g, core_ordering(g))
+    ref = SCTEngine(g, dag).count(4)
+    inst = BigIntKernel()
+    for kernel in (None, "bigint", inst):
+        engine = SCTEngine(g, dag, kernel=kernel)
+        assert engine.kernel.name == "bigint"
+        r = engine.count(4)
+        assert (r.kernel, r.count) == ("bigint", ref.count)
+    assert SCTEngine(g, dag, kernel=inst).kernel is inst
+    with pytest.raises(CountingError, match="unknown kernel"):
+        SCTEngine(g, dag, kernel="avx512")
+    with pytest.raises(CountingError, match="unknown kernel"):
+        parallel_count(g, dag, k=4, kernel="avx512", processes=2)
+    assert PivotScaleConfig().kernel == PivotScaleConfig.kernel == "bigint"
+    with pytest.raises(TypeError):
+        PivotScaleConfig(kernel="bigint")
 
 
 def test_resolve_returns_fresh_instances():
-    # Backends hold scratch buffers; sharing instances across engines
-    # would alias row storage.
-    assert resolve_kernel("wordarray") is not resolve_kernel("wordarray")
+    # Each structure owns the row storage of its kernel instance.
+    assert resolve_kernel("bigint") is not resolve_kernel("bigint")
 
 
-# ------------------------------------------------------------ round-trips
+# ------------------------------------------------------------ row storage
 @pytest.mark.parametrize("d", WIDTHS)
 def test_row_int_round_trip(d):
+    # load_rows lands, from packed little-endian uint64 words, exactly
+    # the rows they encode — and overwrites dirty storage, never ORs.
     rng = np.random.default_rng(d)
     masks = [
         int(rng.integers(0, 2**63)) % (1 << d) & ~(1 << i) if d else 0
         for i in range(d)
     ]
-    for kern in _all_kernels():
-        rows = kern.rows_from_ints(masks, d)
-        assert kern.num_rows(rows) == d
-        for i in range(d):
-            assert kern.row_int(rows, i) == masks[i]
-            assert kern.row_accessor(rows)(i) == masks[i]
+    kern, rows = _load(masks, d)
+    assert len(rows) == d
+    for i in range(d):
+        assert kern.row_int(rows, i) == masks[i]
+        assert kern.row_accessor(rows)(i) == masks[i]
+    if d:
+        kern.load_rows(rows, _pack([(1 << d) - 1] * d, d))
+        kern.load_rows(rows, _pack(masks, d))
+        assert [kern.row_int(rows, i) for i in range(d)] == masks
 
 
 @pytest.mark.parametrize("d", WIDTHS)
 def test_load_rows_matches_set_row(d):
     # The bulk loader must land, from packed little-endian uint64
-    # words, the exact rows the per-row path does — including
-    # rebuilding any cached mirrors.
+    # words, the exact rows that setting each row's bits one at a time
+    # gives — on every backend, and over dirty storage too.
     rng = np.random.default_rng(1000 + d)
     masks = [
         int(rng.integers(0, 2**63)) % (1 << d) & ~(1 << i) if d else 0
         for i in range(d)
     ]
     bits = [np.flatnonzero([(m >> b) & 1 for b in range(d)]) for m in masks]
-    nw = max(1, (d + 63) >> 6)
-    words = np.array(
-        [[(m >> (64 * w)) & (2**64 - 1) for w in range(nw)] for m in masks],
-        dtype=np.uint64,
-    ).reshape(d, nw)
+    expect = [_set_row(b) for b in bits]
     for kern in _all_kernels():
-        ref = kern.alloc_rows(d)
-        for i in range(d):
-            kern.set_row(ref, i, bits[i])
-        expect = [kern.row_int(ref, i) for i in range(d)]
         rows = kern.alloc_rows(d)
-        kern.load_rows(rows, words)
+        kern.load_rows(rows, _pack(masks, d))
         assert [kern.row_int(rows, i) for i in range(d)] == expect == masks
         # Loading over dirty storage must fully overwrite, not OR in.
         if d:
-            kern.set_row(rows, 0, np.arange(d, dtype=np.int64))
-            kern.load_rows(rows, words)
+            kern.load_rows(rows, _pack([(1 << d) - 1] * d, d))
+            kern.load_rows(rows, _pack(masks, d))
             assert kern.row_int(rows, 0) == masks[0]
-            assert kern.count_rows(rows, (1 << d) - 1)[0] == (
-                masks[0].bit_count()
+            assert kern.intersect_count(rows, 0, (1 << d) - 1) == (
+                masks[0], masks[0].bit_count()
             )
 
 
@@ -134,31 +235,56 @@ def test_load_rows_matches_set_row(d):
 def test_empty_rows(d):
     for kern in _all_kernels():
         rows = kern.alloc_rows(d)
+        full = (1 << d) - 1
         for i in range(d):
             assert kern.row_int(rows, i) == 0
-        assert list(kern.count_rows(rows, (1 << d) - 1)) == [0] * d
-        # set then clear a row
-        kern.set_row(rows, 0, np.array([d - 1], dtype=np.int64))
-        assert kern.row_int(rows, 0) == 1 << (d - 1)
-        kern.set_row(rows, 0, np.array([], dtype=np.int64))
-        assert kern.row_int(rows, 0) == 0
+            assert kern.intersect_count(rows, i, full) == (0, 0)
+        # Every candidate ties at 0: the lowest id wins, nothing is
+        # charged.
+        assert kern.pivot_select(rows, full, d) == (0, 0, 0, 0)
 
 
 def test_zero_width_rows():
-    for kern in _all_kernels():
-        rows = kern.alloc_rows(0)
-        assert kern.num_rows(rows) == 0
-        assert list(kern.count_rows(rows, 0)) == []
+    kern, rows = _load([], 0)
+    assert rows == []
+    kern.load_rows(rows, np.zeros((0, 1), dtype=np.uint64))
+    assert rows == []
 
 
-# ------------------------------------------------------------ op parity
+# ------------------------------------------------------------ fused ops
+@settings(max_examples=150, deadline=None)
+@given(data=rows_and_candidates())
+def test_intersect_count_matches_set_scan(data):
+    d, masks, P = data
+    kern, rows = _load(masks, d)
+    P_set = _bits(P)
+    for i in range(d):
+        inter, cnt = kern.intersect_count(rows, i, P)
+        assert _bits(inter) == _bits(masks[i]) & P_set
+        assert cnt == len(_bits(masks[i]) & P_set)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=rows_and_candidates())
+def test_pivot_select_matches_set_scan(data):
+    d, masks, P = data
+    kern, rows = _load(masks, d)
+    best, best_row, best_cnt, edge_sum = kern.pivot_select(
+        rows, P, P.bit_count()
+    )
+    e_best, e_set, e_cnt, e_sum = _set_scan(
+        [_bits(m) for m in masks], _bits(P)
+    )
+    assert (best, best_cnt, edge_sum) == (e_best, e_cnt, e_sum)
+    assert _bits(best_row) == e_set
+
+
 @pytest.mark.parametrize("other", OTHERS)
 @settings(max_examples=120, deadline=None)
 @given(data=rows_and_mask())
 def test_intersect_ops_match_bigint(other, data):
     d, masks, P = data
     (bi, rb), (ot, rw) = _pair(d, masks, other)
-    assert list(bi.count_rows(rb, P)) == list(ot.count_rows(rw, P))
     for i in range(d):
         expect = masks[i] & P
         assert bi.intersect_count(rb, i, P) == (expect, expect.bit_count())
@@ -178,23 +304,20 @@ def test_pivot_select_matches_bigint(other, data):
 
 
 def test_pivot_select_tie_break_is_lowest_id():
-    # Two candidates with identical counts: the scalar scan keeps the
-    # first maximum (ascending local id); the vectorized argmax must
-    # break the tie identically.  K_70 crosses a word boundary on the
-    # scalar scan; K_130 is wide enough for the vectorized one.
+    # Complete graphs: every candidate ties, and the first is perfect.
+    # K_70 and K_130 cross one and two word boundaries.
     for d in (70, 130):
-        assert (d >= _PIVOT_SCALAR_PC) == (d == 130)
         full = (1 << d) - 1
-        masks = [full & ~(1 << i) for i in range(d)]  # complete graph K_d
+        masks = [full & ~(1 << i) for i in range(d)]
         for kern in _all_kernels():
-            rows = kern.rows_from_ints(masks, d)
+            kern, rows = _load(masks, d, kern)
             best, best_row, best_cnt, edge_sum = kern.pivot_select(
                 rows, full, d
             )
             assert best == 0  # every vertex ties; lowest id wins
             assert best_cnt == d - 1  # perfect pivot
             assert best_row == full & ~1
-            assert edge_sum == d - 1  # scan stops at the first (perfect) row
+            assert edge_sum == d - 1  # scan stops at the first row
 
 
 def _perfect_at_two(d, P):
@@ -214,14 +337,15 @@ def _perfect_at_two(d, P):
 def test_pivot_select_perfect_pivot_early_exit_accounting():
     # The third candidate is the first perfect pivot; the scan must
     # charge the first three rows only, on every backend.
-    cases = [(66, (1 << 5) - 1)]  # P = {0..4}: the scalar scan
-    # P = every even id of 200: the vectorized scan (pc = 100).
-    cases.append((200, sum(1 << i for i in range(0, 200, 2))))
+    cases = [
+        (66, (1 << 5) - 1),  # P = {0..4}
+        (200, sum(1 << i for i in range(0, 200, 2))),  # every even id
+    ]
     for d, P in cases:
         pc = P.bit_count()
         ids, masks = _perfect_at_two(d, P)
         for kern in _all_kernels():
-            rows = kern.rows_from_ints(masks, d)
+            kern, rows = _load(masks, d, kern)
             best, best_row, best_cnt, edge_sum = kern.pivot_select(
                 rows, P, pc
             )
@@ -229,7 +353,6 @@ def test_pivot_select_perfect_pivot_early_exit_accounting():
             assert best_cnt == pc - 1
             assert best_row == masks[ids[2]]
             assert edge_sum == 1 + 2 + (pc - 1)
-    assert cases[-1][1].bit_count() >= _PIVOT_SCALAR_PC
 
 
 def test_pivot_select_respects_mask_outside_bits():
@@ -238,21 +361,19 @@ def test_pivot_select_respects_mask_outside_bits():
     masks = [((1 << d) - 1) & ~(1 << i) for i in range(d)]
     P = (1 << 3) | (1 << 64) | (1 << 129)
     for kern in _all_kernels():
-        rows = kern.rows_from_ints(masks, d)
+        kern, rows = _load(masks, d, kern)
         best, best_row, best_cnt, edge_sum = kern.pivot_select(rows, P, 3)
         assert best == 3
         assert best_cnt == 2  # the other two candidates
         assert best_row == P & ~(1 << 3)
-    # A candidate set wide enough for the vectorized scan: the odd ids
-    # of K_200, each row holding every even id outside P.
+    # The odd ids of K_200, each row holding every even id outside P.
     d = 200
     full = (1 << d) - 1
     masks = [full & ~(1 << i) for i in range(d)]
     P = sum(1 << i for i in range(1, d, 2))
     pc = P.bit_count()
-    assert pc >= _PIVOT_SCALAR_PC
     for kern in _all_kernels():
-        rows = kern.rows_from_ints(masks, d)
+        kern, rows = _load(masks, d, kern)
         best, best_row, best_cnt, edge_sum = kern.pivot_select(rows, P, pc)
         assert best == 1
         assert best_cnt == pc - 1
@@ -261,12 +382,15 @@ def test_pivot_select_respects_mask_outside_bits():
 
 
 def test_wordarray_buffer_reuse_does_not_corrupt_new_roots():
-    # The word-array backend reuses one preallocated buffer across
-    # alloc_rows calls; a later (smaller) allocation must start zeroed.
+    # The word-array test backend reuses one buffer across alloc_rows
+    # calls; a later (smaller) allocation must start all-zero, as the
+    # contract's alloc_rows promises.
     kern = WordArrayKernel()
     big = kern.alloc_rows(130)
-    for i in range(130):
-        kern.set_row(big, i, np.arange(i + 1, dtype=np.int64))
+    kern.load_rows(big, _pack([(1 << (i + 1)) - 1 for i in range(130)], 130))
     small = kern.alloc_rows(70)
+    full = (1 << 70) - 1
     for i in range(70):
         assert kern.row_int(small, i) == 0
+        assert kern.intersect_count(small, i, full) == (0, 0)
+    assert kern.pivot_select(small, full, 70) == (0, 0, 0, 0)

@@ -1,7 +1,7 @@
 """Invariant suite for the observability layer.
 
 Three families of guarantees, held over the shared 40-graph corpus and
-both kernel backends:
+both test bitset backends (``tests/backends.py``):
 
 1. **Observation is free of side effects** — counts, counters and
    per-root arrays are bit-identical with metrics on vs. off, on both
@@ -11,8 +11,9 @@ both kernel backends:
    canonical metric equals the private tally it replaced:
    ``engine_nodes_visited_total`` == recursion ``function_calls`` ==
    the controller's ``spent.nodes`` on clean runs; kernel call counts
-   are backend-invariant; forest cache hits + misses == ``get_forest``
-   calls; ordering/stats migrations reproduce their old values.
+   are backend-invariant; memo lookups cover exactly the block-induced
+   roots; forest cache hits + misses == ``get_forest`` calls;
+   ordering/stats migrations reproduce their old values.
 3. **The plumbing itself** — registry label identity, no-op singletons
    on the disabled path, profiler accumulation, bench-harness bridges.
 """
@@ -41,7 +42,7 @@ from repro.counting.pivoter import run_pivoter
 from repro.counting.sct import SCTEngine
 from repro.graph.generators import complete_graph, erdos_renyi, overlay
 from repro.graph.stats import count_triangles, heuristic_inputs
-from repro.kernels import KERNELS, resolve_kernel
+from repro.kernels import BigIntKernel, resolve_kernel
 from repro.obs import (
     COUNTER_METRICS,
     InstrumentedKernel,
@@ -51,16 +52,12 @@ from repro.obs import (
 )
 from repro.ordering import core_ordering, degree_ordering
 from repro.ordering.directionalize import directionalize
-from repro.runtime import Budget, FaultPlan, FaultSpec, RunController
+from repro.runtime import Budget, RunController
 
-#: Every registered backend.
-KERNEL_NAMES = tuple(KERNELS)
+from tests.backends import KERNEL_NAMES, make_kernel
 
 # The kernel API surface the instrumented wrapper counts.
-KERNEL_OPS = (
-    "alloc_rows", "set_row", "load_rows", "intersect_count",
-    "count_rows", "pivot_select",
-)
+KERNEL_OPS = ("alloc_rows", "load_rows", "intersect_count", "pivot_select")
 
 
 def _kernel_calls(reg: MetricsRegistry, kernel: str) -> dict[str, int]:
@@ -85,9 +82,9 @@ def _assert_identical(a, b):
 @pytest.mark.parametrize("kernel", KERNEL_NAMES)
 def test_sct_counts_bit_identical_obs_on_off(name, g, kernel):
     o = ordering(name, g)
-    base = count_kcliques(g, 4, o, kernel=kernel)
+    base = count_kcliques(g, 4, o, kernel=make_kernel(kernel))
     with obs.collecting() as reg:
-        observed = count_kcliques(g, 4, o, kernel=kernel)
+        observed = count_kcliques(g, 4, o, kernel=make_kernel(kernel))
     _assert_identical(base, observed)
     assert base.count == truth(name, g, 4)
     # ...and the registry speaks the same exact integers.
@@ -103,9 +100,10 @@ def test_sct_counts_bit_identical_obs_on_off(name, g, kernel):
 @pytest.mark.parametrize("kernel", KERNEL_NAMES)
 def test_enumeration_counts_bit_identical_obs_on_off(name, g, kernel):
     o = ordering(name, g)
-    base = count_kcliques_enumeration(g, 4, o, kernel=kernel)
+    base = count_kcliques_enumeration(g, 4, o, kernel=make_kernel(kernel))
     with obs.collecting() as reg:
-        observed = count_kcliques_enumeration(g, 4, o, kernel=kernel)
+        observed = count_kcliques_enumeration(g, 4, o,
+                                              kernel=make_kernel(kernel))
     _assert_identical(base, observed)
     assert reg.value(
         "engine_nodes_visited_total", engine="enumeration",
@@ -169,7 +167,7 @@ def test_kernel_call_counts_identical_across_backends(name, g):
     calls = {}
     for kernel in KERNEL_NAMES:
         with obs.collecting() as reg:
-            count_kcliques(g, 4, o, kernel=kernel)
+            count_kcliques(g, 4, o, kernel=make_kernel(kernel))
         calls[kernel] = _kernel_calls(reg, kernel)
     ref = KERNEL_NAMES[0]
     for kernel in KERNEL_NAMES[1:]:
@@ -180,17 +178,18 @@ def test_kernel_call_counts_identical_across_backends(name, g):
 
 
 def test_kernel_call_counts_enumeration_backend_invariant():
-    # The enumeration engine only uses the scalar single-row ops, so
-    # its call counts stay identical across every backend.
+    # The enumeration engine only uses the single-row ops, so its call
+    # counts stay identical across every backend.
     name, g = GRAPHS[7]
     o = ordering(name, g)
     calls = {}
     for kernel in KERNEL_NAMES:
         with obs.collecting() as reg:
-            count_kcliques_enumeration(g, 4, o, kernel=kernel)
+            count_kcliques_enumeration(g, 4, o, kernel=make_kernel(kernel))
         calls[kernel] = _kernel_calls(reg, kernel)
     for kernel in KERNEL_NAMES[1:]:
         assert calls[KERNEL_NAMES[0]] == calls[kernel]
+    assert calls[KERNEL_NAMES[0]]["intersect_count"] > 0
 
 
 @pytest.mark.parametrize("kernel", KERNEL_NAMES)
@@ -202,7 +201,7 @@ def test_memo_lookups_cover_block_roots_only(kernel, k):
     g = overlay(300, complete_graph(66), erdos_renyi(300, 0.03, seed=5))
     dag = directionalize(g, core_ordering(g))
     with obs.collecting() as reg:
-        engine = SCTEngine(g, dag, kernel=kernel)
+        engine = SCTEngine(g, dag, kernel=make_kernel(kernel))
         if k is None:
             engine.count_all()
         else:
@@ -257,19 +256,6 @@ def test_checkpoint_writes_counted(tmp_path):
     progress = reg.value("runtime_checkpoint_writes_total", kind="progress")
     assert complete == 1  # the guard's final save
     assert progress == g.num_vertices // 4  # one autosave per 4 roots
-
-
-def test_degradation_event_counted_on_kernel_fallback():
-    g = erdos_renyi(40, 0.3, seed=11)
-    with obs.collecting() as reg:
-        ctl = RunController(
-            degrade=True,
-            faults=FaultPlan(FaultSpec("kernel", at_op=2)),
-        )
-        r = count_kcliques(g, 4, core_ordering(g), kernel="wordarray",
-                           controller=ctl)
-    assert r.degraded_from == "wordarray"
-    assert reg.value("runtime_degradations_total", rung="kernel_fallback") == 1
 
 
 def test_budget_abort_still_publishes_partial_totals():
@@ -553,37 +539,34 @@ def test_hooks_are_noops_when_disabled():
 # 3c. kernel instrumentation seam
 # ======================================================================
 def test_resolve_kernel_is_raw_when_disabled():
-    k = resolve_kernel("wordarray")
+    k = resolve_kernel("bigint")
     assert not isinstance(k, InstrumentedKernel)
-    assert k.name == "wordarray"
+    assert k.name == "bigint"
 
 
 def test_resolve_kernel_wraps_when_enabled():
     with obs.collecting():
-        k = resolve_kernel("wordarray")
+        k = resolve_kernel("bigint")
         assert isinstance(k, InstrumentedKernel)
-        assert k.name == "wordarray"  # degradation checks still work
+        assert k.name == "bigint"  # descriptors cannot tell
         # idempotent: wrapping a wrapper is identity
         assert obs.instrument_kernel(k) is k
 
 
 def test_instrumented_kernel_counts_and_delegates():
     reg = MetricsRegistry()
-    k = InstrumentedKernel(KERNELS["bigint"](), reg)
+    k = InstrumentedKernel(BigIntKernel(), reg)
     rows = k.alloc_rows(4)
-    k.set_row(rows, 0, np.array([1, 2], dtype=np.int64))
-    k.set_row(rows, 1, np.array([0], dtype=np.int64))
-    k.intersect_count(rows, 1, 0b1111)
-    k.count_rows(rows, 0b1111)
-    k.pivot_select(rows, 0b11, 2)
+    k.load_rows(rows, np.array([[0b110], [0b1], [0], [0]], dtype=np.uint64))
+    assert k.intersect_count(rows, 1, 0b1111) == (0b1, 1)
+    assert k.pivot_select(rows, 0b11, 2) == (0, 0b10, 1, 1)
     assert reg.value("kernel_calls_total", kernel="bigint", op="alloc_rows") == 1
-    assert reg.value("kernel_calls_total", kernel="bigint", op="set_row") == 2
+    assert reg.value("kernel_calls_total", kernel="bigint", op="load_rows") == 1
     assert reg.value("kernel_calls_total", kernel="bigint", op="intersect_count") == 1
-    assert reg.value("kernel_calls_total", kernel="bigint", op="count_rows") == 1
     assert reg.value("kernel_calls_total", kernel="bigint", op="pivot_select") == 1
     # uncounted accessors still delegate
-    assert k.num_rows(rows) == 4
     assert k.row_int(rows, 0) == 0b110
+    assert k.row_accessor(rows)(1) == 0b1
 
 
 # ======================================================================

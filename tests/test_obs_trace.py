@@ -145,7 +145,7 @@ def test_dump_lines_roundtrip_rebuilds_tree():
     tr = Tracer(clock=_tick_clock())
     with tr.span("root", engine="sct"):
         with tr.span("child-a"):
-            tr.event("degradation", rung="kernel_fallback")
+            tr.event("degradation", rung="sampling")
         with tr.span("child-b"):
             pass
     (root,) = parse_trace_lines(tr.dump_lines())
@@ -384,7 +384,7 @@ def test_pipeline_trace_shape():
     assert "sct.count" in child_names
     sct = root.children[child_names.index("sct.count")]
     assert sct.attrs["engine"] == "sct"
-    assert sct.attrs["kernel"] in ("bigint", "wordarray")
+    assert sct.attrs["kernel"] == "bigint"
     assert "graph" in sct.attrs  # fingerprint present when tracing
     rendered = render_spans([root])
     assert rendered.splitlines()[0].startswith("pivotscale.run")

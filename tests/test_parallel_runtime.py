@@ -3,7 +3,7 @@
 The SCT total is a sum of independent per-root partial sums, so the
 parallel backend must be *bit-identical* to the serial engine — not
 statistically close.  This suite checks that over the shared 40-graph
-corpus on both kernel backends and both start methods, and exercises
+corpus on both start methods, and exercises
 the runtime's integration contracts: controller budgets and
 checkpoint/resume at chunk granularity, the worker-crash degradation
 rung (deterministic fault injection), per-worker metrics merging, and
@@ -61,14 +61,11 @@ def rt_spawn():
 @pytest.mark.parametrize("name,g", GRAPHS, ids=IDS)
 def test_corpus_fork_matches_serial(name, g, rt_fork):
     o = ordering(name, g)
-    for kernel in ("bigint", "wordarray"):
-        serial = SCTEngine(g, o, kernel=kernel).count(3)
-        got = count_kcliques_processes(
-            g, 3, o, processes=2, kernel=kernel, runtime=rt_fork
-        )
-        assert got.count == serial.count
-        assert got.counters.function_calls == serial.counters.function_calls
-        assert np.array_equal(got.per_root_work, serial.per_root_work)
+    serial = SCTEngine(g, o).count(3)
+    got = count_kcliques_processes(g, 3, o, processes=2, runtime=rt_fork)
+    assert got.count == serial.count
+    assert got.counters.function_calls == serial.counters.function_calls
+    assert np.array_equal(got.per_root_work, serial.per_root_work)
     serial_all = SCTEngine(g, o).count_all()
     got_all = count_all_sizes_processes(g, o, processes=2, runtime=rt_fork)
     assert got_all.all_counts == serial_all.all_counts

@@ -17,12 +17,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from tests.backends import KERNEL_NAMES, make_kernel
 from tests.corpus import GRAPHS, ordering
 from repro import obs
 from repro.counting.counters import Counters
 from repro.counting.sct import SCTEngine
 from repro.graph.generators import chung_lu, power_law_degrees
-from repro.kernels import KERNELS
 from repro.ordering import core_ordering
 from repro.ordering.directionalize import directionalize
 from repro.parallel import plan_chunks
@@ -97,12 +97,12 @@ def _assert_chunks_match(engine, dag, k=None):
         assert _bits(got.per_root_memory) == _bits(memory)
 
 
-@pytest.mark.parametrize("kernel", tuple(KERNELS))
+@pytest.mark.parametrize("kernel", KERNEL_NAMES)
 @pytest.mark.parametrize("structure", STRUCTURE_NAMES)
 def test_memoized_loops_match_memo_free_oracle(structure, kernel):
     for name, g in GRAPHS:
         dag = directionalize(g, ordering(name, g))
-        engine = SCTEngine(g, dag, structure, kernel=kernel)
+        engine = SCTEngine(g, dag, structure, kernel=make_kernel(kernel))
         n = g.num_vertices
         for k in (3, 4, 5):
             _assert_run_matches(engine, n, k)
@@ -113,7 +113,7 @@ def test_memoized_loops_match_memo_free_oracle(structure, kernel):
         _assert_chunks_match(engine, dag, None)
 
 
-@pytest.mark.parametrize("kernel", tuple(KERNELS))
+@pytest.mark.parametrize("kernel", KERNEL_NAMES)
 def test_memo_hits_on_sparse_power_law_graph(kernel):
     # Many small roots whose induced subgraphs repeat: the memo must
     # actually serve them, and still match the oracle.
@@ -121,7 +121,7 @@ def test_memo_hits_on_sparse_power_law_graph(kernel):
                  seed=29)
     dag = directionalize(g, core_ordering(g))
     with obs.collecting() as reg:
-        engine = SCTEngine(g, dag, kernel=kernel)
+        engine = SCTEngine(g, dag, kernel=make_kernel(kernel))
         engine.count(4)
     labels = {"engine": "sct", "structure": "remap", "kernel": kernel}
     hits = reg.value("sct_memo_hits_total", **labels)
@@ -148,11 +148,6 @@ def test_hits_fold_the_stored_tally_whole(monkeypatch):
     )
     one_row = bytes(8)  # the key of every d = 1 subgraph
 
-    class Seeded(sct.RootContexts):
-        def __init__(self, struct, roots, keep=None, memo=None):
-            memo[one_row] = seeded
-            super().__init__(struct, roots, keep, memo)
-
     name, g = GRAPHS[3]
     dag = directionalize(g, ordering(name, g))
     engine = SCTEngine(g, dag)
@@ -161,7 +156,13 @@ def test_hits_fold_the_stored_tally_whole(monkeypatch):
     )
     ones = np.flatnonzero(dag.degrees == 1)
     assert ones.size
-    monkeypatch.setattr(sct, "RootContexts", Seeded)
+    build_many = engine.structure.build_many
+
+    def seeded_build_many(roots, memo=None):
+        memo[one_row] = seeded
+        return build_many(roots, memo)
+
+    monkeypatch.setattr(engine.structure, "build_many", seeded_build_many)
     got = engine.count(4, early_termination=False)
     assert got.count == want + 1000 * ones.size
     assert got.counters.max_depth == 50

@@ -1,34 +1,36 @@
-"""Deterministic fault injection and every rung of the degradation
-ladder: kernel fallback, memory faults, clock jumps, interrupts, and
+"""Deterministic fault injection and the degradation ladder: memory
+faults (at a root tick or inside a root's recursion), kernel faults
+(raised, never swallowed), clock jumps, interrupts, and
 budget-exhaustion root sampling."""
 
 import warnings
 
+import numpy as np
 import pytest
 
 from repro.cli import main as cli_main
 from repro.core import PivotScaleConfig, count_cliques
 from repro.core.hybrid import count_cliques_hybrid
+from repro.counting.forest import SCTForest
 from repro.counting.sct import SCTEngine
 from repro.errors import (
     CountingError,
     DeadlineExceededError,
     DegradedResultWarning,
-    KernelFaultError,
     MemoryBudgetExceededError,
     RunInterrupted,
 )
 from repro.graph.generators import erdos_renyi
 from repro.graph.io import write_edge_list
-from repro.kernels import KERNELS
+from repro.kernels import BigIntKernel
 from repro.ordering import core_ordering
 from repro.runtime import (
     Budget,
     FaultPlan,
     FaultSpec,
-    FaultyKernel,
     ManualClock,
     RunController,
+    load_checkpoint,
 )
 
 
@@ -39,8 +41,9 @@ def g():
 
 # ----------------------------------------------------------- fault specs
 def test_fault_spec_validation():
-    with pytest.raises(CountingError):
-        FaultSpec("nonsense", at_op=1)
+    for kind in ("nonsense", "kernel"):
+        with pytest.raises(CountingError, match="unknown fault kind"):
+            FaultSpec(kind, at_op=1)
     with pytest.raises(CountingError):
         FaultSpec("memory", at_op=0)
     with pytest.raises(CountingError):
@@ -91,47 +94,92 @@ def test_interrupt_propagates(g):
         SCTEngine(g, core_ordering(g)).count(4, controller=ctl)
 
 
+class _FailingPivot(BigIntKernel):
+    """The bitset kernel, with its ``fail_at``-th ``pivot_select`` call
+    raising ``error`` — by default ``MemoryError``, an allocation
+    failure inside a root's recursion rather than at a root tick
+    (``fail_at=None`` counts calls and never fails)."""
+
+    def __init__(self, fail_at=None, error=MemoryError):
+        self.fail_at = fail_at
+        self.error = error
+        self.calls = 0
+
+    def pivot_select(self, rows, P, pc):
+        self.calls += 1
+        if self.calls == self.fail_at:
+            raise self.error("injected kernel failure")
+        return super().pivot_select(rows, P, pc)
+
+
 def test_kernel_fault_without_degrade_raises(g):
-    ctl = RunController(faults=FaultPlan(FaultSpec("kernel", at_op=2)))
-    with pytest.raises(KernelFaultError):
-        SCTEngine(g, core_ordering(g)).count(4, controller=ctl)
-
-
-# -------------------------------------- rung 1: kernel -> bigint fallback
-def test_faulty_kernel_fallback_identical_counts(g):
-    """A wordarray kernel fault mid-run falls back to bigint and the
-    final counts AND counters match the unfaulted run exactly."""
-    base = SCTEngine(g, core_ordering(g), kernel="bigint").count(4)
-    faulty = FaultyKernel(KERNELS["wordarray"](), fail_after=200)
-    eng = SCTEngine(g, core_ordering(g), kernel=faulty)
-    ctl = RunController(degrade=True)
-    r = eng.count(4, controller=ctl)
-    assert faulty.calls >= 200  # the fault actually fired
-    assert r.degraded_from == "wordarray"
-    assert r.kernel == "bigint"
-    assert not r.approximate  # fallback stays exact
-    assert r.count == base.count
-    assert r.counters.as_dict() == base.counters.as_dict()
-
-
-def test_faulty_kernel_fallback_all_k(g):
-    base = SCTEngine(g, core_ordering(g), kernel="bigint").count_all()
-    faulty = FaultyKernel(KERNELS["wordarray"](), fail_after=150)
-    eng = SCTEngine(g, core_ordering(g), kernel=faulty)
-    r = eng.count_all(controller=RunController(degrade=True))
-    assert r.degraded_from == "wordarray"
-    assert r.all_counts == base.all_counts
+    # A kernel op failing inside the recursion surfaces unchanged.
+    kern = _FailingPivot(fail_at=2, error=RuntimeError)
+    with pytest.raises(RuntimeError, match="injected kernel failure"):
+        SCTEngine(g, core_ordering(g), kernel=kern).count(
+            4, controller=RunController())
+    assert kern.calls == 2
 
 
 def test_bigint_kernel_fault_not_swallowed(g):
-    """The ladder has no rung below the reference backend."""
-    faulty = FaultyKernel(KERNELS["bigint"](), fail_after=100)
-    eng = SCTEngine(g, core_ordering(g), kernel=faulty)
-    with pytest.raises(KernelFaultError):
-        eng.count(4, controller=RunController(degrade=True))
+    """The ladder has no rung below the one backend: with degradation
+    on, a kernel fault is still raised, not sampled or retried away."""
+    kern = _FailingPivot(fail_at=100, error=RuntimeError)
+    with pytest.raises(RuntimeError, match="injected kernel failure"):
+        SCTEngine(g, core_ordering(g), kernel=kern).count(
+            4, controller=RunController(degrade=True))
+    assert kern.calls == 100
 
 
-# --------------------------------- rung 2: budget -> sampling (flagged)
+_RECURSION_RUNS = {
+    "count": lambda g, o, kern, ctl: SCTEngine(g, o, kernel=kern).count(
+        4, controller=ctl),
+    "count_all": lambda g, o, kern, ctl: SCTEngine(
+        g, o, kernel=kern).count_all(controller=ctl),
+    "forest": lambda g, o, kern, ctl: SCTForest.build(
+        g, o, kernel=kern, controller=ctl),
+}
+
+
+def _same_run(a, b):
+    """Bit-identical results: count or row, Counters, per-root vectors,
+    and a forest's arrays."""
+    assert a.counters.as_dict() == b.counters.as_dict()
+    assert np.array_equal(a.per_root_work, b.per_root_work)
+    assert np.array_equal(a.per_root_memory, b.per_root_memory)
+    if isinstance(a, SCTForest):
+        for name in ("held_n", "pivot_n", "roots", "held_members",
+                     "pivot_members", "per_root_recursion"):
+            assert np.array_equal(getattr(a, name), getattr(b, name)), name
+    else:
+        assert (a.count, a.all_counts) == (b.count, b.all_counts)
+
+
+@pytest.mark.parametrize("run", sorted(_RECURSION_RUNS))
+def test_allocation_failure_in_recursion_resumes_bit_identical(
+        tmp_path, g, run):
+    go = _RECURSION_RUNS[run]
+    o = core_ordering(g)
+    counter = _FailingPivot()
+    base = go(g, o, counter, None)
+    path = tmp_path / "ck.json"
+    ctl = RunController(checkpoint_path=path)
+    with pytest.raises(MemoryBudgetExceededError, match="at root") as ei:
+        go(g, o, _FailingPivot(fail_at=counter.calls // 2), ctl)
+    # The checkpoint holds exactly the whole roots before the faulting
+    # one, as the unfaulted run counted them.
+    v = int(str(ei.value).rsplit(" ", 1)[1])
+    state = load_checkpoint(path)["state"]
+    assert 0 < v < g.num_vertices
+    assert state["next_root"] == v == ctl.spent.roots_done
+    assert state["per_root_work"] == base.per_root_work[:v].tolist()
+    assert state["per_root_memory"] == base.per_root_memory[:v].tolist()
+    resumed = go(g, o, None, RunController(checkpoint_path=path,
+                                          resume=True))
+    _same_run(resumed, base)
+
+
+# --------------------------------- rung 1: budget -> sampling (flagged)
 def test_degrade_to_sampling_flagged(g):
     cfg = PivotScaleConfig(max_nodes=60, degrade=True)
     with pytest.warns(DegradedResultWarning):
@@ -185,7 +233,7 @@ def test_degrade_all_k_with_p1(g):
     assert [float(c) for c in base.all_counts] == r.all_counts[: len(base.all_counts)]
 
 
-# ----------------------------- rung 3: hybrid enumeration -> pivoting
+# ----------------------------- rung 2: hybrid enumeration -> pivoting
 def test_hybrid_retries_pivoting_on_enum_budget(g):
     cfg = PivotScaleConfig(max_nodes=40, degrade=True)
     with warnings.catch_warnings():

@@ -4,7 +4,8 @@ The contract under test, per docs/sharding.md:
 
 * **exactness** — a sharded run with the watermark far below the
   working set is bit-identical to the in-memory engines (counts,
-  per-root arrays, integer counters) on both kernel backends;
+  per-root arrays, integer counters) on both test kernel backends
+  (``tests/backends.py``);
 * **crash safety** — a run killed at *any* shard boundary (the kill
   matrix) or mid-spill resumes from the ledger to the same result;
 * **fault tolerance** — every injected single I/O fault is absorbed by
@@ -34,12 +35,13 @@ from repro.runtime import FaultPlan, FaultSpec, RunController
 from repro.shard import ShardLedger, count_sharded, plan_shards
 from repro.shard.ledger import LEDGER_NAME
 
+from .backends import KERNEL_NAMES, make_kernel
 from .corpus import GRAPHS, IDS, ordering, truth
 
 # A watermark far below every corpus graph's working set, so each run
 # genuinely spills many shards.
 TINY_MB = 512 / (1 << 20)  # 512 bytes
-KERNELS = ("bigint", "wordarray")
+KERNELS = KERNEL_NAMES
 
 
 @pytest.fixture
@@ -111,9 +113,9 @@ def test_plan_validation(g, dag):
 )
 def test_sharded_matches_serial_and_truth(tmp_path, name, graph, kernel):
     dag = directionalize(graph, ordering(name, graph))
-    ref = SCTEngine(graph, dag, "remap", kernel=kernel).count(4)
+    ref = SCTEngine(graph, dag, "remap", kernel=make_kernel(kernel)).count(4)
     res = count_sharded(
-        graph, dag, k=4, kernel=kernel,
+        graph, dag, k=4, kernel=make_kernel(kernel),
         shard_mb=TINY_MB, spill_dir=tmp_path / "spill",
     )
     _assert_matches_serial(res, ref)
@@ -124,9 +126,10 @@ def test_sharded_matches_serial_and_truth(tmp_path, name, graph, kernel):
 
 @pytest.mark.parametrize("kernel", KERNELS)
 def test_sharded_allk_matches_serial(tmp_path, g, dag, kernel):
-    ref = SCTEngine(g, dag, "remap", kernel=kernel).count_all()
+    ref = SCTEngine(g, dag, "remap", kernel=make_kernel(kernel)).count_all()
     res = count_sharded(
-        g, dag, kernel=kernel, shard_mb=TINY_MB, spill_dir=tmp_path / "s"
+        g, dag, kernel=make_kernel(kernel), shard_mb=TINY_MB,
+        spill_dir=tmp_path / "s",
     )
     _assert_matches_serial(res, ref)
 
@@ -184,12 +187,12 @@ def _interrupted_then_resumed(tmp_path, g, dag, kernel, at_op, k=4):
     ctl = RunController(faults=FaultPlan(FaultSpec("interrupt", at_op=at_op)))
     with pytest.raises(RunInterrupted):
         count_sharded(
-            g, dag, k=k, kernel=kernel, shard_mb=TINY_MB, spill_dir=spill,
-            controller=ctl,
+            g, dag, k=k, kernel=make_kernel(kernel), shard_mb=TINY_MB,
+            spill_dir=spill, controller=ctl,
         )
     return count_sharded(
-        g, dag, k=k, kernel=kernel, shard_mb=TINY_MB, spill_dir=spill,
-        resume=True,
+        g, dag, k=k, kernel=make_kernel(kernel), shard_mb=TINY_MB,
+        spill_dir=spill, resume=True,
     )
 
 
@@ -199,7 +202,7 @@ def test_kill_matrix_every_shard_boundary(tmp_path, g, dag, kernel):
     to the uninterrupted run — the satellite-4 kill matrix."""
     plan = plan_shards(g, dag, shard_bytes=int(TINY_MB * (1 << 20)))
     assert plan.num_shards >= 4
-    ref = SCTEngine(g, dag, "remap", kernel=kernel).count(4)
+    ref = SCTEngine(g, dag, "remap", kernel=make_kernel(kernel)).count(4)
     for boundary in range(1, plan.num_shards + 1):
         res = _interrupted_then_resumed(
             tmp_path / f"b{boundary}", g, dag, kernel, boundary

@@ -10,8 +10,11 @@ from repro.counting.structures import (
     SparseStructure,
 )
 from repro.counting.structures.base import SubgraphStructure
+from repro.errors import CountingError
 from repro.graph.generators import complete_graph, erdos_renyi
+from repro.kernels import BigIntKernel
 from repro.ordering import core_ordering, directionalize
+from tests.backends import KERNEL_NAMES, make_kernel
 
 
 @pytest.fixture(scope="module")
@@ -117,14 +120,14 @@ def test_bitset_bytes_model(pair):
 
 
 # ----------------------------------------------------------------------
-# kernel-backend plumbing and the dense stale-slot regression
+# kernel plumbing and the dense stale-slot regression
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("kernel", ["bigint", "wordarray"])
+@pytest.mark.parametrize("kernel", KERNEL_NAMES)
 def test_structures_same_rows_across_kernels(pair, kernel):
     g, dag = pair
     for cls in STRUCTURES.values():
         base = cls(g, dag)  # default bigint
-        alt = cls(g, dag, kernel=kernel)
+        alt = cls(g, dag, kernel=make_kernel(kernel))
         for v in range(0, g.num_vertices, 7):
             cb = base.build(v)
             ca = alt.build(v)
@@ -134,7 +137,27 @@ def test_structures_same_rows_across_kernels(pair, kernel):
                 assert ca.row(i) == cb.row(i), (cls.name, v, i)
 
 
-@pytest.mark.parametrize("kernel", ["bigint", "wordarray"])
+def test_structures_take_kernel_name_or_instance(pair):
+    g, dag = pair
+    for cls in STRUCTURES.values():
+        base = cls(g, dag)
+        named = cls(g, dag, kernel="bigint")
+        inst = BigIntKernel()
+        given = cls(g, dag, kernel=inst)
+        assert given.kernel is inst
+        with pytest.raises(CountingError, match="unknown kernel"):
+            cls(g, dag, kernel="avx512")
+        for v in range(0, g.num_vertices, 7):
+            cb = base.build(v)
+            for alt in (named, given):
+                ca = alt.build(v)
+                assert ca.d == cb.d
+                assert ca.kernel.name == "bigint"
+                for i in range(cb.d):
+                    assert ca.row(i) == cb.row(i), (cls.name, v, i)
+
+
+@pytest.mark.parametrize("kernel", KERNEL_NAMES)
 def test_dense_no_stale_adjacency_between_roots(pair, kernel):
     """Regression: back-to-back builds must not leak adjacency.
 
@@ -144,26 +167,26 @@ def test_dense_no_stale_adjacency_between_roots(pair, kernel):
     build against a fresh structure that cannot have stale state.
     """
     g, dag = pair
-    shared = DenseStructure(g, dag, kernel=kernel)
+    shared = DenseStructure(g, dag, kernel=make_kernel(kernel))
     roots = sorted(range(g.num_vertices),
                    key=lambda v: -dag.degree(v))[:6]
     for v in roots + list(reversed(roots)):  # revisit roots back-to-back
         got = shared.build(v)
-        fresh = DenseStructure(g, dag, kernel=kernel).build(v)
+        fresh = DenseStructure(g, dag, kernel=make_kernel(kernel)).build(v)
         assert got.d == fresh.d
         for i in range(got.d):
             assert got.row(i) == fresh.row(i), (v, i)
 
 
-@pytest.mark.parametrize("kernel", ["bigint", "wordarray"])
+@pytest.mark.parametrize("kernel", KERNEL_NAMES)
 def test_dense_exception_mid_build_leaves_clean_slots(pair, kernel, monkeypatch):
     """A failed induction must leave the slot index clean: the next
     build starts from zeroed slots and an empty touched list — on the
     one-root path and inside a ``build_many`` block alike."""
     g, dag = pair
-    dense = DenseStructure(g, dag, kernel=kernel)
+    dense = DenseStructure(g, dag, kernel=make_kernel(kernel))
     hub = int(np.argmax(dag.degrees))
-    ref = DenseStructure(g, dag, kernel=kernel).build(hub)
+    ref = DenseStructure(g, dag, kernel=make_kernel(kernel)).build(hub)
     ref_rows = [ref.row(i) for i in range(ref.d)]
 
     def boom(*args, **kwargs):
