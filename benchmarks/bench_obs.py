@@ -95,10 +95,12 @@ _HOOKS = {
     "note_memory": lambda peak: None,
     "record_run": lambda counters, **kw: None,
     "record_counters": lambda counters, **kw: None,
+    "record_memo": lambda hits, misses, **kw: None,
     "record_ordering": lambda ordering: None,
+    "kernel_tally": lambda: None,
+    "record_kernel_calls": lambda calls: None,
     "degradation": lambda rung, **attrs: None,
     "checkpoint_write": lambda **kw: None,
-    "instrument_kernel": lambda kernel: kernel,
 }
 
 

@@ -2,15 +2,14 @@
 
 The workhorse is the SCT (succinct clique tree) pivot recursion from
 Pivoter, implemented over local bitset subgraphs with three index
-structures (dense / sparse / remap, paper Fig. 4) and a big-int
-bitset kernel (:mod:`repro.kernels`).  An enumeration baseline
+structures (dense / sparse / remap, paper Fig. 4) whose rows are
+big-int bitsets, scanned by :func:`repro.kernels.pivot_select` and
+intersected inline.  An enumeration baseline
 (Arb-Count / kClist style) and brute-force oracles round out the
 comparison set.  All counts are
 exact Python integers — LiveJournal 13-clique counts overflow 64-bit
 by nine decimal orders.
 """
-
-from repro.kernels import BitsetKernel, resolve_kernel
 
 from repro.counting.binomial import binomial, binomial_row
 from repro.counting.counters import Counters
@@ -72,8 +71,6 @@ __all__ = [
     "brute_force_count",
     "brute_force_all_sizes",
     "networkx_count",
-    "BitsetKernel",
-    "resolve_kernel",
     "STRUCTURES",
     "DenseStructure",
     "SparseStructure",

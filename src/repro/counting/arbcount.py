@@ -25,7 +25,7 @@ from contextlib import nullcontext
 
 import numpy as np
 
-from repro import obs
+from repro import kernels, obs
 from repro.counting.counters import Counters
 from repro.counting.sct import CountResult
 from repro.counting.structures import STRUCTURES
@@ -35,7 +35,6 @@ from repro.errors import (
     NodeBudgetExceededError,
 )
 from repro.graph.csr import CSRGraph
-from repro.kernels import BitsetKernel
 from repro.ordering.base import Ordering
 from repro.ordering.directionalize import directionalize
 from repro.runtime.checkpoint import graph_fingerprint
@@ -55,7 +54,7 @@ def count_kcliques_enumeration(
     ordering: Ordering | np.ndarray | CSRGraph,
     structure: str = "remap",
     max_nodes: int | None = None,
-    kernel: str | BitsetKernel | None = None,
+    kernel: str | None = None,
     controller: RunController | None = None,
 ) -> CountResult:
     """Count k-cliques by DAG enumeration (the Arb-Count baseline).
@@ -71,6 +70,7 @@ def count_kcliques_enumeration(
     """
     if k < 1:
         raise CountingError(f"clique size k must be >= 1, got {k}")
+    kernels.kernel_name(kernel)
     if graph.directed:
         raise CountingError("input graph must be undirected")
     if isinstance(ordering, CSRGraph):
@@ -79,7 +79,7 @@ def count_kcliques_enumeration(
         dag = ordering
     else:
         dag = directionalize(graph, ordering)
-    struct = STRUCTURES[structure](graph, dag, kernel=kernel)
+    struct = STRUCTURES[structure](graph, dag)
 
     n = graph.num_vertices
     totals = Counters()
@@ -100,7 +100,7 @@ def count_kcliques_enumeration(
                 "engine": "enumeration",
                 "k": k,
                 "structure": struct.name,
-                "kernel": struct.kernel.name,
+                "kernel": kernels.NAME,
                 "graph": graph_fingerprint(graph),
             }
         )
@@ -112,7 +112,7 @@ def count_kcliques_enumeration(
         return [min(limits) if limits else -1]
 
     span_attrs = {"engine": "enumeration", "structure": struct.name,
-                  "kernel": struct.kernel.name, "k": k}
+                  "kernel": kernels.NAME, "k": k}
     if obs.get_tracer().enabled:
         span_attrs["graph"] = graph_fingerprint(graph)
     # As in the SCT engine, the `finally` publishes partial totals when
@@ -151,8 +151,18 @@ def count_kcliques_enumeration(
     finally:
         obs.record_run(
             totals, engine="enumeration", structure=struct.name,
-            kernel=struct.kernel.name, roots=done,
+            kernel=kernels.NAME, roots=done,
         )
+        if obs.enabled():
+            # No pivot scans.  Every node but the first of each root
+            # that recursed is reached through one intersect, and so is
+            # every pruned branch (an early exit).
+            d = dag.degrees[:done]
+            recursed = int(np.count_nonzero(d >= k - 1))
+            obs.record_kernel_calls([
+                d.size, int(np.count_nonzero(d)), 0,
+                totals.function_calls + totals.early_terminations - recursed,
+            ])
     return CountResult(
         count=total,
         all_counts=None,
@@ -161,7 +171,7 @@ def count_kcliques_enumeration(
         per_root_work=per_root_work,
         per_root_memory=per_root_memory,
         structure=struct.name,
-        kernel=struct.kernel.name,
+        kernel=kernels.NAME,
     )
 
 
@@ -175,7 +185,6 @@ def _count_root(struct, v: int, k: int, ctr: Counters, budget: list[int]) -> int
         return 0
     words = (d + 63) >> 6 or 1
     rows = ctx.rows
-    intersect_count = ctx.kernel.intersect_count
     lw = ctx.lookup_weight
 
     # Second-level direction: only explore local ids above the current
@@ -204,7 +213,8 @@ def _count_root(struct, v: int, k: int, ctr: Counters, budget: list[int]) -> int
             i = low.bit_length() - 1
             ctr.index_lookups += lw
             ctr.set_op_words += words
-            nxt, nc = intersect_count(rows, i, P & above[i])
+            nxt = rows[i] & (P & above[i])
+            nc = nxt.bit_count()
             # Degree-based pruning: not enough vertices left to finish.
             if nc >= k - depth - 2:
                 count += rec(nxt, depth + 1)

@@ -59,7 +59,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from repro import obs
+from repro import kernels, obs
 from repro.counting.counters import Counters
 from repro.counting.structures import STRUCTURES
 from repro.errors import (
@@ -69,7 +69,6 @@ from repro.errors import (
 )
 from repro.graph.build import csr_from_sorted_edges
 from repro.graph.csr import CSRGraph
-from repro.kernels import kernel_name
 from repro.ordering.directionalize import directionalize
 from repro.runtime.checkpoint import graph_fingerprint
 from repro.runtime.controller import RunController
@@ -503,34 +502,39 @@ def _recompute_roots(
     from contextlib import nullcontext
 
     ctxs = struct.build_many(dirty[start:])
-    with (ctl.guard() if ctl is not None else nullcontext()):
-        for i in range(start, dirty.size):
-            v = int(dirty[i])
-            ctr = Counters()
-            if ctl is None:
-                leaves = collect_root_leaves(
-                    struct, v, ctr, record_members=record_members,
-                    ctx=next(ctxs),
-                )
-            else:
+    calls = obs.kernel_tally()
+    try:
+        with (ctl.guard() if ctl is not None else nullcontext()):
+            for i in range(start, dirty.size):
+                v = int(dirty[i])
+                ctr = Counters()
                 try:
-                    ctl.tick()
+                    if ctl is not None:
+                        ctl.tick()
+                    ctx = next(ctxs)
                     leaves = collect_root_leaves(
                         struct, v, ctr, record_members=record_members,
-                        ctx=next(ctxs),
+                        ctx=ctx,
                     )
                 except MemoryError as exc:
+                    if ctl is None:
+                        raise
                     raise MemoryBudgetExceededError(
                         f"allocation failure at root {v}",
                         spent=ctl.spent_snapshot(),
                     ) from exc
-                ctl.charge_nodes(ctr.function_calls)
-                ctl.note_memory(ctr.peak_subgraph_bytes)
-            per_root[v] = (leaves, ctr.recursion_work)
-            totals.merge(ctr)
-            obs.note_memory(ctr.peak_subgraph_bytes)
-            if ctl is not None:
-                ctl.complete_root(v)
+                if calls is not None:
+                    kernels.tally(calls, ctr, 1, ctx.d > 0)
+                if ctl is not None:
+                    ctl.charge_nodes(ctr.function_calls)
+                    ctl.note_memory(ctr.peak_subgraph_bytes)
+                per_root[v] = (leaves, ctr.recursion_work)
+                totals.merge(ctr)
+                obs.note_memory(ctr.peak_subgraph_bytes)
+                if ctl is not None:
+                    ctl.complete_root(v)
+    finally:
+        obs.record_kernel_calls(calls)
     return per_root, totals, struct
 
 
@@ -673,7 +677,7 @@ def apply_edits(
     descriptor = dict(forest.descriptor)
     # A forest saved while a second backend existed may name it; the
     # dirty roots run, and are recorded, on the one backend.
-    descriptor["kernel"] = kernel_name()
+    descriptor["kernel"] = kernels.NAME
     span_attrs = {
         "engine": "sct-forest-edits",
         "structure": descriptor["structure"],

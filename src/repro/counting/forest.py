@@ -68,7 +68,7 @@ from contextlib import nullcontext
 
 import numpy as np
 
-from repro import obs
+from repro import kernels, obs
 from repro.counting.binomial import binomial, binomial_row
 from repro.counting.counters import Counters
 from repro.counting.structures import STRUCTURES, SubgraphStructure
@@ -81,7 +81,6 @@ from repro.errors import (
     MemoryBudgetExceededError,
 )
 from repro.graph.csr import CSRGraph
-from repro.kernels import BitsetKernel
 from repro.ordering.base import Ordering
 from repro.ordering.directionalize import directionalize
 from repro.runtime.checkpoint import graph_fingerprint
@@ -358,7 +357,7 @@ class SCTForest:
         graph: CSRGraph,
         ordering: Ordering | np.ndarray | CSRGraph,
         structure: str | SubgraphStructure = "remap",
-        kernel: str | BitsetKernel | None = None,
+        kernel: str | None = None,
         *,
         controller: RunController | None = None,
         members: bool = True,
@@ -372,6 +371,7 @@ class SCTForest:
         crossed memory watermark raises, or spills the memberships when
         degradation is enabled.
         """
+        kernels.kernel_name(kernel)
         if graph.directed:
             raise CountingError("input graph must be undirected")
         rank: np.ndarray | None = None
@@ -389,7 +389,7 @@ class SCTForest:
             struct = structure
         else:
             try:
-                struct = STRUCTURES[structure](graph, dag, kernel=kernel)
+                struct = STRUCTURES[structure](graph, dag)
             except KeyError:
                 raise CountingError(
                     f"unknown structure {structure!r}; "
@@ -429,7 +429,7 @@ class SCTForest:
         descriptor = {
             "engine": "sct-forest",
             "structure": struct.name,
-            "kernel": struct.kernel.name,
+            "kernel": kernels.NAME,
             "members": bool(members),
             "graph_fingerprint": graph_fingerprint(graph),
             "dag_fingerprint": graph_fingerprint(dag),
@@ -494,17 +494,21 @@ class SCTForest:
                 degraded_from = "members"
 
         ctxs = struct.build_many(np.arange(start, n, dtype=np.int64))
+        calls = obs.kernel_tally()
 
         def run_root(v: int) -> tuple[Counters, list]:
             ctr = Counters()
+            ctx = next(ctxs)
             leaves = collect_root_leaves(
                 struct, v, ctr, record_members=held_members is not None,
-                ctx=next(ctxs),
+                ctx=ctx,
             )
+            if calls is not None:
+                kernels.tally(calls, ctr, 1, ctx.d > 0)
             return ctr, leaves
 
         span_attrs = {"engine": "sct-forest", "structure": struct.name,
-                      "kernel": struct.kernel.name, "members": bool(members)}
+                      "kernel": kernels.NAME, "members": bool(members)}
         if obs.get_tracer().enabled:
             span_attrs["graph"] = descriptor["graph_fingerprint"]
         try:
@@ -558,8 +562,9 @@ class SCTForest:
         finally:
             obs.record_run(
                 totals, engine="sct-forest", structure=struct.name,
-                kernel=struct.kernel.name, roots=done - start,
+                kernel=kernels.NAME, roots=done - start,
             )
+            obs.record_kernel_calls(calls)
             reg = obs.get_registry()
             if reg.enabled:
                 reg.gauge("forest_leaves").set(len(held_n))
@@ -973,9 +978,7 @@ def walk_root(
     * neither walks the full tree — the forest's.
     """
     rows = ctx.rows
-    kern = ctx.kernel
-    pivot_select = kern.pivot_select
-    intersect_count = kern.intersect_count
+    pivot_select = kernels.pivot_select
     out = ctx.out.tolist()
     held_ids: list[int] = [v]
     pivot_ids: list[int] = []
@@ -1008,7 +1011,8 @@ def walk_root(
             while cand:
                 low = cand & -cand
                 w = low.bit_length() - 1
-                child, cc = intersect_count(rows, w, P)
+                child = rows[w] & P
+                cc = child.bit_count()
                 edge_sum += cc
                 held_ids.append(out[w])
                 rec(child, cc, held1, pivots)
@@ -1053,7 +1057,6 @@ def attribution_structure(
     graph: CSRGraph,
     ordering: Ordering | np.ndarray | CSRGraph,
     structure: str = "remap",
-    kernel: str | BitsetKernel | None = None,
 ) -> SubgraphStructure:
     """The structure an attribution engine walks, over ``graph`` and
     the DAG of ``ordering`` (or ``ordering`` itself when it is one)."""
@@ -1065,7 +1068,7 @@ def attribution_structure(
             raise CountingError("pass a DAG or an ordering")
     else:
         dag = directionalize(graph, ordering)
-    return STRUCTURES[structure](graph, dag, kernel=kernel)
+    return STRUCTURES[structure](graph, dag)
 
 
 def walk_roots(
@@ -1079,9 +1082,11 @@ def walk_roots(
     counters.
 
     A ``controller`` is begun under an ``engine`` descriptor and
-    consulted at root granularity for budgets and fault injection.
-    Attribution keeps no checkpoint state: a budget abort discards the
-    run.
+    consulted at root granularity for budgets and fault injection; an
+    allocation failure inside a root becomes a
+    :class:`~repro.errors.MemoryBudgetExceededError`, as in the other
+    root loops.  Attribution keeps no checkpoint state: a budget abort
+    discards the run.
     """
     roots = np.asarray(roots, dtype=np.int64)
     ctl = controller
@@ -1090,21 +1095,38 @@ def walk_roots(
             "engine": engine,
             "k": k,
             "structure": struct.name,
-            "kernel": struct.kernel.name,
+            "kernel": kernels.NAME,
             "graph": graph_fingerprint(struct.graph),
         })
     totals = Counters()
     ctxs = struct.build_many(roots)
-    with ctl.guard() if ctl is not None else nullcontext():
-        for v in roots.tolist():
-            calls = totals.function_calls
-            if ctl is not None:
-                ctl.tick()
-            walk_root(next(ctxs), v, totals, leaf, k=k, cap=cap)
-            if ctl is not None:
-                ctl.charge_nodes(totals.function_calls - calls)
-                ctl.note_memory(totals.peak_subgraph_bytes)
-                ctl.complete_root(v)
+    done = 0
+    try:
+        with ctl.guard() if ctl is not None else nullcontext():
+            for v in roots.tolist():
+                nodes = totals.function_calls
+                try:
+                    if ctl is not None:
+                        ctl.tick()
+                    walk_root(next(ctxs), v, totals, leaf, k=k, cap=cap)
+                except MemoryError as exc:
+                    if ctl is None:
+                        raise
+                    raise MemoryBudgetExceededError(
+                        f"allocation failure at root {v}",
+                        spent=ctl.spent_snapshot(),
+                    ) from exc
+                done += 1
+                if ctl is not None:
+                    ctl.charge_nodes(totals.function_calls - nodes)
+                    ctl.note_memory(totals.peak_subgraph_bytes)
+                    ctl.complete_root(v)
+    finally:
+        calls = obs.kernel_tally()
+        if calls is not None:
+            loaded = np.count_nonzero(struct.dag.degrees[roots[:done]])
+            kernels.tally(calls, totals, done, int(loaded))
+        obs.record_kernel_calls(calls)
     return totals
 
 
@@ -1172,7 +1194,7 @@ def build_forest(
     graph: CSRGraph,
     ordering: Ordering | np.ndarray | CSRGraph,
     structure: str | SubgraphStructure = "remap",
-    kernel: str | BitsetKernel | None = None,
+    kernel: str | None = None,
     *,
     controller: RunController | None = None,
     members: bool = True,
@@ -1188,7 +1210,7 @@ def get_forest(
     graph: CSRGraph,
     ordering: Ordering | np.ndarray | CSRGraph,
     structure: str = "remap",
-    kernel: str | BitsetKernel | None = None,
+    kernel: str | None = None,
     *,
     controller: RunController | None = None,
     members: bool = True,
@@ -1200,10 +1222,9 @@ def get_forest(
         dag = ordering
     else:
         dag = directionalize(graph, ordering)
-    from repro.kernels import resolve_kernel
-
-    kern = resolve_kernel(kernel)
-    key = forest_cache_key(graph, dag, structure, kern.name, members)
+    key = forest_cache_key(
+        graph, dag, structure, kernels.kernel_name(kernel), members
+    )
     reg = obs.get_registry()
     if cache and key in _CACHE:
         if reg.enabled:
@@ -1215,7 +1236,7 @@ def get_forest(
     if reg.enabled:
         reg.counter("forest_cache_misses_total").inc()
     forest = SCTForest.build(
-        graph, dag, structure, kern, controller=controller, members=members
+        graph, dag, structure, controller=controller, members=members
     )
     if not isinstance(ordering, CSRGraph):
         # build() saw only the DAG; keep the rank so apply_edits can
@@ -1250,7 +1271,7 @@ def load_or_rebuild_forest(
     graph: CSRGraph,
     ordering: Ordering | np.ndarray | CSRGraph | None = None,
     structure: str = "remap",
-    kernel: str | BitsetKernel | None = None,
+    kernel: str | None = None,
     *,
     controller: RunController | None = None,
 ) -> tuple[SCTForest, bool]:

@@ -25,11 +25,11 @@ from itertools import combinations
 
 import numpy as np
 
+from repro import kernels
 from repro.counting.binomial import binomial
 from repro.counting.forest import attribution_structure, walk_roots
 from repro.errors import CountingError
 from repro.graph.csr import CSRGraph
-from repro.kernels import BitsetKernel
 from repro.ordering.base import Ordering
 from repro.runtime.controller import RunController
 
@@ -41,7 +41,7 @@ def per_edge_counts(
     k: int,
     ordering: Ordering | np.ndarray | CSRGraph,
     structure: str = "remap",
-    kernel: str | BitsetKernel | None = None,
+    kernel: str | None = None,
     controller: RunController | None = None,
     forest=None,
 ) -> dict[tuple[int, int], int]:
@@ -57,9 +57,10 @@ def per_edge_counts(
     """
     if k < 2:
         raise CountingError(f"per-edge counts need k >= 2, got {k}")
+    kernels.kernel_name(kernel)
     if forest is not None:
         return forest.per_edge(k)
-    struct = attribution_structure(graph, ordering, structure, kernel)
+    struct = attribution_structure(graph, ordering, structure)
     per: dict[tuple[int, int], int] = {}
 
     def credit(u: int, v: int, c: int) -> None:

@@ -15,12 +15,12 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro import kernels
 from repro.counting.binomial import binomial
 from repro.counting.counters import Counters
 from repro.counting.forest import attribution_structure, walk_root, walk_roots
 from repro.errors import CountingError
 from repro.graph.csr import CSRGraph
-from repro.kernels import BitsetKernel
 from repro.ordering.base import Ordering
 from repro.runtime.controller import RunController
 
@@ -32,7 +32,7 @@ def per_vertex_counts(
     k: int,
     ordering: Ordering | np.ndarray | CSRGraph,
     structure: str = "remap",
-    kernel: str | BitsetKernel | None = None,
+    kernel: str | None = None,
     controller: RunController | None = None,
     forest=None,
 ) -> list[int]:
@@ -49,9 +49,10 @@ def per_vertex_counts(
     """
     if k < 1:
         raise CountingError(f"clique size k must be >= 1, got {k}")
+    kernels.kernel_name(kernel)
     if forest is not None:
         return forest.per_vertex(k)
-    struct = attribution_structure(graph, ordering, structure, kernel)
+    struct = attribution_structure(graph, ordering, structure)
     n = graph.num_vertices
     per: list[int] = [0] * n
     walk_roots(struct, range(n), vertex_sink(per, k), k=k,

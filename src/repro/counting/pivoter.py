@@ -56,7 +56,7 @@ def run_pivoter(
 ) -> PivoterRun:
     """Count k-cliques the way the original Pivoter release does.
 
-    ``kernel`` selects the bitset backend (default big-int); the
+    ``kernel`` names the bitset backend (``None`` or ``"bigint"``); the
     baseline's defining choices — sequential core ordering, dense
     structure, naive parallelization — are fixed.  ``controller``
     supervises the counting phase (budgets, checkpoint/resume, fault

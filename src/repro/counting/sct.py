@@ -12,10 +12,10 @@ cost is independent of ``k``.
 
 Candidate sets are Python big-int bitsets passed down the recursion
 (playing the role of the C++ reversible subgraph mutations, see
-DESIGN.md); adjacency rows live in the :mod:`repro.kernels` backend.
-Its fused ``pivot_select`` and ``intersect_count`` kernels do the work
-of the paper's word-parallel set operations as big-int ``&`` /
-``int.bit_count()``.
+DESIGN.md), and adjacency rows are big-ints too (:mod:`repro.kernels`):
+the pivot scan (:func:`~repro.kernels.pivot_select`) and the inline
+branch intersect do the work of the paper's word-parallel set
+operations as big-int ``&`` / ``int.bit_count()``.
 
 Implementation subtleties carried over from Sec. V-A:
 
@@ -40,7 +40,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from repro import obs
+from repro import kernels, obs
 from repro.counting.binomial import binomial, binomial_row
 from repro.counting.counters import Counters
 from repro.counting.structures import STRUCTURES, SubgraphStructure
@@ -50,7 +50,6 @@ from repro.errors import (
     MemoryBudgetExceededError,
 )
 from repro.graph.csr import CSRGraph
-from repro.kernels import BitsetKernel
 from repro.ordering.base import Ordering
 from repro.ordering.directionalize import directionalize
 from repro.runtime.checkpoint import graph_fingerprint
@@ -183,10 +182,9 @@ class SCTEngine:
     structure:
         Subgraph structure name (``"remap"`` default) or an instance.
     kernel:
-        ``None``, ``"bigint"`` or a :class:`~repro.kernels.BitsetKernel`
-        instance (see :func:`~repro.kernels.resolve_kernel`).  Ignored
-        when ``structure`` is an already-built instance (the instance's
-        kernel wins).
+        ``None`` or ``"bigint"``, the one backend's name (see
+        :func:`~repro.kernels.kernel_name`); anything else raises
+        :class:`~repro.errors.CountingError`.
     """
 
     def __init__(
@@ -194,8 +192,9 @@ class SCTEngine:
         graph: CSRGraph,
         ordering: Ordering | np.ndarray | CSRGraph,
         structure: str | SubgraphStructure = "remap",
-        kernel: str | BitsetKernel | None = None,
+        kernel: str | None = None,
     ) -> None:
+        kernels.kernel_name(kernel)
         if graph.directed:
             raise CountingError("input graph must be undirected")
         if isinstance(ordering, CSRGraph):
@@ -210,13 +209,13 @@ class SCTEngine:
             self.structure = structure
         else:
             try:
-                self.structure = STRUCTURES[structure](graph, dag, kernel=kernel)
+                self.structure = STRUCTURES[structure](graph, dag)
             except KeyError:
                 raise CountingError(
                     f"unknown structure {structure!r}; "
                     f"expected one of {sorted(STRUCTURES)}"
                 ) from None
-        self.kernel = self.structure.kernel
+        self.kernel = kernels.KERNEL
 
     # ------------------------------------------------------------------
     # public API
@@ -518,6 +517,8 @@ class SCTEngine:
         with its own ``build_words``.  Those are the same float
         additions in the same order as :meth:`Counters.charge_root`
         and :meth:`Counters.merge` make, so results are bit-identical.
+        Kernel calls are tallied over the roots actually counted: a
+        repeat calls no kernel.
         """
         length, cap = self._allk_shape(max_k) if k is None else (0, 0)
         roots = res.roots
@@ -527,6 +528,7 @@ class SCTEngine:
         memo: dict[bytes, _RootTally] = {}
         ctxs = self.structure.build_many(order[~pruned], memo)
         hits = misses = 0
+        calls = obs.kernel_tally()
 
         def run_root(i: int, v: int) -> tuple[_RootTally, float]:
             nonlocal hits, misses
@@ -543,6 +545,8 @@ class SCTEngine:
                 result = self._count_ctx_all(ctx, cap, length, ctr)
             else:
                 result = self._count_ctx_k(ctx, k, ctr, early_termination)
+            if calls is not None:
+                kernels.tally(calls, ctr, 1, ctx.d > 0)
             tally = _RootTally.of(result, ctr)
             if ctx.key is not None:
                 misses += 1
@@ -611,6 +615,7 @@ class SCTEngine:
             }
             obs.record_run(totals, roots=len(work), **labels)
             obs.record_memo(hits, misses, **labels)
+            obs.record_kernel_calls(calls)
 
     # ------------------------------------------------------------------
     # per-root recursions
@@ -660,9 +665,7 @@ class SCTEngine:
         context: the per-node big-int-mask walk that charges ``acc``
         and returns the root's k-clique count."""
         rows = ctx.rows
-        kern = ctx.kernel
-        pivot_select = kern.pivot_select
-        intersect_count = kern.intersect_count
+        pivot_select = kernels.pivot_select
         binom = binomial
 
         def rec(P: int, pc: int, held: int, pivots: int) -> int:
@@ -693,7 +696,8 @@ class SCTEngine:
             held1 = held + 1
             while cand:
                 low = cand & -cand
-                child, cc = intersect_count(rows, low.bit_length() - 1, P)
+                child = rows[low.bit_length() - 1] & P
+                cc = child.bit_count()
                 edge_sum += cc
                 total += rec(child, cc, held1, pivots)
                 P ^= low
@@ -723,9 +727,7 @@ class SCTEngine:
         """The all-k recursion closure: the target-k tree without the
         reach prune, adding a binomial row per leaf into ``counts``."""
         rows = ctx.rows
-        kern = ctx.kernel
-        pivot_select = kern.pivot_select
-        intersect_count = kern.intersect_count
+        pivot_select = kernels.pivot_select
 
         def rec(P: int, pc: int, held: int, pivots: int) -> None:
             acc[0] += 1
@@ -751,7 +753,8 @@ class SCTEngine:
             held1 = held + 1
             while cand:
                 low = cand & -cand
-                child, cc = intersect_count(rows, low.bit_length() - 1, P)
+                child = rows[low.bit_length() - 1] & P
+                cc = child.bit_count()
                 edge_sum += cc
                 rec(child, cc, held1, pivots)
                 P ^= low
@@ -769,7 +772,7 @@ def count_kcliques(
     k: int,
     ordering: Ordering | np.ndarray | CSRGraph,
     structure: str = "remap",
-    kernel: str | BitsetKernel | None = None,
+    kernel: str | None = None,
     controller: "RunController | None" = None,
 ) -> CountResult:
     """Count k-cliques of ``graph`` under ``ordering`` — one-shot API."""
@@ -783,7 +786,7 @@ def count_all_sizes(
     ordering: Ordering | np.ndarray | CSRGraph,
     structure: str = "remap",
     max_k: int | None = None,
-    kernel: str | BitsetKernel | None = None,
+    kernel: str | None = None,
     controller: "RunController | None" = None,
 ) -> CountResult:
     """Count cliques of every size (Fig. 1's distribution) — one-shot."""

@@ -24,17 +24,17 @@ the DAG when the structure is made, so :meth:`~SubgraphStructure.estimate`
 predicts it exactly without building, and the induction strategy
 cannot move it.
 
-Rows are stored by the :class:`~repro.kernels.BitsetKernel` (big-int
-masks).  Structures differ only in :meth:`RootContext.row` — how a row
-is reached during the recursion — and in the modeled per-thread memory
-footprint.
+Rows are a plain list of big-int masks
+(:func:`repro.kernels.words_to_ints`).  Structures differ only in
+:meth:`RootContext.row` — how a row is reached during the recursion —
+and in the modeled per-thread memory footprint.
 
 A root's pivot tree, and with it every per-root counter, is a function
 of its induced subgraph alone, and on sparse graphs those subgraphs
 repeat.  So :meth:`SubgraphStructure.build_many` can look each block
 root up in a caller's memo keyed by its packed rows, before they are
-loaded into the kernel, and hand back the stored value instead of
-loading rows for a subgraph the caller has already counted.
+loaded, and hand back the stored value instead of loading rows for a
+subgraph the caller has already counted.
 """
 
 from __future__ import annotations
@@ -44,9 +44,8 @@ from typing import Any, Callable, Iterable, Iterator
 
 import numpy as np
 
-from repro import obs
+from repro import kernels, obs
 from repro.graph.csr import CSRGraph
-from repro.kernels import BitsetKernel, resolve_kernel
 
 __all__ = [
     "SubgraphStructure",
@@ -140,13 +139,9 @@ class RootContext:
     build_words:
         Modeled work of the first-level induction (plus remap where
         applicable).
-    kernel:
-        The bitset backend that owns :attr:`rows`.
     rows:
-        Backend-native row storage for the fused kernels
-        (``intersect_count`` / ``pivot_select``); rows are stored in
-        local-id order.  Valid until the owning structure builds its
-        next root.
+        The big-int rows in local-id order, the list the recursion
+        intersects and :func:`~repro.kernels.pivot_select` scans.
     key:
         The packed rows as bytes when this root was looked up in a
         memo and missed (see :meth:`SubgraphStructure.build_many`),
@@ -160,7 +155,6 @@ class RootContext:
         "lookup_weight",
         "memory_bytes",
         "build_words",
-        "kernel",
         "rows",
         "key",
     )
@@ -173,8 +167,7 @@ class RootContext:
         lookup_weight: float,
         memory_bytes: int,
         build_words: float,
-        kernel: BitsetKernel | None = None,
-        rows: Any = None,
+        rows: list[int],
     ) -> None:
         self.d = d
         self.out = out
@@ -182,7 +175,6 @@ class RootContext:
         self.lookup_weight = lookup_weight
         self.memory_bytes = memory_bytes
         self.build_words = build_words
-        self.kernel = kernel if kernel is not None else resolve_kernel()
         self.rows = rows
         self.key: bytes | None = None
 
@@ -193,13 +185,6 @@ class SubgraphStructure(abc.ABC):
     Instances are meant to be reused across roots — the paper's
     allocation-reuse discipline (Sec. V-B); the dense structure in
     particular allocates its ``|V|``-sized index once.
-
-    Parameters
-    ----------
-    kernel:
-        ``None``, ``"bigint"`` or a :class:`~repro.kernels.BitsetKernel`
-        instance (see :func:`~repro.kernels.resolve_kernel`); owns the
-        row storage every built context exposes as ``ctx.rows``.
     """
 
     #: registry name ("dense" / "sparse" / "remap")
@@ -213,7 +198,6 @@ class SubgraphStructure(abc.ABC):
         self,
         graph: CSRGraph,
         dag: CSRGraph,
-        kernel: str | BitsetKernel | None = None,
     ) -> None:
         if graph.directed or not dag.directed:
             raise ValueError("expected (undirected graph, DAG) pair")
@@ -221,7 +205,6 @@ class SubgraphStructure(abc.ABC):
             raise ValueError("graph and DAG vertex counts differ")
         self.graph = graph
         self.dag = dag
-        self.kernel = resolve_kernel(kernel)
         self._keys = _edge_keys(graph)
         # Every root's build charge in one pass over the DAG: the sum
         # of its members' undirected degrees (the modeled scan).
@@ -243,7 +226,9 @@ class SubgraphStructure(abc.ABC):
         processed (elementwise when ``d`` is an integer array)."""
 
     @abc.abstractmethod
-    def _row_accessor(self, out: np.ndarray, rows: Any) -> Callable[[int], int]:
+    def _row_accessor(
+        self, out: np.ndarray, rows: list[int]
+    ) -> Callable[[int], int]:
         """The structure's ``local id -> big-int row`` index path over
         one root's freshly loaded ``rows`` (a structure that keeps an
         index across roots points it at this root here)."""
@@ -263,7 +248,7 @@ class SubgraphStructure(abc.ABC):
         Beamer's communication-reducing trick): a root whose
         out-degree already rules out any k-clique is charged exactly
         the counters a real build would have produced and then skipped
-        before ``alloc_rows``.
+        before its rows are built.
         """
         d = int(self.dag.degrees[v])
         return d, float(self._build_words[v]), self.memory_bytes(d)
@@ -353,11 +338,8 @@ class SubgraphStructure(abc.ABC):
         words: np.ndarray | None,
         build_words: float,
     ) -> RootContext:
-        """Load ``words`` into fresh kernel rows and wrap them."""
-        kernel = self.kernel
-        rows = kernel.alloc_rows(d)
-        if d:
-            kernel.load_rows(rows, words)
+        """Load ``words`` into fresh big-int rows and wrap them."""
+        rows = kernels.words_to_ints(words) if d else []
         return RootContext(
             d,
             out,
@@ -365,7 +347,6 @@ class SubgraphStructure(abc.ABC):
             self.lookup_weight,
             self.memory_bytes(d),
             build_words,
-            kernel,
             rows,
         )
 

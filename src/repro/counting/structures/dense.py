@@ -28,8 +28,8 @@ class DenseStructure(SubgraphStructure):
     name = "dense"
     lookup_weight = 1.0
 
-    def __init__(self, graph, dag, kernel=None):  # noqa: D107 - see base class
-        super().__init__(graph, dag, kernel)
+    def __init__(self, graph, dag):  # noqa: D107 - see base class
+        super().__init__(graph, dag)
         # slot value = local row index + 1; 0 = empty.
         self._slots: list[int] = [0] * graph.num_vertices
         self._touched: list[int] = []
@@ -50,9 +50,8 @@ class DenseStructure(SubgraphStructure):
         for pos, gid in enumerate(touched):
             slots[gid] = pos + 1
         self._touched = touched
-        kernel = self.kernel
 
-        def row(i: int, _slots=slots, _out=touched, _rows=rows, _k=kernel) -> int:
-            return _k.row_int(_rows, _slots[_out[i]] - 1)
+        def row(i: int, _slots=slots, _out=touched, _rows=rows) -> int:
+            return _rows[_slots[_out[i]] - 1]
 
         return row

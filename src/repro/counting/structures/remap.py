@@ -28,4 +28,4 @@ class RemapStructure(SubgraphStructure):
         return 8 * d + self.bitset_bytes(d)
 
     def _row_accessor(self, out, rows):
-        return self.kernel.row_accessor(rows)
+        return rows.__getitem__

@@ -32,9 +32,8 @@ class SparseStructure(SubgraphStructure):
         # hash map: global id -> local row index.
         out_list = out.tolist()
         table = {g: i for i, g in enumerate(out_list)}
-        kernel = self.kernel
 
-        def row(i: int, _table=table, _out=out_list, _rows=rows, _k=kernel) -> int:
-            return _k.row_int(_rows, _table[_out[i]])
+        def row(i: int, _table=table, _out=out_list, _rows=rows) -> int:
+            return _rows[_table[_out[i]]]
 
         return row

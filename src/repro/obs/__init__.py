@@ -8,8 +8,8 @@ nestable :class:`Tracer` emitting structured JSON-lines spans (phase,
 engine, structure, kernel, graph fingerprint, parent span), and an
 opt-in :class:`Profiler` for per-phase wall/CPU time and peak modeled
 memory.  Every engine (SCT, Pivoter configuration, enumeration,
-hybrid), all three structures, the bitset kernel, every ordering,
-the forest build/query path and the
+hybrid), all three structures, every ordering, the forest
+build/query path and the
 :class:`~repro.runtime.RunController` publish through the module-level
 hooks below; ``EXPERIMENTS.md`` cells and ``BENCH_*.json`` gates trace
 back to the catalog in ``docs/observability.md``.
@@ -17,10 +17,10 @@ back to the catalog in ``docs/observability.md``.
 **Disabled is free.**  Everything here is off by default; the hooks
 cost one boolean check per run or per root (never per recursion node),
 the shared :data:`~repro.obs.tracing.NOOP_SPAN` makes ``span()``
-allocation-free, and kernel instrumentation is a wrapper that simply
-is not installed.  ``tests/test_obs.py`` holds all counts bit-identical
-on vs. off; ``benchmarks/bench_obs.py`` gates the
-disabled overhead at <5%.
+allocation-free, and kernel call counts are derived from the engines'
+own counters once per root loop, never counted per call.
+``tests/test_obs.py`` holds all counts bit-identical on vs. off;
+``benchmarks/bench_obs.py`` gates the disabled overhead at <5%.
 
 Typical use::
 
@@ -43,8 +43,8 @@ from __future__ import annotations
 from contextlib import contextmanager
 from typing import IO
 
+from repro.kernels import NAME as _KERNEL, OPS as _KERNEL_OPS
 from repro.obs.adapter import timeline_to_records, timeline_to_spans
-from repro.obs.kernels import InstrumentedKernel
 from repro.obs.profiling import PhaseProfile, Profiler
 from repro.obs.registry import (
     COUNTER_METRICS,
@@ -68,7 +68,6 @@ __all__ = [
     "MetricsRegistry", "Counter", "Gauge", "Histogram", "NOOP_METRIC",
     "Tracer", "SpanNode", "NOOP_SPAN",
     "Profiler", "PhaseProfile",
-    "InstrumentedKernel",
     "COUNTER_METRICS",
     # trace format helpers
     "parse_trace_lines", "parse_trace_file", "render_spans",
@@ -78,8 +77,8 @@ __all__ = [
     "get_profiler", "enabled", "enable", "disable", "collecting",
     # hooks the layers call
     "span", "event", "record_counters", "record_run", "record_memo",
-    "record_ordering",
-    "degradation", "checkpoint_write", "instrument_kernel", "phase",
+    "record_ordering", "kernel_tally", "record_kernel_calls",
+    "degradation", "checkpoint_write", "phase",
     "note_memory",
 ]
 
@@ -167,7 +166,7 @@ def collecting(*, trace: bool = False, profile: bool = False):
 
 
 # ----------------------------------------------------------------------
-# hooks — what the engines / kernels / runtime actually call
+# hooks — what the engines / runtime actually call
 # ----------------------------------------------------------------------
 def span(name: str, **attrs):
     """A tracer span (the shared no-op singleton when tracing is off)."""
@@ -211,6 +210,22 @@ def record_memo(hits: int, misses: int, *, engine: str, structure: str,
     _REGISTRY.counter("sct_memo_misses_total", **labels).inc(misses)
 
 
+def kernel_tally() -> list[int] | None:
+    """A zeroed kernel-call tally (:data:`repro.kernels.OPS` order) for
+    one root loop to fill with :func:`repro.kernels.tally`, or ``None``
+    when metrics are off, so the loop tallies nothing."""
+    return [0, 0, 0, 0] if _REGISTRY.enabled else None
+
+
+def record_kernel_calls(calls: list[int] | None) -> None:
+    """Per-root-loop publish point of the kernel calls a loop's tally
+    derived, as ``kernel_calls_total{kernel, op}``."""
+    if calls is None or not _REGISTRY.enabled:
+        return
+    for op, n in zip(_KERNEL_OPS, calls):
+        _REGISTRY.counter("kernel_calls_total", kernel=_KERNEL, op=op).inc(n)
+
+
 def record_ordering(ordering) -> None:
     """Publish one computed :class:`~repro.ordering.base.Ordering`'s
     work profile (name, rounds, parallel/sequential work units)."""
@@ -252,16 +267,6 @@ def checkpoint_write(*, complete: bool = False) -> None:
             kind="complete" if complete else "progress",
         ).inc()
     _TRACER.event("checkpoint", complete=complete)
-
-
-def instrument_kernel(kernel):
-    """Wrap a resolved kernel with call counting when metrics are on
-    (identity when off, or when it is already wrapped)."""
-    if not _REGISTRY.enabled:
-        return kernel
-    if isinstance(kernel, InstrumentedKernel):
-        return kernel
-    return InstrumentedKernel(kernel, _REGISTRY)
 
 
 def phase(name: str):

@@ -1,6 +1,6 @@
 """Process-wide metrics registry — the single source of truth for work.
 
-Every engine, kernel, ordering, forest and runtime path in this
+Every engine, ordering, forest and runtime path in this
 codebase does *countable* work: recursion nodes visited, fused
 intersect/popcount calls, cache hits, checkpoint writes, degradation
 events.  Before this module each layer kept its own ad-hoc tally (or

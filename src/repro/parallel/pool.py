@@ -113,8 +113,8 @@ def count_kcliques_processes(
         Oversubscription factor — more, smaller chunks improve load
         balance on skewed graphs (the paper's dynamic scheduling).
     kernel:
-        ``None``, ``"bigint"`` or a :class:`~repro.kernels.BitsetKernel`
-        (see :func:`~repro.kernels.resolve_kernel`).
+        ``None`` or ``"bigint"`` (see :func:`~repro.kernels.kernel_name`);
+        anything else raises :class:`~repro.errors.CountingError`.
     controller:
         A :class:`~repro.runtime.RunController`, honored at chunk
         granularity: budgets, checkpoint/resume of completed-chunk

@@ -60,7 +60,7 @@ from multiprocessing import get_all_start_methods, get_context
 
 import numpy as np
 
-from repro import obs
+from repro import kernels, obs
 from repro.counting.counters import Counters
 from repro.errors import (
     CheckpointError,
@@ -68,7 +68,6 @@ from repro.errors import (
     WorkerCrashError,
 )
 from repro.graph.csr import CSRGraph
-from repro.kernels import kernel_name as _kernel_name
 from repro.obs.registry import MetricsRegistry
 from repro.parallel.shm import attach_graph_pair, publish_graph_pair
 from repro.runtime.checkpoint import array_fingerprint, graph_fingerprint
@@ -208,12 +207,10 @@ def _detach(name: str) -> None:
 def _cached_engine(task: dict, graph: CSRGraph, dag: CSRGraph):
     from repro.counting.sct import SCTEngine
 
-    key = (task["spec"].name, task["structure"], task["kernel"] or "bigint")
+    key = (task["spec"].name, task["structure"])
     engine = _ENGINES.get(key)
     if engine is None:
-        engine = SCTEngine(
-            graph, dag, task["structure"], kernel=task["kernel"]
-        )
+        engine = SCTEngine(graph, dag, task["structure"])
         _ENGINES[key] = engine
         while len(_ENGINES) > _WORKER_CACHE_MAX:
             _ENGINES.popitem(last=False)
@@ -270,9 +267,14 @@ def _execute_mode(task: dict, engine, graph: CSRGraph) -> dict:
             chunk_totals.merge(ctr)
         obs.record_run(
             chunk_totals, engine="sct-forest",
-            structure=engine.structure.name, kernel=engine.kernel.name,
+            structure=engine.structure.name, kernel=kernels.NAME,
             roots=len(roots),
         )
+        calls = obs.kernel_tally()
+        if calls is not None:
+            loaded = np.count_nonzero(engine.dag.degrees[roots])
+            kernels.tally(calls, chunk_totals, len(roots), int(loaded))
+        obs.record_kernel_calls(calls)
         return {"leaves": leaves_per_root, "counters": counters_per_root}
     raise ParallelModelError(f"unknown worker mode {mode!r}")
 
@@ -286,19 +288,11 @@ def _run_chunk_impl(task: dict) -> dict:
     metrics = bool(task.get("metrics"))
     prev_reg = None
     if metrics:
-        # A fresh enabled registry per task: kernel instrumentation
-        # binds counter objects at engine-construction time, so the
-        # engine must be built under the registry it reports to.
+        # A fresh enabled registry per task: its snapshot is exactly
+        # this task's share of the run's metrics.
         prev_reg = obs.set_registry(MetricsRegistry(enabled=True))
     try:
-        if metrics:
-            from repro.counting.sct import SCTEngine
-
-            engine = SCTEngine(
-                graph, dag, task["structure"], kernel=task["kernel"]
-            )
-        else:
-            engine = _cached_engine(task, graph, dag)
+        engine = _cached_engine(task, graph, dag)
         payload = _execute_mode(task, engine, graph)
         if metrics:
             payload["metrics"] = obs.get_registry().as_dict()
@@ -428,7 +422,6 @@ def _build_tasks(
     *,
     mode: str,
     structure: str,
-    kernel_name: str | None,
     metrics: bool,
     fault_chunks,
     **extra,
@@ -442,7 +435,6 @@ def _build_tasks(
             "spec": spec,
             "mode": mode,
             "structure": structure,
-            "kernel": kernel_name,
             "metrics": metrics,
         }
         if fault_counts.get(cid, 0) >= 1:
@@ -467,7 +459,7 @@ def _retry_in_process(
     )
     retry = dict(task, metrics=False)
     retry.pop("crash", None)
-    engine = SCTEngine(graph, dag, retry["structure"], kernel=retry["kernel"])
+    engine = SCTEngine(graph, dag, retry["structure"])
     payload = _execute_mode(retry, engine, graph)
     payload["ok"] = True
     payload["degraded"] = True
@@ -580,7 +572,7 @@ def parallel_count(
     from repro.counting.sct import CountResult
 
     n = graph.num_vertices
-    kernel_name = _kernel_name(kernel)
+    kernel_name = kernels.kernel_name(kernel)
     chunks = plan_chunks(dag.degrees, processes, chunks_per_process, roots)
     num_chunks = len(chunks)
     length = 0
@@ -658,9 +650,9 @@ def parallel_count(
             ) as rt:
                 tasks = _build_tasks(
                     chunks, pending, shared.spec, mode=mode,
-                    structure=structure, kernel_name=kernel_name,
-                    metrics=merge_metrics, fault_chunks=fault_chunks,
-                    k=k, max_k=max_k, members=True,
+                    structure=structure, metrics=merge_metrics,
+                    fault_chunks=fault_chunks, k=k, max_k=max_k,
+                    members=True,
                 )
                 for chunk_id, payload in rt.map_chunks(tasks):
                     if ctl is not None:
@@ -743,7 +735,7 @@ def parallel_per_vertex(
     budget abort discards the run).
     """
     n = graph.num_vertices
-    kernel_name = _kernel_name(kernel)
+    kernel_name = kernels.kernel_name(kernel)
     chunks = plan_chunks(dag.degrees, processes, chunks_per_process)
     per: list[int] = [0] * n
     ctl = controller
@@ -776,8 +768,7 @@ def parallel_per_vertex(
                 tasks = _build_tasks(
                     chunks, list(range(len(chunks))), shared.spec,
                     mode="pervertex", structure=structure,
-                    kernel_name=kernel_name, metrics=merge_metrics,
-                    fault_chunks=fault_chunks, k=k,
+                    metrics=merge_metrics, fault_chunks=fault_chunks, k=k,
                 )
                 for chunk_id, payload in rt.map_chunks(tasks):
                     if ctl is not None:
@@ -837,7 +828,7 @@ def parallel_build_forest(
     from repro.counting.forest import SCTForest
 
     n = graph.num_vertices
-    kernel_name = _kernel_name(kernel)
+    kernel_name = kernels.kernel_name(kernel)
     chunks = plan_chunks(dag.degrees, processes, chunks_per_process)
     leaves_by_root: dict[int, list] = {}
     counters_by_root: dict[int, dict] = {}
@@ -876,8 +867,8 @@ def parallel_build_forest(
                 tasks = _build_tasks(
                     chunks, list(range(len(chunks))), shared.spec,
                     mode="forest", structure=structure,
-                    kernel_name=kernel_name, metrics=merge_metrics,
-                    fault_chunks=fault_chunks, members=bool(members),
+                    metrics=merge_metrics, fault_chunks=fault_chunks,
+                    members=bool(members),
                 )
                 for chunk_id, payload in rt.map_chunks(tasks):
                     if ctl is not None:

@@ -48,7 +48,7 @@ import time
 
 import numpy as np
 
-from repro import obs
+from repro import kernels, obs
 from repro.errors import IOIntegrityError, ShardError
 from repro.counting.counters import Counters
 from repro.graph.csr import CSRGraph
@@ -93,7 +93,6 @@ def _count_slice(
     k,
     max_k,
     structure,
-    kernel,
     processes,
     chunks_per_process,
     runtime,
@@ -107,7 +106,7 @@ def _count_slice(
 
         res = parallel_count(
             sliced_graph, sliced_dag, k=k, max_k=max_k,
-            structure=structure, kernel=kernel, processes=processes,
+            structure=structure, processes=processes,
             chunks_per_process=chunks_per_process, runtime=runtime,
             roots=np.arange(lo, hi, dtype=np.int64),
         )
@@ -121,7 +120,7 @@ def _count_slice(
     else:
         from repro.counting.sct import SCTEngine
 
-        eng = SCTEngine(sliced_graph, sliced_dag, structure, kernel=kernel)
+        eng = SCTEngine(sliced_graph, sliced_dag, structure)
         batch = eng.count_roots(range(lo, hi), k, max_k=max_k)
         state["count"] = batch.count
         state["all_counts"] = batch.all_counts
@@ -219,9 +218,7 @@ def count_sharded(
         dag = ordering
     else:
         dag = directionalize(graph, ordering)
-    from repro.kernels import kernel_name as _kernel_name
-
-    kernel_name = _kernel_name(kernel)
+    kernel_name = kernels.kernel_name(kernel)
 
     plan = plan_shards(graph, dag, shard_bytes=shard_bytes)
     descriptor = {
@@ -321,8 +318,7 @@ def count_sharded(
                 )
                 return _count_slice(
                     sg, sdag, shard, k=k, max_k=max_k,
-                    structure=structure, kernel=kernel,
-                    processes=processes,
+                    structure=structure, processes=processes,
                     chunks_per_process=chunks_per_process,
                     runtime=runtime,
                 )
@@ -343,7 +339,7 @@ def count_sharded(
             obs.degradation(
                 "shard_fallback", shard=shard.index, error=str(last_error),
             )
-            eng = SCTEngine(graph, dag, structure, kernel=kernel)
+            eng = SCTEngine(graph, dag, structure)
             batch = eng.count_roots(range(shard.lo, shard.hi), k, max_k=max_k)
             return {
                 "lo": shard.lo,

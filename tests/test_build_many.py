@@ -24,7 +24,7 @@ from repro.graph.generators import complete_graph, erdos_renyi, overlay
 from repro.ordering import core_ordering, directionalize
 from repro.parallel.runtime import plan_chunks
 from repro.runtime import RunController
-from tests.backends import KERNEL_NAMES, make_kernel
+from tests.backends import KERNEL_NAMES, backend
 from tests.corpus import GRAPHS, ordering
 
 
@@ -50,9 +50,7 @@ def _assert_same(ctx, ref, v):
     assert [ctx.row(i) for i in range(ctx.d)] == [
         ref.row(i) for i in range(ref.d)
     ], v
-    assert [ctx.kernel.row_int(ctx.rows, i) for i in range(ctx.d)] == [
-        ref.row(i) for i in range(ref.d)
-    ], v
+    assert ctx.rows == [ref.row(i) for i in range(ref.d)], v
 
 
 def _naive_rows(adj, out):
@@ -64,8 +62,14 @@ def _naive_rows(adj, out):
 
 
 def _check_pair(g, dag, structure, kernel, orders=None):
-    batch = STRUCTURES[structure](g, dag, kernel=make_kernel(kernel))
-    one = STRUCTURES[structure](g, dag, kernel=make_kernel(kernel))
+    with backend(kernel):
+        _check_structures(
+            g, dag, STRUCTURES[structure](g, dag),
+            STRUCTURES[structure](g, dag), orders,
+        )
+
+
+def _check_structures(g, dag, batch, one, orders):
     adj = g.adjacency_sets()
     for name, roots in (orders or _orders(dag)).items():
         got = batch.build_many(roots)

@@ -20,7 +20,7 @@ from repro.runtime import (
     save_checkpoint,
 )
 from repro.runtime.budget import BudgetSpent
-from tests.backends import KERNEL_NAMES, make_kernel
+from tests.backends import KERNEL_NAMES, backend
 
 
 @pytest.fixture
@@ -28,8 +28,8 @@ def g():
     return erdos_renyi(50, 0.25, seed=23)
 
 
-def _engine(g, kernel="bigint"):
-    return SCTEngine(g, core_ordering(g), kernel=make_kernel(kernel))
+def _engine(g):
+    return SCTEngine(g, core_ordering(g))
 
 
 def _assert_identical(a, b):
@@ -105,18 +105,19 @@ def test_allk_resume_bit_identical(tmp_path, g, kernel, at_op):
     """Interrupt an all-k run at several points; the resumed run's
     counts, counters AND per-root work arrays match an uninterrupted
     run exactly."""
-    base = _engine(g, kernel).count_all()
-    path = tmp_path / "ck.json"
-    ctl = RunController(
-        checkpoint_path=path,
-        faults=FaultPlan(FaultSpec("interrupt", at_op=at_op)),
-    )
-    with pytest.raises(RunInterrupted):
-        _engine(g, kernel).count_all(controller=ctl)
-    assert ctl.spent.roots_done == at_op - 1
+    with backend(kernel):
+        base = _engine(g).count_all()
+        path = tmp_path / "ck.json"
+        ctl = RunController(
+            checkpoint_path=path,
+            faults=FaultPlan(FaultSpec("interrupt", at_op=at_op)),
+        )
+        with pytest.raises(RunInterrupted):
+            _engine(g).count_all(controller=ctl)
+        assert ctl.spent.roots_done == at_op - 1
 
-    resumed_ctl = RunController(checkpoint_path=path, resume=True)
-    r = _engine(g, kernel).count_all(controller=resumed_ctl)
+        resumed_ctl = RunController(checkpoint_path=path, resume=True)
+        r = _engine(g).count_all(controller=resumed_ctl)
     _assert_identical(r, base)
     # The final checkpoint is marked complete.
     assert load_checkpoint(path)["complete"]
@@ -131,17 +132,18 @@ def test_allk_resume_bit_identical(tmp_path, g, kernel, at_op):
 
 @pytest.mark.parametrize("kernel", KERNEL_NAMES)
 def test_fixed_k_resume_bit_identical(tmp_path, g, kernel):
-    base = _engine(g, kernel).count(5)
-    path = tmp_path / "ck.json"
-    ctl = RunController(
-        checkpoint_path=path,
-        faults=FaultPlan(FaultSpec("interrupt", at_op=20)),
-    )
-    with pytest.raises(RunInterrupted):
-        _engine(g, kernel).count(5, controller=ctl)
-    r = _engine(g, kernel).count(
-        5, controller=RunController(checkpoint_path=path, resume=True)
-    )
+    with backend(kernel):
+        base = _engine(g).count(5)
+        path = tmp_path / "ck.json"
+        ctl = RunController(
+            checkpoint_path=path,
+            faults=FaultPlan(FaultSpec("interrupt", at_op=20)),
+        )
+        with pytest.raises(RunInterrupted):
+            _engine(g).count(5, controller=ctl)
+        r = _engine(g).count(
+            5, controller=RunController(checkpoint_path=path, resume=True)
+        )
     _assert_identical(r, base)
 
 
@@ -172,24 +174,21 @@ def test_multi_interrupt_chain(tmp_path, g):
 
 
 def test_resume_across_kernel_backends(tmp_path, g):
-    """Counters are backend-invariant, so a run interrupted on the
-    word-array test backend resumes on it bit-identically to a bigint
-    run — but the checkpoint descriptor pins the kernel, so resuming on
-    another backend is refused, not done silently."""
-    base = _engine(g, "bigint").count_all()
+    """Counters do not depend on how the pivot scan or the row loader
+    is implemented, and a checkpoint names the one backend however its
+    run scanned: a run interrupted with the word-array test backend
+    swapped in resumes on the program's own bit-identically to a clean
+    run."""
+    base = _engine(g).count_all()
     path = tmp_path / "ck.json"
     ctl = RunController(
         checkpoint_path=path,
         faults=FaultPlan(FaultSpec("interrupt", at_op=20)),
     )
-    with pytest.raises(RunInterrupted):
-        _engine(g, "wordarray").count_all(controller=ctl)
-    # Same backend resumes fine; a different backend is refused.
-    with pytest.raises(CheckpointError, match="kernel"):
-        _engine(g, "bigint").count_all(
-            controller=RunController(checkpoint_path=path, resume=True)
-        )
-    r = _engine(g, "wordarray").count_all(
+    with backend("wordarray"), pytest.raises(RunInterrupted):
+        _engine(g).count_all(controller=ctl)
+    assert load_checkpoint(path)["descriptor"]["kernel"] == "bigint"
+    r = _engine(g).count_all(
         controller=RunController(checkpoint_path=path, resume=True)
     )
     _assert_identical(r, base)

@@ -70,7 +70,7 @@ from repro.runtime import FaultPlan, FaultSpec, RunController
 from repro.runtime.budget import Budget
 from repro.runtime.checkpoint import graph_fingerprint
 
-from tests.backends import KERNEL_NAMES, make_kernel
+from tests.backends import KERNEL_NAMES, backend
 from tests.corpus import (
     EDIT_STREAM_VERSION,
     GRAPHS,
@@ -127,28 +127,20 @@ def g():
 @pytest.mark.parametrize("name,graph", GRAPHS, ids=IDS)
 def test_apply_edits_bit_identical_to_rebuild(name, graph, structure,
                                               kernel):
-    forest = SCTForest.build(graph, corpus_ordering(name, graph),
-                             structure, make_kernel(kernel))
-    # Dirty roots run on the program's one backend, and the patched
-    # forest's descriptor names it from the first batch that changed
-    # the graph on (test_edits_record_the_running_kernel).
-    ran_on = kernel
-    for batch in edit_stream(name, graph):
-        report = forest.apply_edits(batch)
-        if report.added or report.removed:
-            ran_on = "bigint"
-        rebuilt = SCTForest.build(report.graph, forest.rank,
-                                  structure, make_kernel(kernel))
-        rebuilt.descriptor["kernel"] = ran_on
-        _assert_same_forest(forest, rebuilt)
-        assert forest.count_all() == rebuilt.count_all()
+    with backend(kernel):
+        forest = SCTForest.build(graph, corpus_ordering(name, graph),
+                                 structure)
+        for batch in edit_stream(name, graph):
+            report = forest.apply_edits(batch)
+            rebuilt = SCTForest.build(report.graph, forest.rank, structure)
+            _assert_same_forest(forest, rebuilt)
+            assert forest.count_all() == rebuilt.count_all()
+        final = forest.graph
+        rebuilt = SCTForest.build(final, forest.rank, structure)
     # Ground the final state absolutely, not just against the rebuild.
-    final = forest.graph
     if kernel == "bigint":
         for k in (3, 4):
             assert forest.count(k) == brute_force_count(final, k)
-    rebuilt = SCTForest.build(final, forest.rank, structure,
-                              make_kernel(kernel))
     assert forest.per_vertex(4) == rebuilt.per_vertex(4)
     assert forest.per_edge(3) == rebuilt.per_edge(3)
 

@@ -46,7 +46,7 @@ from repro.ordering import core_ordering
 from repro.runtime import FaultPlan, FaultSpec, RunController
 from repro.runtime.budget import Budget
 
-from tests.backends import KERNEL_NAMES, make_kernel
+from tests.backends import KERNEL_NAMES, backend as use_backend
 from tests.corpus import GRAPHS, IDS
 from tests.corpus import ordering as corpus_ordering
 from tests.corpus import truth as corpus_truth
@@ -85,8 +85,12 @@ def test_forest_matches_direct_engines(name, g):
     o = corpus_ordering(name, g)
     reference_allk = None
     for backend in BACKENDS:
-        forest = build_forest(g, o, kernel=make_kernel(backend))
-        allk = count_all_sizes(g, o, kernel=make_kernel(backend)).all_counts
+        with use_backend(backend):
+            forest = build_forest(g, o)
+            allk = count_all_sizes(g, o).all_counts
+            counts = {k: count_kcliques(g, k, o).count for k in (3, 4)}
+            per_vertex = per_vertex_counts(g, 3, o)
+            per_edge = per_edge_counts(g, 3, o)
         assert forest.count_all() == allk, (
             f"{name}/{backend}: forest all-k diverged"
         )
@@ -100,15 +104,13 @@ def test_forest_matches_direct_engines(name, g):
             assert forest.count(k) == expect, (
                 f"{name}/{backend}: forest count({k}) != brute force"
             )
-            assert forest.count(k) == count_kcliques(
-                g, k, o, kernel=make_kernel(backend)
-            ).count
-        assert forest.per_vertex(3) == per_vertex_counts(
-            g, 3, o, kernel=make_kernel(backend)
-        ), f"{name}/{backend}: per-vertex diverged"
-        assert forest.per_edge(3) == per_edge_counts(
-            g, 3, o, kernel=make_kernel(backend)
-        ), f"{name}/{backend}: per-edge diverged"
+            assert forest.count(k) == counts[k]
+        assert forest.per_vertex(3) == per_vertex, (
+            f"{name}/{backend}: per-vertex diverged"
+        )
+        assert forest.per_edge(3) == per_edge, (
+            f"{name}/{backend}: per-edge diverged"
+        )
 
 
 _COUNTER_GRAPHS = GRAPHS[::5]
@@ -119,8 +121,9 @@ _COUNTER_GRAPHS = GRAPHS[::5]
 def test_forest_counters_backend_invariant(name, g):
     """The build's instrumentation must not betray the backend."""
     o = corpus_ordering(name, g)
-    ref = build_forest(g, o, kernel=make_kernel("bigint"))
-    other = build_forest(g, o, kernel=make_kernel("wordarray"))
+    ref = build_forest(g, o, kernel="bigint")
+    with use_backend("wordarray"):
+        other = build_forest(g, o)
     assert ref.counters.as_dict() == other.counters.as_dict()
     assert np.array_equal(ref.per_root_work, other.per_root_work)
     assert np.array_equal(ref.per_root_memory, other.per_root_memory)
@@ -170,19 +173,19 @@ def test_engine_forest_accessor(g):
 @pytest.mark.parametrize("kernel", KERNEL_NAMES)
 @pytest.mark.parametrize("at_op", [1, 7, 25])
 def test_forest_build_resume_bit_identical(tmp_path, g, kernel, at_op):
-    base = build_forest(g, core_ordering(g), kernel=make_kernel(kernel))
-    path = tmp_path / "ck.json"
-    ctl = RunController(
-        checkpoint_path=path,
-        faults=FaultPlan(FaultSpec("interrupt", at_op=at_op)),
-    )
-    with pytest.raises(RunInterrupted):
-        build_forest(g, core_ordering(g), kernel=make_kernel(kernel),
-                     controller=ctl)
-    resumed = build_forest(
-        g, core_ordering(g), kernel=make_kernel(kernel),
-        controller=RunController(checkpoint_path=path, resume=True),
-    )
+    with use_backend(kernel):
+        base = build_forest(g, core_ordering(g))
+        path = tmp_path / "ck.json"
+        ctl = RunController(
+            checkpoint_path=path,
+            faults=FaultPlan(FaultSpec("interrupt", at_op=at_op)),
+        )
+        with pytest.raises(RunInterrupted):
+            build_forest(g, core_ordering(g), controller=ctl)
+        resumed = build_forest(
+            g, core_ordering(g),
+            controller=RunController(checkpoint_path=path, resume=True),
+        )
     _assert_forests_identical(resumed, base)
     # The resumed forest still answers every query correctly.
     assert resumed.per_vertex(4) == base.per_vertex(4)

@@ -1,13 +1,15 @@
 """The bitset kernel against a plain set-based oracle.
 
-:class:`~repro.kernels.BigIntKernel` is the one backend; its fused ops
-are held here against scans written over Python sets, so the pivot
-argmax tie-break, the perfect-pivot early exit and the ``edge_sum``
-work charge — which fix every engine's
+:func:`repro.kernels.pivot_select` is the one pivot scan; it is held
+here against a scan written over Python sets, so the pivot argmax
+tie-break, the perfect-pivot early exit and the ``edge_sum`` work
+charge — which fix every engine's
 :class:`~repro.counting.counters.Counters` — are pinned independently
-of the big-int implementation.  The word-array backend the
-differential suites also run (``tests/backends.py``) is held to the
-same rules and, op by op, to the big-int results.  Widths straddle the
+of the big-int implementation.  The row loader
+(:func:`~repro.kernels.words_to_ints`) and the engines' inline
+intersect (``rows[w] & P``, ``bit_count()``) are held to the same
+oracle, and the test backends of ``tests/backends.py`` to the same
+rules and, op by op, to the program's results.  Widths straddle the
 64-bit word boundary (empty rows, 1-bit rows, 63/64/65, multi-word).
 """
 
@@ -19,14 +21,21 @@ from repro.core import PivotScaleConfig
 from repro.counting.sct import SCTEngine
 from repro.errors import CountingError
 from repro.graph.generators import erdos_renyi
-from repro.kernels import BigIntKernel, kernel_name, resolve_kernel
+from repro.kernels import KERNEL, kernel_name, pivot_select, words_to_ints
 from repro.ordering import core_ordering, directionalize
 from repro.parallel.runtime import parallel_count
-from tests.backends import KERNEL_NAMES, KERNELS, WordArrayKernel, make_kernel
+from tests.backends import (
+    KERNEL_NAMES,
+    KERNELS,
+    BigIntKernel,
+    WordArrayKernel,
+    make_kernel,
+    pack_rows as _pack,
+)
 
 WIDTHS = [0, 1, 2, 7, 63, 64, 65, 100, 128, 130, 200]
 
-#: Backends checked op by op against the big-int results.
+#: Backends checked op by op against the program's results.
 OTHERS = tuple(n for n in KERNEL_NAMES if n != "bigint")
 
 
@@ -34,26 +43,16 @@ def _all_kernels():
     return [make_kernel(name) for name in KERNEL_NAMES]
 
 
-def _pack(masks, d):
-    """Rows as the ``(d, ⌈d/64⌉)`` little-endian uint64 words that
-    ``load_rows`` takes."""
-    nw = max(1, (d + 63) >> 6)
-    return np.array(
-        [[(m >> (64 * w)) & (2**64 - 1) for w in range(nw)] for m in masks],
-        dtype=np.uint64,
-    ).reshape(d, nw)
+def _rows(masks, d):
+    """The program's rows for ``masks``, through its loader."""
+    return words_to_ints(_pack(masks, d)) if d else []
 
 
-def _load(masks, d, kern=None):
-    kern = kern or BigIntKernel()
+def _load(masks, d, kern):
     rows = kern.alloc_rows(d)
     if d:
         kern.load_rows(rows, _pack(masks, d))
     return kern, rows
-
-
-def _pair(d, masks, other):
-    return _load(masks, d), _load(masks, d, make_kernel(other))
 
 
 def _set_row(bits):
@@ -127,51 +126,49 @@ def rows_and_mask(draw):
 
 # ------------------------------------------------------------ resolution
 def test_registry_and_resolve():
-    # The suites' backends reach the engines as themselves: resolve
-    # passes an instance through unchanged, builds the one program
-    # backend by name, and refuses every other name, the test
-    # backend's included.
+    # The suites' backends report their own names, and the program's
+    # kernel= resolution names only its one backend: a test backend's
+    # name and a backend object are both refused.
     assert set(KERNELS) == {"bigint", "wordarray"}
     for name in KERNEL_NAMES:
         inst = make_kernel(name)
         assert inst.name == name
-        assert resolve_kernel(inst) is inst
-        assert kernel_name(inst) == name
-    assert resolve_kernel(None).name == "bigint"
+        with pytest.raises(CountingError, match="only backend"):
+            kernel_name(inst)
+    assert kernel_name(None) == KERNEL.name == "bigint"
     with pytest.raises(CountingError, match="only backend"):
-        resolve_kernel("wordarray")
+        kernel_name("wordarray")
 
 
 def test_resolve_kernel():
-    assert isinstance(resolve_kernel(), BigIntKernel)
-    assert resolve_kernel("bigint").name == "bigint"
-    assert resolve_kernel(None).name == "bigint"
-    inst = BigIntKernel()
-    assert resolve_kernel(inst) is inst
-    assert kernel_name() == kernel_name("bigint") == kernel_name(inst)
-    for bad in ("avx512", "BIGINT"):
-        with pytest.raises(CountingError, match="only backend"):
-            resolve_kernel(bad)
+    # kernel= is name-only: None and "bigint" resolve to the backend,
+    # everything else raises.
+    assert kernel_name() == kernel_name(None) == kernel_name("bigint")
+    assert kernel_name() == "bigint"
+    for bad in ("avx512", "BIGINT", BigIntKernel(), KERNEL, 0):
         with pytest.raises(CountingError, match="only backend"):
             kernel_name(bad)
 
 
 def test_engines_take_none_name_or_instance():
-    # The kernel= seam callers (and the frozen benchmark) pass: None,
-    # "bigint" or an instance; PivotScaleConfig names the backend as a
-    # class constant, not a constructor argument.
+    # The kernel= callers (and the frozen benchmark) pass None or
+    # "bigint"; a backend object, once accepted, is now refused like
+    # any other value.  PivotScaleConfig names the backend as a class
+    # constant, not a constructor argument.
     g = erdos_renyi(30, 0.3, seed=1)
     dag = directionalize(g, core_ordering(g))
     ref = SCTEngine(g, dag).count(4)
-    inst = BigIntKernel()
-    for kernel in (None, "bigint", inst):
+    for kernel in (None, "bigint"):
         engine = SCTEngine(g, dag, kernel=kernel)
         assert engine.kernel.name == "bigint"
+        assert engine.kernel is KERNEL
         r = engine.count(4)
         assert (r.kernel, r.count) == ("bigint", ref.count)
-    assert SCTEngine(g, dag, kernel=inst).kernel is inst
-    with pytest.raises(CountingError, match="unknown kernel"):
-        SCTEngine(g, dag, kernel="avx512")
+    for bad in ("avx512", BigIntKernel(), WordArrayKernel()):
+        with pytest.raises(CountingError, match="unknown kernel"):
+            SCTEngine(g, dag, kernel=bad)
+        with pytest.raises(CountingError, match="unknown kernel"):
+            SCTEngine(g, dag, "dense", kernel=bad)
     with pytest.raises(CountingError, match="unknown kernel"):
         parallel_count(g, dag, k=4, kernel="avx512", processes=2)
     assert PivotScaleConfig().kernel == PivotScaleConfig.kernel == "bigint"
@@ -179,37 +176,35 @@ def test_engines_take_none_name_or_instance():
         PivotScaleConfig(kernel="bigint")
 
 
-def test_resolve_returns_fresh_instances():
-    # Each structure owns the row storage of its kernel instance.
-    assert resolve_kernel("bigint") is not resolve_kernel("bigint")
-
-
 # ------------------------------------------------------------ row storage
 @pytest.mark.parametrize("d", WIDTHS)
 def test_row_int_round_trip(d):
-    # load_rows lands, from packed little-endian uint64 words, exactly
-    # the rows they encode — and overwrites dirty storage, never ORs.
+    # The loader lands, from packed little-endian uint64 words, exactly
+    # the rows they encode; the test backends' row_int / row_accessor
+    # read them back, and reloading overwrites dirty storage.
     rng = np.random.default_rng(d)
     masks = [
         int(rng.integers(0, 2**63)) % (1 << d) & ~(1 << i) if d else 0
         for i in range(d)
     ]
-    kern, rows = _load(masks, d)
-    assert len(rows) == d
-    for i in range(d):
-        assert kern.row_int(rows, i) == masks[i]
-        assert kern.row_accessor(rows)(i) == masks[i]
-    if d:
-        kern.load_rows(rows, _pack([(1 << d) - 1] * d, d))
-        kern.load_rows(rows, _pack(masks, d))
-        assert [kern.row_int(rows, i) for i in range(d)] == masks
+    assert _rows(masks, d) == masks
+    for kern in _all_kernels():
+        kern, rows = _load(masks, d, kern)
+        for i in range(d):
+            assert kern.row_int(rows, i) == masks[i]
+            assert kern.row_accessor(rows)(i) == masks[i]
+        if d:
+            kern.load_rows(rows, _pack([(1 << d) - 1] * d, d))
+            kern.load_rows(rows, _pack(masks, d))
+            assert [kern.row_int(rows, i) for i in range(d)] == masks
 
 
 @pytest.mark.parametrize("d", WIDTHS)
 def test_load_rows_matches_set_row(d):
     # The bulk loader must land, from packed little-endian uint64
     # words, the exact rows that setting each row's bits one at a time
-    # gives — on every backend, and over dirty storage too.
+    # gives — the program's and every test backend's, over dirty
+    # storage too.
     rng = np.random.default_rng(1000 + d)
     masks = [
         int(rng.integers(0, 2**63)) % (1 << d) & ~(1 << i) if d else 0
@@ -217,35 +212,40 @@ def test_load_rows_matches_set_row(d):
     ]
     bits = [np.flatnonzero([(m >> b) & 1 for b in range(d)]) for m in masks]
     expect = [_set_row(b) for b in bits]
+    rows = _rows(masks, d)
+    assert rows == expect == masks
+    if d:
+        assert (rows[0] & (1 << d) - 1).bit_count() == len(bits[0])
     for kern in _all_kernels():
-        rows = kern.alloc_rows(d)
-        kern.load_rows(rows, _pack(masks, d))
-        assert [kern.row_int(rows, i) for i in range(d)] == expect == masks
+        krows = kern.alloc_rows(d)
+        kern.load_rows(krows, _pack(masks, d))
+        assert [kern.row_int(krows, i) for i in range(d)] == expect
         # Loading over dirty storage must fully overwrite, not OR in.
         if d:
-            kern.load_rows(rows, _pack([(1 << d) - 1] * d, d))
-            kern.load_rows(rows, _pack(masks, d))
-            assert kern.row_int(rows, 0) == masks[0]
-            assert kern.intersect_count(rows, 0, (1 << d) - 1) == (
+            kern.load_rows(krows, _pack([(1 << d) - 1] * d, d))
+            kern.load_rows(krows, _pack(masks, d))
+            assert kern.row_int(krows, 0) == masks[0]
+            assert kern.intersect_count(krows, 0, (1 << d) - 1) == (
                 masks[0], masks[0].bit_count()
             )
 
 
 @pytest.mark.parametrize("d", [1, 63, 64, 65, 130])
 def test_empty_rows(d):
+    # Every candidate ties at 0: the lowest id wins, nothing is charged.
+    full = (1 << d) - 1
+    assert pivot_select(_rows([0] * d, d), full, d) == (0, 0, 0, 0)
     for kern in _all_kernels():
         rows = kern.alloc_rows(d)
-        full = (1 << d) - 1
         for i in range(d):
             assert kern.row_int(rows, i) == 0
             assert kern.intersect_count(rows, i, full) == (0, 0)
-        # Every candidate ties at 0: the lowest id wins, nothing is
-        # charged.
         assert kern.pivot_select(rows, full, d) == (0, 0, 0, 0)
 
 
 def test_zero_width_rows():
-    kern, rows = _load([], 0)
+    assert words_to_ints(np.zeros((0, 1), dtype=np.uint64)) == []
+    kern, rows = _load([], 0, BigIntKernel())
     assert rows == []
     kern.load_rows(rows, np.zeros((0, 1), dtype=np.uint64))
     assert rows == []
@@ -255,22 +255,22 @@ def test_zero_width_rows():
 @settings(max_examples=150, deadline=None)
 @given(data=rows_and_candidates())
 def test_intersect_count_matches_set_scan(data):
+    # The engines' inline intersect over the loaded rows.
     d, masks, P = data
-    kern, rows = _load(masks, d)
+    rows = _rows(masks, d)
     P_set = _bits(P)
     for i in range(d):
-        inter, cnt = kern.intersect_count(rows, i, P)
+        inter = rows[i] & P
         assert _bits(inter) == _bits(masks[i]) & P_set
-        assert cnt == len(_bits(masks[i]) & P_set)
+        assert inter.bit_count() == len(_bits(masks[i]) & P_set)
 
 
 @settings(max_examples=150, deadline=None)
 @given(data=rows_and_candidates())
 def test_pivot_select_matches_set_scan(data):
     d, masks, P = data
-    kern, rows = _load(masks, d)
-    best, best_row, best_cnt, edge_sum = kern.pivot_select(
-        rows, P, P.bit_count()
+    best, best_row, best_cnt, edge_sum = pivot_select(
+        _rows(masks, d), P, P.bit_count()
     )
     e_best, e_set, e_cnt, e_sum = _set_scan(
         [_bits(m) for m in masks], _bits(P)
@@ -284,10 +284,12 @@ def test_pivot_select_matches_set_scan(data):
 @given(data=rows_and_mask())
 def test_intersect_ops_match_bigint(other, data):
     d, masks, P = data
-    (bi, rb), (ot, rw) = _pair(d, masks, other)
+    rows = _rows(masks, d)
+    ot, rw = _load(masks, d, make_kernel(other))
     for i in range(d):
         expect = masks[i] & P
-        assert bi.intersect_count(rb, i, P) == (expect, expect.bit_count())
+        child = rows[i] & P
+        assert (child, child.bit_count()) == (expect, expect.bit_count())
         assert ot.intersect_count(rw, i, P) == (expect, expect.bit_count())
 
 
@@ -299,8 +301,20 @@ def test_pivot_select_matches_bigint(other, data):
     pc = P.bit_count()
     if pc == 0:
         return
-    (bi, rb), (ot, rw) = _pair(d, masks, other)
-    assert bi.pivot_select(rb, P, pc) == ot.pivot_select(rw, P, pc)
+    ot, rw = _load(masks, d, make_kernel(other))
+    assert pivot_select(_rows(masks, d), P, pc) == ot.pivot_select(rw, P, pc)
+
+
+def _scans(masks, d):
+    """``pivot_select`` over ``masks``: the program's, then each test
+    backend's."""
+    rows = _rows(masks, d)
+    yield lambda P, pc: pivot_select(rows, P, pc)
+    for kern in _all_kernels():
+        kern, krows = _load(masks, d, kern)
+        yield lambda P, pc, kern=kern, krows=krows: kern.pivot_select(
+            krows, P, pc
+        )
 
 
 def test_pivot_select_tie_break_is_lowest_id():
@@ -309,15 +323,21 @@ def test_pivot_select_tie_break_is_lowest_id():
     for d in (70, 130):
         full = (1 << d) - 1
         masks = [full & ~(1 << i) for i in range(d)]
-        for kern in _all_kernels():
-            kern, rows = _load(masks, d, kern)
-            best, best_row, best_cnt, edge_sum = kern.pivot_select(
-                rows, full, d
-            )
+        for scan in _scans(masks, d):
+            best, best_row, best_cnt, edge_sum = scan(full, d)
             assert best == 0  # every vertex ties; lowest id wins
             assert best_cnt == d - 1  # perfect pivot
             assert best_row == full & ~1
             assert edge_sum == d - 1  # scan stops at the first row
+    # No perfect pivot (that needs 4): rows 1 and 2 tie at the maximum
+    # and the scan keeps the first, charging every row; then a later,
+    # strictly larger count wins.
+    masks = [0b00010, 0b01101, 0b11010, 0b00110, 0b00100]
+    for scan in _scans(masks, 5):
+        assert scan(0b11111, 5) == (1, 0b01101, 3, 1 + 3 + 3 + 2 + 1)
+    masks = [0b00010, 0b00101, 0b11010, 0b00100, 0b00100]
+    for scan in _scans(masks, 5):
+        assert scan(0b11111, 5) == (2, 0b11010, 3, 1 + 2 + 3 + 1 + 1)
 
 
 def _perfect_at_two(d, P):
@@ -344,11 +364,8 @@ def test_pivot_select_perfect_pivot_early_exit_accounting():
     for d, P in cases:
         pc = P.bit_count()
         ids, masks = _perfect_at_two(d, P)
-        for kern in _all_kernels():
-            kern, rows = _load(masks, d, kern)
-            best, best_row, best_cnt, edge_sum = kern.pivot_select(
-                rows, P, pc
-            )
+        for scan in _scans(masks, d):
+            best, best_row, best_cnt, edge_sum = scan(P, pc)
             assert best == ids[2]
             assert best_cnt == pc - 1
             assert best_row == masks[ids[2]]
@@ -360,9 +377,8 @@ def test_pivot_select_respects_mask_outside_bits():
     d = 130
     masks = [((1 << d) - 1) & ~(1 << i) for i in range(d)]
     P = (1 << 3) | (1 << 64) | (1 << 129)
-    for kern in _all_kernels():
-        kern, rows = _load(masks, d, kern)
-        best, best_row, best_cnt, edge_sum = kern.pivot_select(rows, P, 3)
+    for scan in _scans(masks, d):
+        best, best_row, best_cnt, edge_sum = scan(P, 3)
         assert best == 3
         assert best_cnt == 2  # the other two candidates
         assert best_row == P & ~(1 << 3)
@@ -372,9 +388,8 @@ def test_pivot_select_respects_mask_outside_bits():
     masks = [full & ~(1 << i) for i in range(d)]
     P = sum(1 << i for i in range(1, d, 2))
     pc = P.bit_count()
-    for kern in _all_kernels():
-        kern, rows = _load(masks, d, kern)
-        best, best_row, best_cnt, edge_sum = kern.pivot_select(rows, P, pc)
+    for scan in _scans(masks, d):
+        best, best_row, best_cnt, edge_sum = scan(P, pc)
         assert best == 1
         assert best_cnt == pc - 1
         assert best_row == P & ~(1 << 1)

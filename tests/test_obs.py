@@ -1,19 +1,20 @@
 """Invariant suite for the observability layer.
 
 Three families of guarantees, held over the shared 40-graph corpus and
-both test bitset backends (``tests/backends.py``):
+both test backends (``tests/backends.py``):
 
 1. **Observation is free of side effects** — counts, counters and
    per-root arrays are bit-identical with metrics on vs. off, on both
-   kernels, for every engine (SCT, enumeration, Pivoter config, hybrid,
-   forest).
+   backends, for every engine (SCT, enumeration, Pivoter config,
+   hybrid, forest).
 2. **The registry speaks the engines' exact integers** — every
    canonical metric equals the private tally it replaced:
    ``engine_nodes_visited_total`` == recursion ``function_calls`` ==
    the controller's ``spent.nodes`` on clean runs; kernel call counts
-   are backend-invariant; memo lookups cover exactly the block-induced
-   roots; forest cache hits + misses == ``get_forest`` calls;
-   ordering/stats migrations reproduce their old values.
+   are backend-invariant and do not depend on when an engine was
+   built; memo lookups cover exactly the block-induced roots; forest
+   cache hits + misses == ``get_forest`` calls; ordering/stats
+   migrations reproduce their old values.
 3. **The plumbing itself** — registry label identity, no-op singletons
    on the disabled path, profiler accumulation, bench-harness bridges.
 """
@@ -42,10 +43,9 @@ from repro.counting.pivoter import run_pivoter
 from repro.counting.sct import SCTEngine
 from repro.graph.generators import complete_graph, erdos_renyi, overlay
 from repro.graph.stats import count_triangles, heuristic_inputs
-from repro.kernels import BigIntKernel, resolve_kernel
+from repro.kernels import OPS as KERNEL_OPS
 from repro.obs import (
     COUNTER_METRICS,
-    InstrumentedKernel,
     MetricsRegistry,
     NOOP_METRIC,
     Profiler,
@@ -54,15 +54,12 @@ from repro.ordering import core_ordering, degree_ordering
 from repro.ordering.directionalize import directionalize
 from repro.runtime import Budget, RunController
 
-from tests.backends import KERNEL_NAMES, make_kernel
-
-# The kernel API surface the instrumented wrapper counts.
-KERNEL_OPS = ("alloc_rows", "load_rows", "intersect_count", "pivot_select")
+from tests.backends import KERNEL_NAMES, backend
 
 
-def _kernel_calls(reg: MetricsRegistry, kernel: str) -> dict[str, int]:
+def _kernel_calls(reg: MetricsRegistry) -> dict[str, int]:
     return {
-        op: reg.value("kernel_calls_total", kernel=kernel, op=op)
+        op: reg.value("kernel_calls_total", kernel="bigint", op=op)
         for op in KERNEL_OPS
     }
 
@@ -82,9 +79,10 @@ def _assert_identical(a, b):
 @pytest.mark.parametrize("kernel", KERNEL_NAMES)
 def test_sct_counts_bit_identical_obs_on_off(name, g, kernel):
     o = ordering(name, g)
-    base = count_kcliques(g, 4, o, kernel=make_kernel(kernel))
-    with obs.collecting() as reg:
-        observed = count_kcliques(g, 4, o, kernel=make_kernel(kernel))
+    with backend(kernel):
+        base = count_kcliques(g, 4, o)
+        with obs.collecting() as reg:
+            observed = count_kcliques(g, 4, o)
     _assert_identical(base, observed)
     assert base.count == truth(name, g, 4)
     # ...and the registry speaks the same exact integers.
@@ -100,14 +98,14 @@ def test_sct_counts_bit_identical_obs_on_off(name, g, kernel):
 @pytest.mark.parametrize("kernel", KERNEL_NAMES)
 def test_enumeration_counts_bit_identical_obs_on_off(name, g, kernel):
     o = ordering(name, g)
-    base = count_kcliques_enumeration(g, 4, o, kernel=make_kernel(kernel))
-    with obs.collecting() as reg:
-        observed = count_kcliques_enumeration(g, 4, o,
-                                              kernel=make_kernel(kernel))
+    with backend(kernel):
+        base = count_kcliques_enumeration(g, 4, o)
+        with obs.collecting() as reg:
+            observed = count_kcliques_enumeration(g, 4, o)
     _assert_identical(base, observed)
     assert reg.value(
         "engine_nodes_visited_total", engine="enumeration",
-        structure="remap", kernel=kernel,
+        structure="remap", kernel="bigint",
     ) == base.counters.function_calls
 
 
@@ -162,13 +160,14 @@ def test_forest_counts_bit_identical_obs_on_off():
 def test_kernel_call_counts_identical_across_backends(name, g):
     # Every backend runs the same recursion, so every per-op call count
     # must match exactly (the per-root work counters themselves are
-    # held exactly equal by test_differential).
+    # held exactly equal by test_differential, and the derived counts
+    # to a counting kernel's by its reference-walker suite).
     o = ordering(name, g)
     calls = {}
     for kernel in KERNEL_NAMES:
-        with obs.collecting() as reg:
-            count_kcliques(g, 4, o, kernel=make_kernel(kernel))
-        calls[kernel] = _kernel_calls(reg, kernel)
+        with backend(kernel), obs.collecting() as reg:
+            count_kcliques(g, 4, o)
+        calls[kernel] = _kernel_calls(reg)
     ref = KERNEL_NAMES[0]
     for kernel in KERNEL_NAMES[1:]:
         assert calls[ref] == calls[kernel], kernel
@@ -184,12 +183,13 @@ def test_kernel_call_counts_enumeration_backend_invariant():
     o = ordering(name, g)
     calls = {}
     for kernel in KERNEL_NAMES:
-        with obs.collecting() as reg:
-            count_kcliques_enumeration(g, 4, o, kernel=make_kernel(kernel))
-        calls[kernel] = _kernel_calls(reg, kernel)
+        with backend(kernel), obs.collecting() as reg:
+            count_kcliques_enumeration(g, 4, o)
+        calls[kernel] = _kernel_calls(reg)
     for kernel in KERNEL_NAMES[1:]:
         assert calls[KERNEL_NAMES[0]] == calls[kernel]
     assert calls[KERNEL_NAMES[0]]["intersect_count"] > 0
+    assert calls[KERNEL_NAMES[0]]["pivot_select"] == 0
 
 
 @pytest.mark.parametrize("kernel", KERNEL_NAMES)
@@ -200,8 +200,8 @@ def test_memo_lookups_cover_block_roots_only(kernel, k):
     # alone in row passes and never looked up.
     g = overlay(300, complete_graph(66), erdos_renyi(300, 0.03, seed=5))
     dag = directionalize(g, core_ordering(g))
-    with obs.collecting() as reg:
-        engine = SCTEngine(g, dag, kernel=make_kernel(kernel))
+    with backend(kernel), obs.collecting() as reg:
+        engine = SCTEngine(g, dag)
         if k is None:
             engine.count_all()
         else:
@@ -209,7 +209,7 @@ def test_memo_lookups_cover_block_roots_only(kernel, k):
     d = dag.degrees
     built = d if k is None else d[~((d > 0) & (d < k - 1))]
     assert (built > 64).sum() >= 1
-    labels = {"engine": "sct", "structure": "remap", "kernel": kernel}
+    labels = {"engine": "sct", "structure": "remap", "kernel": "bigint"}
     hits = reg.value("sct_memo_hits_total", **labels)
     misses = reg.value("sct_memo_misses_total", **labels)
     assert hits > 0 and misses > 0
@@ -536,37 +536,43 @@ def test_hooks_are_noops_when_disabled():
 
 
 # ======================================================================
-# 3c. kernel instrumentation seam
+# 3c. kernel call counts, derived once per root loop
 # ======================================================================
-def test_resolve_kernel_is_raw_when_disabled():
-    k = resolve_kernel("bigint")
-    assert not isinstance(k, InstrumentedKernel)
-    assert k.name == "bigint"
-
-
-def test_resolve_kernel_wraps_when_enabled():
+def test_kernel_calls_unpublished_when_disabled():
+    # Metrics off: no tally is kept and nothing reaches the registry.
+    assert obs.kernel_tally() is None
+    g = erdos_renyi(40, 0.3, seed=1)
+    dag = directionalize(g, core_ordering(g))
+    SCTEngine(g, dag).count(4)
+    build_forest(g, dag)
+    assert len(obs.get_registry()) == 0
     with obs.collecting():
-        k = resolve_kernel("bigint")
-        assert isinstance(k, InstrumentedKernel)
-        assert k.name == "bigint"  # descriptors cannot tell
-        # idempotent: wrapping a wrapper is identity
-        assert obs.instrument_kernel(k) is k
+        assert obs.kernel_tally() == [0, 0, 0, 0]
 
 
-def test_instrumented_kernel_counts_and_delegates():
-    reg = MetricsRegistry()
-    k = InstrumentedKernel(BigIntKernel(), reg)
-    rows = k.alloc_rows(4)
-    k.load_rows(rows, np.array([[0b110], [0b1], [0], [0]], dtype=np.uint64))
-    assert k.intersect_count(rows, 1, 0b1111) == (0b1, 1)
-    assert k.pivot_select(rows, 0b11, 2) == (0, 0b10, 1, 1)
-    assert reg.value("kernel_calls_total", kernel="bigint", op="alloc_rows") == 1
-    assert reg.value("kernel_calls_total", kernel="bigint", op="load_rows") == 1
-    assert reg.value("kernel_calls_total", kernel="bigint", op="intersect_count") == 1
-    assert reg.value("kernel_calls_total", kernel="bigint", op="pivot_select") == 1
-    # uncounted accessors still delegate
-    assert k.row_int(rows, 0) == 0b110
-    assert k.row_accessor(rows)(1) == 0b1
+def test_kernel_calls_independent_of_construction_time():
+    # The counts are published by the root loop into whichever
+    # registry is live when it runs, so an engine built outside a
+    # metrics scope reports exactly what one built inside does — and
+    # its forest, built through a fresh structure, reports the calls
+    # of its own walk.
+    g = erdos_renyi(60, 0.3, seed=1)
+    dag = directionalize(g, core_ordering(g))
+    outside = SCTEngine(g, dag)
+    with obs.collecting() as reg_in:
+        SCTEngine(g, dag).count(4)
+    with obs.collecting() as reg_out:
+        outside.count(4)
+    assert _kernel_calls(reg_out) == _kernel_calls(reg_in)
+    assert _kernel_calls(reg_in)["pivot_select"] > 0
+    assert (reg_out.total("engine_nodes_visited_total")
+            == reg_in.total("engine_nodes_visited_total"))
+    with obs.collecting() as reg_forest:
+        outside.forest(cache=False)
+    with obs.collecting() as reg_build:
+        build_forest(g, dag)
+    assert _kernel_calls(reg_forest) == _kernel_calls(reg_build)
+    assert _kernel_calls(reg_forest)["pivot_select"] > 0
 
 
 # ======================================================================

@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from tests.backends import KERNEL_NAMES, make_kernel
+from tests.backends import KERNEL_NAMES, backend
 from tests.corpus import GRAPHS, ordering
 from repro import obs
 from repro.counting.counters import Counters
@@ -102,15 +102,16 @@ def _assert_chunks_match(engine, dag, k=None):
 def test_memoized_loops_match_memo_free_oracle(structure, kernel):
     for name, g in GRAPHS:
         dag = directionalize(g, ordering(name, g))
-        engine = SCTEngine(g, dag, structure, kernel=make_kernel(kernel))
+        engine = SCTEngine(g, dag, structure)
         n = g.num_vertices
-        for k in (3, 4, 5):
-            _assert_run_matches(engine, n, k)
-        _assert_run_matches(engine, n, 4, early_termination=False)
-        _assert_run_matches(engine, n)
-        _assert_run_matches(engine, n, max_k=4)
-        _assert_chunks_match(engine, dag, 4)
-        _assert_chunks_match(engine, dag, None)
+        with backend(kernel):
+            for k in (3, 4, 5):
+                _assert_run_matches(engine, n, k)
+            _assert_run_matches(engine, n, 4, early_termination=False)
+            _assert_run_matches(engine, n)
+            _assert_run_matches(engine, n, max_k=4)
+            _assert_chunks_match(engine, dag, 4)
+            _assert_chunks_match(engine, dag, None)
 
 
 @pytest.mark.parametrize("kernel", KERNEL_NAMES)
@@ -120,19 +121,20 @@ def test_memo_hits_on_sparse_power_law_graph(kernel):
     g = chung_lu(power_law_degrees(1500, 2.5, min_degree=2.0, seed=23),
                  seed=29)
     dag = directionalize(g, core_ordering(g))
-    with obs.collecting() as reg:
-        engine = SCTEngine(g, dag, kernel=make_kernel(kernel))
+    engine = SCTEngine(g, dag)
+    with backend(kernel), obs.collecting() as reg:
         engine.count(4)
-    labels = {"engine": "sct", "structure": "remap", "kernel": kernel}
+    labels = {"engine": "sct", "structure": "remap", "kernel": "bigint"}
     hits = reg.value("sct_memo_hits_total", **labels)
     misses = reg.value("sct_memo_misses_total", **labels)
     assert hits > misses > 0
     # A hit loads no rows: one alloc_rows per counted root only.
     pruned = (dag.degrees > 0) & (dag.degrees < 3)
     built = int((~pruned).sum())
-    assert reg.value("kernel_calls_total", kernel=kernel,
+    assert reg.value("kernel_calls_total", kernel="bigint",
                      op="alloc_rows") == built - hits
-    _assert_run_matches(engine, g.num_vertices, 4)
+    with backend(kernel):
+        _assert_run_matches(engine, g.num_vertices, 4)
 
 
 def test_hits_fold_the_stored_tally_whole(monkeypatch):

@@ -4,6 +4,7 @@ faults (at a root tick or inside a root's recursion), kernel faults
 budget-exhaustion root sampling."""
 
 import warnings
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -22,7 +23,8 @@ from repro.errors import (
 )
 from repro.graph.generators import erdos_renyi
 from repro.graph.io import write_edge_list
-from repro.kernels import BigIntKernel
+from repro import kernels
+from repro.counting.pervertex import per_vertex_counts
 from repro.ordering import core_ordering
 from repro.runtime import (
     Budget,
@@ -32,6 +34,10 @@ from repro.runtime import (
     RunController,
     load_checkpoint,
 )
+
+
+#: The program's own scan, captured before any test replaces it.
+_pivot_select = kernels.pivot_select
 
 
 @pytest.fixture
@@ -94,50 +100,57 @@ def test_interrupt_propagates(g):
         SCTEngine(g, core_ordering(g)).count(4, controller=ctl)
 
 
-class _FailingPivot(BigIntKernel):
-    """The bitset kernel, with its ``fail_at``-th ``pivot_select`` call
-    raising ``error`` — by default ``MemoryError``, an allocation
-    failure inside a root's recursion rather than at a root tick
-    (``fail_at=None`` counts calls and never fails)."""
+class _FailingPivot:
+    """The program's pivot scan, with its ``fail_at``-th call raising
+    ``error`` — by default ``MemoryError``, an allocation failure inside
+    a root's recursion rather than at a root tick (``fail_at=None``
+    counts calls and never fails).  :meth:`installed` puts it in place
+    of :func:`repro.kernels.pivot_select`, which every walker binds
+    once per root."""
 
     def __init__(self, fail_at=None, error=MemoryError):
         self.fail_at = fail_at
         self.error = error
         self.calls = 0
 
-    def pivot_select(self, rows, P, pc):
+    def __call__(self, rows, P, pc):
         self.calls += 1
         if self.calls == self.fail_at:
             raise self.error("injected kernel failure")
-        return super().pivot_select(rows, P, pc)
+        return _pivot_select(rows, P, pc)
+
+    @contextmanager
+    def installed(self):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(kernels, "pivot_select", self)
+            yield self
 
 
 def test_kernel_fault_without_degrade_raises(g):
     # A kernel op failing inside the recursion surfaces unchanged.
-    kern = _FailingPivot(fail_at=2, error=RuntimeError)
-    with pytest.raises(RuntimeError, match="injected kernel failure"):
-        SCTEngine(g, core_ordering(g), kernel=kern).count(
-            4, controller=RunController())
-    assert kern.calls == 2
+    fp = _FailingPivot(fail_at=2, error=RuntimeError)
+    with fp.installed(), pytest.raises(
+            RuntimeError, match="injected kernel failure"):
+        SCTEngine(g, core_ordering(g)).count(4, controller=RunController())
+    assert fp.calls == 2
 
 
 def test_bigint_kernel_fault_not_swallowed(g):
     """The ladder has no rung below the one backend: with degradation
     on, a kernel fault is still raised, not sampled or retried away."""
-    kern = _FailingPivot(fail_at=100, error=RuntimeError)
-    with pytest.raises(RuntimeError, match="injected kernel failure"):
-        SCTEngine(g, core_ordering(g), kernel=kern).count(
+    fp = _FailingPivot(fail_at=100, error=RuntimeError)
+    with fp.installed(), pytest.raises(
+            RuntimeError, match="injected kernel failure"):
+        SCTEngine(g, core_ordering(g)).count(
             4, controller=RunController(degrade=True))
-    assert kern.calls == 100
+    assert fp.calls == 100
 
 
 _RECURSION_RUNS = {
-    "count": lambda g, o, kern, ctl: SCTEngine(g, o, kernel=kern).count(
-        4, controller=ctl),
-    "count_all": lambda g, o, kern, ctl: SCTEngine(
-        g, o, kernel=kern).count_all(controller=ctl),
-    "forest": lambda g, o, kern, ctl: SCTForest.build(
-        g, o, kernel=kern, controller=ctl),
+    "count": lambda g, o, ctl: SCTEngine(g, o).count(4, controller=ctl),
+    "count_all": lambda g, o, ctl: SCTEngine(g, o).count_all(
+        controller=ctl),
+    "forest": lambda g, o, ctl: SCTForest.build(g, o, controller=ctl),
 }
 
 
@@ -161,11 +174,13 @@ def test_allocation_failure_in_recursion_resumes_bit_identical(
     go = _RECURSION_RUNS[run]
     o = core_ordering(g)
     counter = _FailingPivot()
-    base = go(g, o, counter, None)
+    with counter.installed():
+        base = go(g, o, None)
     path = tmp_path / "ck.json"
     ctl = RunController(checkpoint_path=path)
-    with pytest.raises(MemoryBudgetExceededError, match="at root") as ei:
-        go(g, o, _FailingPivot(fail_at=counter.calls // 2), ctl)
+    with _FailingPivot(fail_at=counter.calls // 2).installed(), \
+            pytest.raises(MemoryBudgetExceededError, match="at root") as ei:
+        go(g, o, ctl)
     # The checkpoint holds exactly the whole roots before the faulting
     # one, as the unfaulted run counted them.
     v = int(str(ei.value).rsplit(" ", 1)[1])
@@ -174,9 +189,28 @@ def test_allocation_failure_in_recursion_resumes_bit_identical(
     assert state["next_root"] == v == ctl.spent.roots_done
     assert state["per_root_work"] == base.per_root_work[:v].tolist()
     assert state["per_root_memory"] == base.per_root_memory[:v].tolist()
-    resumed = go(g, o, None, RunController(checkpoint_path=path,
-                                          resume=True))
+    resumed = go(g, o, RunController(checkpoint_path=path, resume=True))
     _same_run(resumed, base)
+
+
+def test_allocation_failure_in_attribution_is_a_budget_error(g):
+    """The attribution root loop turns an allocation failure inside a
+    root into the budget error the other loops raise, so the CLI exits
+    3 with the controller's spend."""
+    o = core_ordering(g)
+    counter = _FailingPivot()
+    with counter.installed():
+        base = per_vertex_counts(g, 4, o)
+    with _FailingPivot(fail_at=counter.calls // 2).installed(), \
+            pytest.raises(MemoryBudgetExceededError, match="at root") as ei:
+        per_vertex_counts(g, 4, o, controller=RunController())
+    assert ei.value.spent is not None and ei.value.spent.nodes > 0
+    assert isinstance(ei.value.__cause__, MemoryError)
+    # Without a controller the allocation failure surfaces unchanged.
+    with _FailingPivot(fail_at=counter.calls // 2).installed(), \
+            pytest.raises(MemoryError, match="injected"):
+        per_vertex_counts(g, 4, o)
+    assert per_vertex_counts(g, 4, o) == base
 
 
 # --------------------------------- rung 1: budget -> sampling (flagged)

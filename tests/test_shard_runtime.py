@@ -35,7 +35,7 @@ from repro.runtime import FaultPlan, FaultSpec, RunController
 from repro.shard import ShardLedger, count_sharded, plan_shards
 from repro.shard.ledger import LEDGER_NAME
 
-from .backends import KERNEL_NAMES, make_kernel
+from .backends import KERNEL_NAMES, backend
 from .corpus import GRAPHS, IDS, ordering, truth
 
 # A watermark far below every corpus graph's working set, so each run
@@ -113,24 +113,25 @@ def test_plan_validation(g, dag):
 )
 def test_sharded_matches_serial_and_truth(tmp_path, name, graph, kernel):
     dag = directionalize(graph, ordering(name, graph))
-    ref = SCTEngine(graph, dag, "remap", kernel=make_kernel(kernel)).count(4)
-    res = count_sharded(
-        graph, dag, k=4, kernel=make_kernel(kernel),
-        shard_mb=TINY_MB, spill_dir=tmp_path / "spill",
-    )
+    ref = SCTEngine(graph, dag, "remap").count(4)
+    with backend(kernel):
+        res = count_sharded(
+            graph, dag, k=4, kernel="bigint",
+            shard_mb=TINY_MB, spill_dir=tmp_path / "spill",
+        )
     _assert_matches_serial(res, ref)
     assert res.count == truth(name, graph, 4)
-    assert res.kernel == kernel
+    assert res.kernel == "bigint"
     assert res.degraded_from is None
 
 
 @pytest.mark.parametrize("kernel", KERNELS)
 def test_sharded_allk_matches_serial(tmp_path, g, dag, kernel):
-    ref = SCTEngine(g, dag, "remap", kernel=make_kernel(kernel)).count_all()
-    res = count_sharded(
-        g, dag, kernel=make_kernel(kernel), shard_mb=TINY_MB,
-        spill_dir=tmp_path / "s",
-    )
+    ref = SCTEngine(g, dag, "remap").count_all()
+    with backend(kernel):
+        res = count_sharded(
+            g, dag, shard_mb=TINY_MB, spill_dir=tmp_path / "s",
+        )
     _assert_matches_serial(res, ref)
 
 
@@ -185,15 +186,15 @@ def _interrupted_then_resumed(tmp_path, g, dag, kernel, at_op, k=4):
     result (asserting the kill actually happened)."""
     spill = tmp_path / "spill"
     ctl = RunController(faults=FaultPlan(FaultSpec("interrupt", at_op=at_op)))
-    with pytest.raises(RunInterrupted):
-        count_sharded(
-            g, dag, k=k, kernel=make_kernel(kernel), shard_mb=TINY_MB,
-            spill_dir=spill, controller=ctl,
+    with backend(kernel):
+        with pytest.raises(RunInterrupted):
+            count_sharded(
+                g, dag, k=k, shard_mb=TINY_MB, spill_dir=spill,
+                controller=ctl,
+            )
+        return count_sharded(
+            g, dag, k=k, shard_mb=TINY_MB, spill_dir=spill, resume=True,
         )
-    return count_sharded(
-        g, dag, k=k, kernel=make_kernel(kernel), shard_mb=TINY_MB,
-        spill_dir=spill, resume=True,
-    )
 
 
 @pytest.mark.parametrize("kernel", KERNELS)
@@ -202,7 +203,7 @@ def test_kill_matrix_every_shard_boundary(tmp_path, g, dag, kernel):
     to the uninterrupted run — the satellite-4 kill matrix."""
     plan = plan_shards(g, dag, shard_bytes=int(TINY_MB * (1 << 20)))
     assert plan.num_shards >= 4
-    ref = SCTEngine(g, dag, "remap", kernel=make_kernel(kernel)).count(4)
+    ref = SCTEngine(g, dag, "remap").count(4)
     for boundary in range(1, plan.num_shards + 1):
         res = _interrupted_then_resumed(
             tmp_path / f"b{boundary}", g, dag, kernel, boundary

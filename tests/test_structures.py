@@ -10,11 +10,9 @@ from repro.counting.structures import (
     SparseStructure,
 )
 from repro.counting.structures.base import SubgraphStructure
-from repro.errors import CountingError
 from repro.graph.generators import complete_graph, erdos_renyi
-from repro.kernels import BigIntKernel
 from repro.ordering import core_ordering, directionalize
-from tests.backends import KERNEL_NAMES, make_kernel
+from tests.backends import KERNEL_NAMES, backend
 
 
 @pytest.fixture(scope="module")
@@ -124,35 +122,19 @@ def test_bitset_bytes_model(pair):
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("kernel", KERNEL_NAMES)
 def test_structures_same_rows_across_kernels(pair, kernel):
-    g, dag = pair
-    for cls in STRUCTURES.values():
-        base = cls(g, dag)  # default bigint
-        alt = cls(g, dag, kernel=make_kernel(kernel))
-        for v in range(0, g.num_vertices, 7):
-            cb = base.build(v)
-            ca = alt.build(v)
-            assert ca.d == cb.d
-            assert ca.kernel.name == kernel
-            for i in range(cb.d):
-                assert ca.row(i) == cb.row(i), (cls.name, v, i)
-
-
-def test_structures_take_kernel_name_or_instance(pair):
+    # Every structure hands the recursion the same rows, as a plain
+    # list its row accessor indexes, whichever loader built them.
     g, dag = pair
     for cls in STRUCTURES.values():
         base = cls(g, dag)
-        named = cls(g, dag, kernel="bigint")
-        inst = BigIntKernel()
-        given = cls(g, dag, kernel=inst)
-        assert given.kernel is inst
-        with pytest.raises(CountingError, match="unknown kernel"):
-            cls(g, dag, kernel="avx512")
-        for v in range(0, g.num_vertices, 7):
-            cb = base.build(v)
-            for alt in (named, given):
+        with backend(kernel):
+            alt = cls(g, dag)
+            for v in range(0, g.num_vertices, 7):
+                cb = base.build(v)
                 ca = alt.build(v)
                 assert ca.d == cb.d
-                assert ca.kernel.name == "bigint"
+                assert type(ca.rows) is list
+                assert ca.rows == cb.rows
                 for i in range(cb.d):
                     assert ca.row(i) == cb.row(i), (cls.name, v, i)
 
@@ -167,15 +149,16 @@ def test_dense_no_stale_adjacency_between_roots(pair, kernel):
     build against a fresh structure that cannot have stale state.
     """
     g, dag = pair
-    shared = DenseStructure(g, dag, kernel=make_kernel(kernel))
+    shared = DenseStructure(g, dag)
     roots = sorted(range(g.num_vertices),
                    key=lambda v: -dag.degree(v))[:6]
-    for v in roots + list(reversed(roots)):  # revisit roots back-to-back
-        got = shared.build(v)
-        fresh = DenseStructure(g, dag, kernel=make_kernel(kernel)).build(v)
-        assert got.d == fresh.d
-        for i in range(got.d):
-            assert got.row(i) == fresh.row(i), (v, i)
+    with backend(kernel):
+        for v in roots + list(reversed(roots)):  # back-to-back revisits
+            got = shared.build(v)
+            fresh = DenseStructure(g, dag).build(v)
+            assert got.d == fresh.d
+            for i in range(got.d):
+                assert got.row(i) == fresh.row(i), (v, i)
 
 
 @pytest.mark.parametrize("kernel", KERNEL_NAMES)
@@ -184,9 +167,9 @@ def test_dense_exception_mid_build_leaves_clean_slots(pair, kernel, monkeypatch)
     build starts from zeroed slots and an empty touched list — on the
     one-root path and inside a ``build_many`` block alike."""
     g, dag = pair
-    dense = DenseStructure(g, dag, kernel=make_kernel(kernel))
+    dense = DenseStructure(g, dag)
     hub = int(np.argmax(dag.degrees))
-    ref = DenseStructure(g, dag, kernel=make_kernel(kernel)).build(hub)
+    ref = DenseStructure(g, dag).build(hub)
     ref_rows = [ref.row(i) for i in range(ref.d)]
 
     def boom(*args, **kwargs):
@@ -194,16 +177,17 @@ def test_dense_exception_mid_build_leaves_clean_slots(pair, kernel, monkeypatch)
 
     for fail in (lambda: dense.build(hub),
                  lambda: next(dense.build_many([hub, 0]))):
-        dense.build(hub)  # populate slots with a large root
-        with monkeypatch.context() as mp:
-            mp.setattr(SubgraphStructure, "_induce_rows", boom)
-            mp.setattr(SubgraphStructure, "_induce_block", boom)
-            with pytest.raises(MemoryError):
-                fail()
+        with backend(kernel):
+            dense.build(hub)  # populate slots with a large root
+            with monkeypatch.context() as mp:
+                mp.setattr(SubgraphStructure, "_induce_rows", boom)
+                mp.setattr(SubgraphStructure, "_induce_block", boom)
+                with pytest.raises(MemoryError):
+                    fail()
 
-        # The failed build reset everything it had touched; no stale
-        # adjacency from the first build may survive.
-        assert dense._touched == []
-        assert all(s == 0 for s in dense._slots)
-        got = dense.build(hub)
-        assert [got.row(i) for i in range(got.d)] == ref_rows
+            # The failed build reset everything it had touched; no
+            # stale adjacency from the first build may survive.
+            assert dense._touched == []
+            assert all(s == 0 for s in dense._slots)
+            got = dense.build(hub)
+            assert [got.row(i) for i in range(got.d)] == ref_rows
