@@ -63,9 +63,19 @@ __all__ = [
     "count_all_sizes",
 ]
 
-#: Distinct root subgraphs one root loop remembers; past this many it
-#: stops inserting.  A key is at most 512 bytes (64 one-word rows).
+#: Distinct root subgraphs one root loop remembers, and distinct
+#: subtrees one root's recursion remembers; past this many each stops
+#: inserting.  A root key is at most 512 bytes (64 one-word rows).
 _MEMO_MAX = 1 << 14
+
+#: The subtree memo looks up only nodes with at least this many
+#: candidates: below it a subtree is too cheap to be worth a key.
+_NODE_MEMO_MIN_PC = 6
+
+#: Length of a recursion's ``acc`` list: :meth:`Counters.charge_root`'s
+#: seven slots, then the subtree memo's skipped nodes, skipped leaves
+#: and early exits, hits and misses (see :meth:`SCTEngine._make_rec_k`).
+_ACC_SLOTS = 11
 
 
 class _RootTally(NamedTuple):
@@ -289,11 +299,18 @@ class SCTEngine:
     def count_root(self, v: int, k: int) -> int:
         """Exact k-clique count of the cliques rooted at ``v`` — the
         per-root task unit (used by the root-sampling degradation
-        estimator)."""
+        estimator).  A root outside ``[0, n)`` or ``k < 1`` raises
+        :class:`~repro.errors.CountingError`, as in :meth:`count_roots`."""
+        self._check_root(v)
+        if k < 1:
+            raise CountingError(f"clique size k must be >= 1, got {k}")
         return self._count_root_k(v, k, Counters())
 
     def count_root_all(self, v: int, max_k: int | None = None) -> list[int]:
-        """Per-size clique counts rooted at ``v`` (all-k task unit)."""
+        """Per-size clique counts rooted at ``v`` (all-k task unit); a
+        root outside ``[0, n)`` raises
+        :class:`~repro.errors.CountingError`."""
+        self._check_root(v)
         length, cap = self._allk_shape(max_k)
         return self._count_ctx_all(
             self.structure.build(v), cap, length, Counters()
@@ -330,10 +347,8 @@ class SCTEngine:
         roots = [int(v) for v in roots]
         if k is not None and k < 1:
             raise CountingError(f"clique size k must be >= 1, got {k}")
-        n = self.graph.num_vertices
         for v in roots:
-            if not 0 <= v < n:
-                raise CountingError(f"root vertex {v} out of range [0, {n})")
+            self._check_root(v)
         ctl = controller
         res = self._empty_batch(roots, k, max_k)
         if ctl is not None and not ctl.started:
@@ -347,6 +362,11 @@ class SCTEngine:
     # ------------------------------------------------------------------
     # driver
     # ------------------------------------------------------------------
+    def _check_root(self, v: int) -> None:
+        n = self.graph.num_vertices
+        if not 0 <= v < n:
+            raise CountingError(f"root vertex {v} out of range [0, {n})")
+
     def _allk_shape(self, max_k: int | None) -> tuple[int, int]:
         """(length of the counts row, exclusive size cap) for all-k.
 
@@ -517,8 +537,9 @@ class SCTEngine:
         with its own ``build_words``.  Those are the same float
         additions in the same order as :meth:`Counters.charge_root`
         and :meth:`Counters.merge` make, so results are bit-identical.
-        Kernel calls are tallied over the roots actually counted: a
-        repeat calls no kernel.
+        Kernel calls are tallied over the roots and subtrees actually
+        walked: a repeat root calls no kernel, and a subtree memo hit
+        calls none below its own pivot scan.
         """
         length, cap = self._allk_shape(max_k) if k is None else (0, 0)
         roots = res.roots
@@ -527,11 +548,11 @@ class SCTEngine:
         prune = pruned.tolist()
         memo: dict[bytes, _RootTally] = {}
         ctxs = self.structure.build_many(order[~pruned], memo)
-        hits = misses = 0
+        hits = misses = node_hits = node_misses = 0
         calls = obs.kernel_tally()
 
         def run_root(i: int, v: int) -> tuple[_RootTally, float]:
-            nonlocal hits, misses
+            nonlocal hits, misses, node_hits, node_misses
             if prune[i]:
                 ctr = Counters()
                 self._charge_pruned(v, ctr)
@@ -541,12 +562,19 @@ class SCTEngine:
                 hits += 1
                 return ctx
             ctr = Counters()
+            acc = [0] * _ACC_SLOTS
             if k is None:
-                result = self._count_ctx_all(ctx, cap, length, ctr)
+                result = self._count_ctx_all(ctx, cap, length, ctr, acc)
             else:
-                result = self._count_ctx_k(ctx, k, ctr, early_termination)
+                result = self._count_ctx_k(
+                    ctx, k, ctr, early_termination, acc
+                )
             if calls is not None:
-                kernels.tally(calls, ctr, 1, ctx.d > 0)
+                kernels.tally(
+                    calls, ctr, 1, ctx.d > 0, acc[7], acc[8], acc[9]
+                )
+                node_hits += acc[9]
+                node_misses += acc[10]
             tally = _RootTally.of(result, ctr)
             if ctx.key is not None:
                 misses += 1
@@ -614,7 +642,7 @@ class SCTEngine:
                 "kernel": self.kernel.name,
             }
             obs.record_run(totals, roots=len(work), **labels)
-            obs.record_memo(hits, misses, **labels)
+            obs.record_memo(hits, misses, node_hits, node_misses, **labels)
             obs.record_kernel_calls(calls)
 
     # ------------------------------------------------------------------
@@ -644,7 +672,8 @@ class SCTEngine:
         ctr.early_terminations += 1
 
     def _count_ctx_k(
-        self, ctx, k: int, ctr: Counters, early_termination: bool = True
+        self, ctx, k: int, ctr: Counters, early_termination: bool = True,
+        acc: list | None = None,
     ) -> int:
         # Hot-path counters accumulate in a plain list (fast item ops)
         # and fold into the dataclass once per root (see
@@ -653,8 +682,10 @@ class SCTEngine:
         # operation touches), the cost the paper's array-based
         # implementation actually pays — this is what makes counting
         # work sensitive to the ordering's subgraph sizes (Table II /
-        # Table III).
-        acc = [0, 0, 0, 0, 0, 0, 0]
+        # Table III).  A caller that passes ``acc`` reads the subtree
+        # memo's slots back from it.
+        if acc is None:
+            acc = [0] * _ACC_SLOTS
         rec = self._make_rec_k(ctx, k, acc, early_termination)
         result = rec((1 << ctx.d) - 1, ctx.d, 1, 0)
         ctr.charge_root(ctx, acc)
@@ -663,12 +694,28 @@ class SCTEngine:
     def _make_rec_k(self, ctx, k: int, acc: list, early_termination: bool):
         """The target-k recursion, built as a closure over one root's
         context: the per-node big-int-mask walk that charges ``acc``
-        and returns the root's k-clique count."""
+        and returns the root's k-clique count.
+
+        The closure keeps a subtree memo for its one root.  Below a
+        node, the subtree — its count and every ``acc`` charge — is
+        fixed by ``(P, held, pivots)``, since the root fixes the rows,
+        ``k`` and ``early_termination``.  A node other than the root
+        call that has at least :data:`_NODE_MEMO_MIN_PC` candidates and
+        no perfect pivot looks that key up after its pivot scan.  A hit
+        adds the stored deltas of slots 0-4 and 6 and returns the stored
+        count without walking the subtree; slot 5 (max depth) was raised
+        by the walk that stored them.  It also charges the memo's own
+        slots: 7 the subtree's nodes below the hit, 8 their leaves and
+        early exits, 9 one hit.  A lookup that misses charges slot 10.
+        The memo keeps at most :data:`_MEMO_MAX` entries.
+        """
         rows = ctx.rows
         pivot_select = kernels.pivot_select
         binom = binomial
+        memo = None  # allocated at the first memoizable node
 
         def rec(P: int, pc: int, held: int, pivots: int) -> int:
+            nonlocal memo
             acc[0] += 1
             if held == k:
                 # Exactly one k-clique remains below: the held set.
@@ -689,6 +736,51 @@ class SCTEngine:
             # Pivot selection: one fused scan over the candidates' rows.
             acc[3] += pc
             best, best_row, best_cnt, edge_sum = pivot_select(rows, P, pc)
+            if (pc >= _NODE_MEMO_MIN_PC and held + pivots > 1
+                    and best_cnt < pc - 1):
+                key = (P, held, pivots)
+                if memo is None:
+                    memo = {}
+                else:
+                    hit = memo.get(key)
+                    if hit is not None:
+                        total, d0, d1, d2, d3, d4, d6 = hit
+                        acc[0] += d0
+                        acc[1] += d1
+                        acc[2] += d2
+                        acc[3] += d3
+                        acc[4] += d4
+                        acc[6] += d6
+                        acc[7] += d0
+                        acc[8] += d1 + d2
+                        acc[9] += 1
+                        return total
+                acc[10] += 1
+                a0, a1, a2, a3, a4, a6 = (
+                    acc[0], acc[1], acc[2], acc[3], acc[4], acc[6]
+                )
+                # The walk below, written out again so that a node the
+                # memo does not look up pays only the test above.
+                total = rec(best_row, best_cnt, held, pivots + 1)
+                P &= ~(1 << best)
+                cand = P & ~best_row
+                acc[4] += cand.bit_count()
+                held1 = held + 1
+                while cand:
+                    low = cand & -cand
+                    child = rows[low.bit_length() - 1] & P
+                    cc = child.bit_count()
+                    edge_sum += cc
+                    total += rec(child, cc, held1, pivots)
+                    P ^= low
+                    cand ^= low
+                acc[6] += edge_sum
+                if len(memo) < _MEMO_MAX:
+                    memo[key] = (
+                        total, acc[0] - a0, acc[1] - a1, acc[2] - a2,
+                        acc[3] - a3, acc[4] - a4, acc[6] - a6,
+                    )
+                return total
             total = rec(best_row, best_cnt, held, pivots + 1)
             P &= ~(1 << best)
             cand = P & ~best_row
@@ -708,7 +800,8 @@ class SCTEngine:
         return rec
 
     def _count_ctx_all(
-        self, ctx, cap: int, length: int, ctr: Counters
+        self, ctx, cap: int, length: int, ctr: Counters,
+        acc: list | None = None,
     ) -> list[int]:
         """Per-size counts for one root, as a fresh ``length``-long row.
 
@@ -717,7 +810,8 @@ class SCTEngine:
         controller aborts the run on this root.
         """
         counts = [0] * length
-        acc = [0, 0, 0, 0, 0, 0, 0]
+        if acc is None:
+            acc = [0] * _ACC_SLOTS
         rec = self._make_rec_all(ctx, cap, counts, acc)
         rec((1 << ctx.d) - 1, ctx.d, 1, 0)
         ctr.charge_root(ctx, acc)
@@ -725,11 +819,20 @@ class SCTEngine:
 
     def _make_rec_all(self, ctx, cap: int, counts: list, acc: list):
         """The all-k recursion closure: the target-k tree without the
-        reach prune, adding a binomial row per leaf into ``counts``."""
+        reach prune, adding a binomial row per leaf into ``counts``.
+
+        Its subtree memo is :meth:`_make_rec_k`'s, with ``cap`` in the
+        place of ``k``.  A subtree's result is the part of ``counts`` it
+        adds, stored only over ``[held, min(held + pivots + pc + 1,
+        cap))``: a leaf below the node holds at least ``held`` vertices
+        and at most ``held + pivots + pc``, so none lands outside.
+        """
         rows = ctx.rows
         pivot_select = kernels.pivot_select
+        memo = None  # allocated at the first memoizable node
 
         def rec(P: int, pc: int, held: int, pivots: int) -> None:
+            nonlocal memo
             acc[0] += 1
             if held >= cap:
                 acc[2] += 1
@@ -746,6 +849,56 @@ class SCTEngine:
                 return
             acc[3] += pc
             best, best_row, best_cnt, edge_sum = pivot_select(rows, P, pc)
+            if (pc >= _NODE_MEMO_MIN_PC and held + pivots > 1
+                    and best_cnt < pc - 1):
+                key = (P, held, pivots)
+                if memo is None:
+                    memo = {}
+                else:
+                    hit = memo.get(key)
+                    if hit is not None:
+                        seg, d0, d1, d2, d3, d4, d6 = hit
+                        for s, c in enumerate(seg, held):
+                            counts[s] += c
+                        acc[0] += d0
+                        acc[1] += d1
+                        acc[2] += d2
+                        acc[3] += d3
+                        acc[4] += d4
+                        acc[6] += d6
+                        acc[7] += d0
+                        acc[8] += d1 + d2
+                        acc[9] += 1
+                        return
+                acc[10] += 1
+                hi = min(held + pivots + pc + 1, cap)
+                before = counts[held:hi]
+                a0, a1, a2, a3, a4, a6 = (
+                    acc[0], acc[1], acc[2], acc[3], acc[4], acc[6]
+                )
+                # The walk below, written out again so that a node the
+                # memo does not look up pays only the test above.
+                rec(best_row, best_cnt, held, pivots + 1)
+                P &= ~(1 << best)
+                cand = P & ~best_row
+                acc[4] += cand.bit_count()
+                held1 = held + 1
+                while cand:
+                    low = cand & -cand
+                    child = rows[low.bit_length() - 1] & P
+                    cc = child.bit_count()
+                    edge_sum += cc
+                    rec(child, cc, held1, pivots)
+                    P ^= low
+                    cand ^= low
+                acc[6] += edge_sum
+                if len(memo) < _MEMO_MAX:
+                    memo[key] = (
+                        [a - b for a, b in zip(counts[held:hi], before)],
+                        acc[0] - a0, acc[1] - a1, acc[2] - a2,
+                        acc[3] - a3, acc[4] - a4, acc[6] - a6,
+                    )
+                return
             rec(best_row, best_cnt, held, pivots + 1)
             P &= ~(1 << best)
             cand = P & ~best_row

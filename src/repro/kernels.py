@@ -107,19 +107,30 @@ def pivot_select(
     return best, best_row, best_cnt, edge_sum
 
 
-def tally(calls: list[int], ctr, roots: int, loaded: int) -> None:
+def tally(
+    calls: list[int], ctr, roots: int, loaded: int,
+    skipped_nodes: int = 0, skipped_ends: int = 0, hits: int = 0,
+) -> None:
     """Add to ``calls`` (in :data:`OPS` order) the kernel calls of
     ``roots`` pivot walks whose summed counters are ``ctr``, ``loaded``
     of them over a non-empty subgraph.
 
+    ``ctr`` counts whole trees.  A walk with a subtree memo skips the
+    subtrees below its ``hits`` hit nodes: ``skipped_nodes`` nodes, of
+    which ``skipped_ends`` are leaves or early exits.  So the walk
+    entered ``entered = nodes - skipped_nodes`` nodes, ``ends = leaves
+    + early exits - skipped_ends`` of them leaves or early exits.
+
     Each walk allocated one root's rows, and loaded them if it had any.
-    Every node of a pivot tree is a pivot selection, a leaf or an early
-    exit, and every node but the root is either its parent's pivot
-    child or one of its parent's branch intersections.  So
-    ``pivot_select = nodes - leaves - early exits`` and
-    ``intersect_count = leaves + early exits - roots``.
+    Every entered node is a pivot selection, a leaf or an early exit (a
+    hit selects its pivot before its lookup).  Every entered node but
+    the root is the pivot child or one of the branch intersections of
+    an entered node that selected a pivot and was not a hit.  So
+    ``pivot_select = entered - ends`` and ``intersect_count = ends +
+    hits - roots``.
     """
+    ends = ctr.leaves + ctr.early_terminations - skipped_ends
     calls[0] += roots
     calls[1] += loaded
-    calls[2] += ctr.function_calls - ctr.leaves - ctr.early_terminations
-    calls[3] += ctr.leaves + ctr.early_terminations - roots
+    calls[2] += ctr.function_calls - skipped_nodes - ends
+    calls[3] += ends + hits - roots

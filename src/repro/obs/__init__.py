@@ -198,16 +198,26 @@ def record_run(counters, *, engine: str, structure: str, kernel: str,
                           structure=structure, kernel=kernel).inc(roots)
 
 
-def record_memo(hits: int, misses: int, *, engine: str, structure: str,
-                kernel: str) -> None:
-    """Per-root-loop publish point of the root-subgraph memo: roots
-    that reused an earlier root's tally, and looked-up roots that were
-    counted."""
+def record_memo(hits: int, misses: int, node_hits: int, node_misses: int,
+                *, engine: str, structure: str, kernel: str) -> None:
+    """Per-root-loop publish point of the SCT memos: roots that reused
+    an earlier root's tally and looked-up roots that were counted, then
+    subtree lookups (inside one root) that reused an earlier subtree's
+    result and those that walked it.  Most loops look up no subtree, so
+    the subtree counters are created only once non-zero."""
     if not _REGISTRY.enabled:
         return
     labels = {"engine": engine, "structure": structure, "kernel": kernel}
     _REGISTRY.counter("sct_memo_hits_total", **labels).inc(hits)
     _REGISTRY.counter("sct_memo_misses_total", **labels).inc(misses)
+    if node_hits:
+        _REGISTRY.counter("sct_node_memo_hits_total", **labels).inc(
+            node_hits
+        )
+    if node_misses:
+        _REGISTRY.counter("sct_node_memo_misses_total", **labels).inc(
+            node_misses
+        )
 
 
 def kernel_tally() -> list[int] | None:

@@ -171,6 +171,32 @@ def test_invalid_k():
         count_kcliques(g, 0, core_ordering(g))
 
 
+def test_count_root_rejects_missing_roots_and_bad_k():
+    # A root outside [0, n) and k < 1 raise CountingError, as in
+    # count_roots, instead of counting a wrapped-around vertex, an
+    # empty answer or a raw IndexError.
+    g = erdos_renyi(40, 0.3, seed=1)
+    engine = SCTEngine(g, core_ordering(g))
+    for v in (-1, 40):
+        with pytest.raises(CountingError, match="out of range"):
+            engine.count_root(v, 3)
+        with pytest.raises(CountingError, match="out of range"):
+            engine.count_root_all(v)
+        with pytest.raises(CountingError, match="out of range"):
+            engine.count_roots([v], 3)
+    for k in (0, -2):
+        with pytest.raises(CountingError, match="k must be >= 1"):
+            engine.count_root(0, k)
+    total = sum(engine.count_root(v, 3) for v in range(40))
+    assert total == engine.count(3).count
+    row = [0] * len(engine.count_all().all_counts)
+    for v in range(40):
+        for s, c in enumerate(engine.count_root_all(v)):
+            if c:
+                row[s] += c
+    assert row == engine.count_all().all_counts
+
+
 def test_directed_input_rejected():
     g = complete_graph(4)
     dag = directionalize(g, core_ordering(g))
