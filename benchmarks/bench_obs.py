@@ -29,11 +29,15 @@ such pairs moves with the code only.
 import argparse
 import statistics
 import sys
-import time
 from contextlib import contextmanager, nullcontext
 
 from repro import obs
-from repro.bench.harness import Table, fmt_seconds, write_json_artifact
+from repro.bench.harness import (
+    Table,
+    fmt_seconds,
+    time_interleaved,
+    write_json_artifact,
+)
 from repro.bench.platform import add_store_args, store_and_check
 from repro.counting import count_kcliques
 from repro.graph.generators import erdos_renyi
@@ -129,37 +133,6 @@ def _stripped_hooks():
             setattr(obs, name, hook)
 
 
-def _time_interleaved(variants, calls, *, number, repeats):
-    """Per-repeat seconds per sweep for each variant: each repeat runs
-    every call of ``calls`` once per variant, ``number`` times, inside
-    that variant's context, and sums the variant's timed calls.
-
-    The variants take turns per call, in an order rotated from call to
-    call (A B C, B C A, C A B, ...), rather than each timing a whole
-    sweep in a row: a call lasts a few milliseconds, so a slow phase of
-    a noisy machine lands on every variant alike and repeat ``i`` of
-    each variant is comparable (the per-repeat *pairs* the gate and the
-    run store read as overhead ratios).
-    """
-    names = list(variants)
-    samples = {name: [] for name in names}
-    turn = 0
-    for _ in range(repeats):
-        spent = dict.fromkeys(names, 0.0)
-        for call in calls:
-            for j in range(len(names)):
-                name = names[(turn + j) % len(names)]
-                with variants[name]():
-                    t0 = time.perf_counter()
-                    for _ in range(number):
-                        call()
-                    spent[name] += time.perf_counter() - t0
-            turn += 1
-        for name in names:
-            samples[name].append(spent[name] / number)
-    return samples
-
-
 def _paired_pct(samples, name):
     """Overhead of ``name`` over the stripped baseline, in percent: the
     median of the paired per-repeat ratios."""
@@ -201,8 +174,9 @@ def run_obs_bench(*, n, p, seed, number, repeats, out_path,
         with context():
             assert sweep() == checksum
 
-    samples = _time_interleaved(
-        variants, calls, number=number, repeats=repeats,
+    samples = time_interleaved(
+        variants, dict.fromkeys(variants, calls), number=number,
+        repeats=repeats,
     )
     t_stripped = min(samples["stripped"])
     t_disabled = min(samples["disabled"])

@@ -18,6 +18,7 @@ __all__ = [
     "fmt_rate",
     "time_best",
     "time_samples",
+    "time_interleaved",
     "run_with_metrics",
     "metrics_summary_lines",
     "write_json_artifact",
@@ -75,6 +76,44 @@ def time_samples(
         for _ in range(number):
             fn()
         samples.append((time.perf_counter() - t0) / number)
+    return samples
+
+
+def time_interleaved(
+    variants: dict[str, Callable[[], Any]],
+    calls: dict[str, list[Callable[[], Any]]],
+    *,
+    number: int = 1,
+    repeats: int = 5,
+) -> dict[str, list[float]]:
+    """Per-repeat seconds of each variant, the variants taking turns.
+
+    ``variants`` maps a name to a context factory and ``calls`` maps it
+    to its calls (lists of one length).  Each repeat runs call ``i`` of
+    every variant, ``number`` times inside its context, for each ``i``
+    in turn, in an order rotated from call to call (A B, B A, ...), and
+    sums each variant's timed calls.  A shared host's speed drifts on
+    the scale of one call, so a slow phase lands on every variant alike
+    and repeat ``i`` of each is comparable: read the per-repeat pairs'
+    ratios through their median.
+    """
+    names = list(variants)
+    samples: dict[str, list[float]] = {name: [] for name in names}
+    turn = 0
+    for _ in range(repeats):
+        spent = dict.fromkeys(names, 0.0)
+        for i in range(len(calls[names[0]])):
+            for j in range(len(names)):
+                name = names[(turn + j) % len(names)]
+                call = calls[name][i]
+                with variants[name]():
+                    t0 = time.perf_counter()
+                    for _ in range(number):
+                        call()
+                    spent[name] += time.perf_counter() - t0
+            turn += 1
+        for name in names:
+            samples[name].append(spent[name] / number)
     return samples
 
 

@@ -21,19 +21,14 @@ node; the controller is consulted only at root boundaries.
 
 from __future__ import annotations
 
-from contextlib import nullcontext
-
 import numpy as np
 
 from repro import kernels, obs
 from repro.counting.counters import Counters
+from repro.counting.roots import run_roots
 from repro.counting.sct import CountResult
 from repro.counting.structures import STRUCTURES
-from repro.errors import (
-    CountingError,
-    MemoryBudgetExceededError,
-    NodeBudgetExceededError,
-)
+from repro.errors import CountingError, NodeBudgetExceededError
 from repro.graph.csr import CSRGraph
 from repro.ordering.base import Ordering
 from repro.ordering.directionalize import directionalize
@@ -86,7 +81,6 @@ def count_kcliques_enumeration(
     per_root_work = np.zeros(n, dtype=np.float64)
     per_root_memory = np.zeros(n, dtype=np.float64)
     total = 0
-    done = 0
 
     if k == 1:
         total = n
@@ -104,65 +98,48 @@ def count_kcliques_enumeration(
                 "graph": graph_fingerprint(graph),
             }
         )
+    calls = obs.kernel_tally()
 
-    def seed_budget() -> list[int]:
+    def visit(v: int, ctx) -> tuple:
+        ctr = Counters()
         # The in-recursion countdown: -1 means unlimited.  Composes the
         # static max_nodes cap with the controller's remaining budget.
-        limits = [x for x in (max_nodes, ctl and ctl.remaining_nodes()) if x is not None]
-        return [min(limits) if limits else -1]
+        limits = [x for x in (max_nodes, ctl and ctl.remaining_nodes())
+                  if x is not None]
+        try:
+            count = _count_root(ctx, k, ctr, [min(limits) if limits else -1])
+        except NodeBudgetExceededError as e:
+            if ctl is not None and e.spent is None:
+                ctl.spent.nodes += ctr.function_calls
+                e.spent = ctl.spent_snapshot()
+            raise
+        if calls is not None:
+            # No pivot scans.  Every node but the first of a root that
+            # recursed is reached through one intersect, and so is
+            # every pruned branch (an early exit).
+            calls[0] += 1
+            calls[1] += ctx.d > 0
+            calls[3] += (ctr.function_calls + ctr.early_terminations
+                         - (ctx.d >= k - 1))
+        return ctr.function_calls, ctr.peak_subgraph_bytes, ctr, count
+
+    def fold(v: int, record: tuple) -> None:
+        nonlocal total
+        _, peak, ctr, count = record
+        total += count
+        per_root_work[v] = ctr.work
+        per_root_memory[v] = peak
+        totals.merge(ctr)
 
     span_attrs = {"engine": "enumeration", "structure": struct.name,
                   "kernel": kernels.NAME, "k": k}
     if obs.get_tracer().enabled:
         span_attrs["graph"] = graph_fingerprint(graph)
-    # As in the SCT engine, the `finally` publishes partial totals when
-    # a budget abort (the expected Fig. 12 outcome at large k) unwinds.
-    try:
-        with obs.span("enumeration.count", **span_attrs), obs.phase(
-            "counting"
-        ), (ctl.guard() if ctl is not None else nullcontext()):
-            for v in range(n if k >= 3 else 0):
-                ctr = Counters()
-                try:
-                    if ctl is not None:
-                        ctl.tick()
-                    delta = _count_root(struct, v, k, ctr, seed_budget())
-                except MemoryError:
-                    raise MemoryBudgetExceededError(
-                        f"out of memory while enumerating root {v}",
-                        spent=ctl.spent_snapshot() if ctl is not None else None,
-                    )
-                except NodeBudgetExceededError as e:
-                    if ctl is not None and e.spent is None:
-                        ctl.spent.nodes += ctr.function_calls
-                        e.spent = ctl.spent_snapshot()
-                    raise
-                if ctl is not None:
-                    ctl.charge_nodes(ctr.function_calls)
-                    ctl.note_memory(ctr.peak_subgraph_bytes)
-                total += delta
-                per_root_work[v] = ctr.work
-                per_root_memory[v] = ctr.peak_subgraph_bytes
-                totals.merge(ctr)
-                obs.note_memory(ctr.peak_subgraph_bytes)
-                done = v + 1
-                if ctl is not None:
-                    ctl.complete_root(v)
-    finally:
-        obs.record_run(
-            totals, engine="enumeration", structure=struct.name,
-            kernel=kernels.NAME, roots=done,
+    with obs.span("enumeration.count", **span_attrs), obs.phase("counting"):
+        run_roots(
+            struct, np.arange(n if k >= 3 else 0), visit, fold, totals,
+            engine="enumeration", controller=ctl, calls=calls,
         )
-        if obs.enabled():
-            # No pivot scans.  Every node but the first of each root
-            # that recursed is reached through one intersect, and so is
-            # every pruned branch (an early exit).
-            d = dag.degrees[:done]
-            recursed = int(np.count_nonzero(d >= k - 1))
-            obs.record_kernel_calls([
-                d.size, int(np.count_nonzero(d)), 0,
-                totals.function_calls + totals.early_terminations - recursed,
-            ])
     return CountResult(
         count=total,
         all_counts=None,
@@ -175,8 +152,7 @@ def count_kcliques_enumeration(
     )
 
 
-def _count_root(struct, v: int, k: int, ctr: Counters, budget: list[int]) -> int:
-    ctx = struct.build(v)
+def _count_root(ctx, k: int, ctr: Counters, budget: list[int]) -> int:
     ctr.subgraph_builds += 1
     ctr.build_words += ctx.build_words
     ctr.peak_subgraph_bytes = max(ctr.peak_subgraph_bytes, ctx.memory_bytes)

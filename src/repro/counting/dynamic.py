@@ -55,18 +55,16 @@ from __future__ import annotations
 import hashlib
 import os
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from repro import kernels, obs
 from repro.counting.counters import Counters
+from repro.counting.roots import run_roots
 from repro.counting.structures import STRUCTURES
-from repro.errors import (
-    CountingError,
-    GraphFormatError,
-    MemoryBudgetExceededError,
-)
+from repro.errors import CountingError, GraphFormatError
 from repro.graph.build import csr_from_sorted_edges
 from repro.graph.csr import CSRGraph
 from repro.ordering.directionalize import directionalize
@@ -444,7 +442,8 @@ def _recompute_roots(
 
     Returns ``(per_root, totals, struct)`` where ``per_root`` maps
     root id -> ``(leaves, recursion_work)`` and ``struct`` is the
-    structure over the edited graph.  Mirrors the build loop's
+    structure over the edited graph.  The roots run through
+    :func:`~repro.counting.roots.run_roots`, with the build's
     controller cooperation — deadline/node budgets and
     checkpoint/resume — at **dirty-root** granularity: a killed
     ``apply_edits`` resumes recomputation where it stopped, and the
@@ -453,7 +452,6 @@ def _recompute_roots(
     """
     from repro.counting.forest import collect_root_leaves
 
-    record_members = forest.has_members
     struct = STRUCTURES[descriptor["structure"]](graph, dag)
     totals = Counters()
     per_root: dict[int, tuple[list, float]] = {}
@@ -499,42 +497,20 @@ def _recompute_roots(
                 )
             totals = Counters.from_dict(state["counters"])
 
-    from contextlib import nullcontext
-
-    ctxs = struct.build_many(dirty[start:])
     calls = obs.kernel_tally()
-    try:
-        with (ctl.guard() if ctl is not None else nullcontext()):
-            for i in range(start, dirty.size):
-                v = int(dirty[i])
-                ctr = Counters()
-                try:
-                    if ctl is not None:
-                        ctl.tick()
-                    ctx = next(ctxs)
-                    leaves = collect_root_leaves(
-                        struct, v, ctr, record_members=record_members,
-                        ctx=ctx,
-                    )
-                except MemoryError as exc:
-                    if ctl is None:
-                        raise
-                    raise MemoryBudgetExceededError(
-                        f"allocation failure at root {v}",
-                        spent=ctl.spent_snapshot(),
-                    ) from exc
-                if calls is not None:
-                    kernels.tally(calls, ctr, 1, ctx.d > 0)
-                if ctl is not None:
-                    ctl.charge_nodes(ctr.function_calls)
-                    ctl.note_memory(ctr.peak_subgraph_bytes)
-                per_root[v] = (leaves, ctr.recursion_work)
-                totals.merge(ctr)
-                obs.note_memory(ctr.peak_subgraph_bytes)
-                if ctl is not None:
-                    ctl.complete_root(v)
-    finally:
-        obs.record_kernel_calls(calls)
+
+    def fold(v: int, record: tuple) -> None:
+        _, _, ctr, leaves = record
+        per_root[v] = (leaves, ctr.recursion_work)
+        totals.merge(ctr)
+
+    run_roots(
+        struct, dirty[start:],
+        partial(collect_root_leaves, record_members=forest.has_members,
+                calls=calls),
+        fold, totals, engine="sct-forest-edits", controller=ctl,
+        calls=calls,
+    )
     return per_root, totals, struct
 
 
@@ -733,11 +709,6 @@ def apply_edits(
             }
             forest.bind(graph=new_graph, dag=new_dag, rank=new_rank)
             forest._edits_since_reorder = pending_edits
-            obs.record_run(
-                totals, engine="sct-forest-edits",
-                structure=descriptor["structure"],
-                kernel=descriptor["kernel"], roots=int(dirty.size),
-            )
 
         report.graph = forest.graph
         report.dag = forest.dag

@@ -64,13 +64,13 @@ import warnings
 import zipfile
 import zlib
 from collections import OrderedDict
-from contextlib import nullcontext
 
 import numpy as np
 
 from repro import kernels, obs
 from repro.counting.binomial import binomial, binomial_row
 from repro.counting.counters import Counters
+from repro.counting.roots import run_roots
 from repro.counting.structures import STRUCTURES, SubgraphStructure
 from repro.counting.structures.base import RootContext
 from repro.errors import (
@@ -416,15 +416,10 @@ class SCTForest:
         per_root_work = np.zeros(n, dtype=np.float64)
         per_root_memory = np.zeros(n, dtype=np.float64)
         per_root_recursion = np.zeros(n, dtype=np.float64)
-        held_n: list[int] = []
-        pivot_n: list[int] = []
-        roots: list[int] = []
-        held_members: list[int] | None = [] if members else None
-        pivot_members: list[int] | None = [] if members else None
+        lists = _LeafLists(members)
         start = 0
         done = 0
         degraded_from: str | None = None
-        spilled = not members
 
         descriptor = {
             "engine": "sct-forest",
@@ -435,50 +430,38 @@ class SCTForest:
             "dag_fingerprint": graph_fingerprint(dag),
         }
 
-        def forest_model_bytes() -> int:
-            total = _LEAF_BYTES * len(held_n)
-            if held_members is not None and pivot_members is not None:
-                total += _MEMBER_BYTES * (
-                    len(held_members) + len(pivot_members)
-                )
-            return total
-
         if ctl is not None:
             def snapshot() -> dict:
+                hm, pm = lists.held_members, lists.pivot_members
                 return {
                     "next_root": done,
-                    "held_n": list(held_n),
-                    "pivot_n": list(pivot_n),
-                    "roots": list(roots),
-                    "held_members": (
-                        None if held_members is None else list(held_members)
-                    ),
-                    "pivot_members": (
-                        None if pivot_members is None else list(pivot_members)
-                    ),
+                    "held_n": list(lists.held_n),
+                    "pivot_n": list(lists.pivot_n),
+                    "roots": list(lists.roots),
+                    "held_members": None if hm is None else list(hm),
+                    "pivot_members": None if pm is None else list(pm),
                     "counters": totals.as_dict(),
                     "per_root_work": per_root_work[:done].tolist(),
                     "per_root_memory": per_root_memory[:done].tolist(),
                     "per_root_recursion": per_root_recursion[:done].tolist(),
                     "degraded_from": degraded_from,
-                    "spilled": spilled,
+                    "spilled": hm is None,
                 }
 
             state = ctl.begin(descriptor, snapshot)
             if state is not None:
                 start = done = int(state["next_root"])
-                held_n = [int(x) for x in state["held_n"]]
-                pivot_n = [int(x) for x in state["pivot_n"]]
-                roots = [int(x) for x in state["roots"]]
-                spilled = bool(state.get("spilled"))
+                lists.held_n = [int(x) for x in state["held_n"]]
+                lists.pivot_n = [int(x) for x in state["pivot_n"]]
+                lists.roots = [int(x) for x in state["roots"]]
                 stored_h = state.get("held_members")
                 stored_p = state.get("pivot_members")
-                if spilled or stored_h is None or stored_p is None:
-                    held_members = pivot_members = None
-                    spilled = True
+                if (state.get("spilled") or stored_h is None
+                        or stored_p is None):
+                    lists.held_members = lists.pivot_members = None
                 else:
-                    held_members = [int(x) for x in stored_h]
-                    pivot_members = [int(x) for x in stored_p]
+                    lists.held_members = [int(x) for x in stored_h]
+                    lists.pivot_members = [int(x) for x in stored_p]
                 totals = Counters.from_dict(state["counters"])
                 per_root_work[:start] = state["per_root_work"]
                 per_root_memory[:start] = state["per_root_memory"]
@@ -486,104 +469,62 @@ class SCTForest:
                 degraded_from = state.get("degraded_from")
 
         def spill() -> None:
-            nonlocal held_members, pivot_members, spilled, degraded_from
-            held_members = pivot_members = None
-            spilled = True
+            nonlocal degraded_from
+            lists.held_members = lists.pivot_members = None
             obs.degradation("member_spill", engine="sct-forest")
             if degraded_from is None:
                 degraded_from = "members"
 
-        ctxs = struct.build_many(np.arange(start, n, dtype=np.int64))
         calls = obs.kernel_tally()
 
-        def run_root(v: int) -> tuple[Counters, list]:
-            ctr = Counters()
-            ctx = next(ctxs)
-            leaves = collect_root_leaves(
-                struct, v, ctr, record_members=held_members is not None,
-                ctx=ctx,
+        def visit(v: int, ctx: RootContext) -> tuple:
+            return collect_root_leaves(
+                v, ctx, record_members=lists.held_members is not None,
+                calls=calls,
             )
-            if calls is not None:
-                kernels.tally(calls, ctr, 1, ctx.d > 0)
-            return ctr, leaves
+
+        def fold(v: int, record: tuple) -> None:
+            nonlocal done
+            _, peak, ctr, leaves = record
+            if ctl is not None:
+                # The forest with this root's leaves in it is metered
+                # before they land, so an abort leaves whole roots.
+                try:
+                    ctl.note_memory(max(peak, lists.model_bytes(leaves)))
+                except MemoryBudgetExceededError:
+                    # The degradation rung: spill the member arrays and
+                    # keep the exact counts-only forest.
+                    if not ctl.degrade or lists.held_members is None:
+                        raise
+                    spill()
+                    ctl.note_memory(max(peak, lists.model_bytes(leaves)))
+            lists.append(v, leaves)
+            per_root_work[v] = ctr.work
+            per_root_memory[v] = peak
+            per_root_recursion[v] = ctr.recursion_work
+            totals.merge(ctr)
+            done = v + 1
 
         span_attrs = {"engine": "sct-forest", "structure": struct.name,
                       "kernel": kernels.NAME, "members": bool(members)}
         if obs.get_tracer().enabled:
             span_attrs["graph"] = descriptor["graph_fingerprint"]
-        try:
-            with obs.span("forest.build", **span_attrs), obs.phase(
-                "forest_build"
-            ), (ctl.guard() if ctl is not None else nullcontext()):
-                for v in range(start, n):
-                    if ctl is None:
-                        ctr, leaves = run_root(v)
-                    else:
-                        try:
-                            ctl.tick()
-                            ctr, leaves = run_root(v)
-                        except MemoryError as exc:
-                            raise MemoryBudgetExceededError(
-                                f"allocation failure at root {v}",
-                                spent=ctl.spent_snapshot(),
-                            ) from exc
-                        ctl.charge_nodes(ctr.function_calls)
-                    for h_count, p_count, h_ids, p_ids in leaves:
-                        held_n.append(h_count)
-                        pivot_n.append(p_count)
-                        roots.append(v)
-                        if held_members is not None and h_ids is not None:
-                            held_members.extend(h_ids)
-                            pivot_members.extend(p_ids)
-                    per_root_work[v] = ctr.work
-                    per_root_memory[v] = ctr.peak_subgraph_bytes
-                    per_root_recursion[v] = ctr.recursion_work
-                    totals.merge(ctr)
-                    obs.note_memory(ctr.peak_subgraph_bytes)
-                    done = v + 1
-                    if ctl is not None:
-                        try:
-                            ctl.note_memory(
-                                max(ctr.peak_subgraph_bytes,
-                                    forest_model_bytes())
-                            )
-                        except MemoryBudgetExceededError:
-                            # The forest itself crossed the watermark.
-                            # The degradation rung: spill the member
-                            # arrays, keep the exact counts-only forest.
-                            if not ctl.degrade or held_members is None:
-                                raise
-                            spill()
-                            ctl.note_memory(
-                                max(ctr.peak_subgraph_bytes,
-                                    forest_model_bytes())
-                            )
-                        ctl.complete_root(v)
-        finally:
-            obs.record_run(
-                totals, engine="sct-forest", structure=struct.name,
-                kernel=kernels.NAME, roots=done - start,
+        with obs.span("forest.build", **span_attrs), obs.phase(
+            "forest_build"
+        ):
+            run_roots(
+                struct, np.arange(start, n, dtype=np.int64), visit, fold,
+                totals, engine="sct-forest", controller=ctl, calls=calls,
             )
-            obs.record_kernel_calls(calls)
-            reg = obs.get_registry()
-            if reg.enabled:
-                reg.gauge("forest_leaves").set(len(held_n))
-                reg.gauge("forest_model_bytes").set(forest_model_bytes())
+        reg = obs.get_registry()
+        if reg.enabled:
+            reg.gauge("forest_leaves").set(len(lists.held_n))
+            reg.gauge("forest_model_bytes").set(lists.model_bytes())
 
-        descriptor["members"] = held_members is not None
+        descriptor["members"] = lists.held_members is not None
         return cls(
             num_vertices=n,
-            held_n=np.asarray(held_n, dtype=np.int32),
-            pivot_n=np.asarray(pivot_n, dtype=np.int32),
-            roots=np.asarray(roots, dtype=np.int32),
-            held_members=(
-                None if held_members is None
-                else np.asarray(held_members, dtype=np.int32)
-            ),
-            pivot_members=(
-                None if pivot_members is None
-                else np.asarray(pivot_members, dtype=np.int32)
-            ),
+            **lists.arrays(),
             per_root_work=per_root_work,
             per_root_memory=per_root_memory,
             per_root_recursion=per_root_recursion,
@@ -1032,15 +973,18 @@ def walk_root(
 
 
 def collect_root_leaves(
-    struct: SubgraphStructure, v: int, ctr: Counters, *,
-    record_members: bool = True, ctx: RootContext | None = None,
-) -> list:
-    """Root ``v``'s full-tree leaves as ``(|H|, |Π|, held_ids,
-    pivot_ids)`` tuples (ids ``None`` when ``record_members`` is off),
-    charging ``ctr`` — the unit the serial and parallel forest builds
-    and the dirty-root recompute share, so leaves gathered by any of
-    them in any order reassemble into a bit-identical forest.  ``ctx``
-    is ``v``'s already-built context, if the caller has one."""
+    v: int, ctx: RootContext, *, record_members: bool = True,
+    calls: list[int] | None = None,
+) -> tuple:
+    """Walk root ``v``'s full tree over its built context ``ctx`` and
+    return the root's record for :func:`~repro.counting.roots.run_roots`:
+    ``(nodes, peak bytes, counters, leaves)``, each leaf ``(|H|, |Π|,
+    held_ids, pivot_ids)`` (ids ``None`` when ``record_members`` is
+    off), the walk's kernel calls tallied into ``calls``.  It is the
+    per-root function the serial and parallel forest builds and the
+    dirty-root recompute share, so leaves gathered by any of them in
+    any order reassemble into a bit-identical forest."""
+    ctr = Counters()
     leaves: list = []
     append = leaves.append
     if record_members:
@@ -1049,8 +993,59 @@ def collect_root_leaves(
     else:
         def leaf(held, pivots, held_ids, pivot_ids):
             append((held, pivots, None, None))
-    walk_root(struct.build(v) if ctx is None else ctx, v, ctr, leaf)
-    return leaves
+    walk_root(ctx, v, ctr, leaf)
+    if calls is not None:
+        kernels.tally(calls, ctr, 1, ctx.d > 0)
+    return ctr.function_calls, ctr.peak_subgraph_bytes, ctr, leaves
+
+
+class _LeafLists:
+    """A forest's leaf arrays as lists while roots fold in, in root
+    order.  The serial build's fold and the parallel build's reassembly
+    both append through :meth:`append`, so they lay out the same
+    arrays.  ``held_members`` / ``pivot_members`` are ``None`` when
+    members are not recorded (or were spilled)."""
+
+    def __init__(self, members: bool) -> None:
+        self.held_n: list[int] = []
+        self.pivot_n: list[int] = []
+        self.roots: list[int] = []
+        self.held_members: list[int] | None = [] if members else None
+        self.pivot_members: list[int] | None = [] if members else None
+
+    def append(self, v: int, leaves: list) -> None:
+        """Append root ``v``'s leaves, in their walk order."""
+        held_n, pivot_n, roots = self.held_n, self.pivot_n, self.roots
+        held_members, pivot_members = self.held_members, self.pivot_members
+        for h_count, p_count, h_ids, p_ids in leaves:
+            held_n.append(h_count)
+            pivot_n.append(p_count)
+            roots.append(v)
+            if held_members is not None and h_ids is not None:
+                held_members.extend(h_ids)
+                pivot_members.extend(p_ids)
+
+    def model_bytes(self, leaves: list = ()) -> int:
+        """The modeled bytes of the arrays once ``leaves`` are
+        appended."""
+        total = _LEAF_BYTES * (len(self.held_n) + len(leaves))
+        if self.held_members is not None:
+            total += _MEMBER_BYTES * (
+                len(self.held_members) + len(self.pivot_members)
+                + sum(len(h) + len(p) for _, _, h, p in leaves)
+            )
+        return total
+
+    def arrays(self) -> dict:
+        """The :class:`SCTForest` leaf arrays, as keyword arguments."""
+        return {
+            name: None if ids is None else np.asarray(ids, dtype=np.int32)
+            for name, ids in (
+                ("held_n", self.held_n), ("pivot_n", self.pivot_n),
+                ("roots", self.roots), ("held_members", self.held_members),
+                ("pivot_members", self.pivot_members),
+            )
+        }
 
 
 def attribution_structure(
@@ -1076,19 +1071,16 @@ def walk_roots(
     k: int | None = None, cap: int | None = None,
     controller: RunController | None = None, engine: str = "",
 ) -> Counters:
-    """:func:`walk_root` over every root of ``roots`` in order, their
-    contexts induced in :meth:`~SubgraphStructure.build_many` blocks —
-    the root loop of the attribution engines.  Returns the summed
-    counters.
+    """:func:`walk_root` over every root of ``roots`` in order, through
+    :func:`~repro.counting.roots.run_roots` — the root loop of the
+    attribution engines.  Returns the summed counters, also published
+    under ``engine``.
 
     A ``controller`` is begun under an ``engine`` descriptor and
-    consulted at root granularity for budgets and fault injection; an
-    allocation failure inside a root becomes a
-    :class:`~repro.errors.MemoryBudgetExceededError`, as in the other
-    root loops.  Attribution keeps no checkpoint state: a budget abort
-    discards the run.
+    consulted at root granularity for budgets and fault injection.
+    Attribution keeps no checkpoint state: a budget abort discards the
+    run.
     """
-    roots = np.asarray(roots, dtype=np.int64)
     ctl = controller
     if ctl is not None:
         ctl.begin({
@@ -1099,34 +1091,22 @@ def walk_roots(
             "graph": graph_fingerprint(struct.graph),
         })
     totals = Counters()
-    ctxs = struct.build_many(roots)
-    done = 0
-    try:
-        with ctl.guard() if ctl is not None else nullcontext():
-            for v in roots.tolist():
-                nodes = totals.function_calls
-                try:
-                    if ctl is not None:
-                        ctl.tick()
-                    walk_root(next(ctxs), v, totals, leaf, k=k, cap=cap)
-                except MemoryError as exc:
-                    if ctl is None:
-                        raise
-                    raise MemoryBudgetExceededError(
-                        f"allocation failure at root {v}",
-                        spent=ctl.spent_snapshot(),
-                    ) from exc
-                done += 1
-                if ctl is not None:
-                    ctl.charge_nodes(totals.function_calls - nodes)
-                    ctl.note_memory(totals.peak_subgraph_bytes)
-                    ctl.complete_root(v)
-    finally:
-        calls = obs.kernel_tally()
+    calls = obs.kernel_tally()
+
+    def visit(v: int, ctx: RootContext) -> tuple:
+        ctr = Counters()
+        walk_root(ctx, v, ctr, leaf, k=k, cap=cap)
         if calls is not None:
-            loaded = np.count_nonzero(struct.dag.degrees[roots[:done]])
-            kernels.tally(calls, totals, done, int(loaded))
-        obs.record_kernel_calls(calls)
+            kernels.tally(calls, ctr, 1, ctx.d > 0)
+        return ctr.function_calls, ctr.peak_subgraph_bytes, ctr
+
+    def fold(v: int, record: tuple) -> None:
+        totals.merge(record[2])
+
+    run_roots(
+        struct, roots, visit, fold, totals, engine=engine, controller=ctl,
+        calls=calls,
+    )
     return totals
 
 

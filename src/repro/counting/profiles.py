@@ -75,7 +75,7 @@ def per_vertex_profiles(
                 for u in pivot_ids:
                     profiles[u][s] += c_in
 
-    walk_roots(struct, range(n), leaf, cap=cap)
+    walk_roots(struct, range(n), leaf, cap=cap, engine="profiles")
     # Trim trailing all-zero columns (keep at least sizes 0..1).
     top = 1
     for v in range(n):

@@ -34,8 +34,8 @@ per loop call: a repeat folds its first occurrence's stored tally (see
 
 from __future__ import annotations
 
-from contextlib import nullcontext
 from dataclasses import dataclass
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -43,12 +43,9 @@ import numpy as np
 from repro import kernels, obs
 from repro.counting.binomial import binomial, binomial_row
 from repro.counting.counters import Counters
+from repro.counting.roots import run_roots
 from repro.counting.structures import STRUCTURES, SubgraphStructure
-from repro.errors import (
-    CheckpointError,
-    CountingError,
-    MemoryBudgetExceededError,
-)
+from repro.errors import CheckpointError, CountingError
 from repro.graph.csr import CSRGraph
 from repro.ordering.base import Ordering
 from repro.ordering.directionalize import directionalize
@@ -82,23 +79,25 @@ class _RootTally(NamedTuple):
     """One root's share of a run, save its ``build_words``: the fields
     of its own :class:`Counters` and its count.  All of it is a function
     of the root's induced subgraph, so the root loop stores it per
-    subgraph and folds a repeat's copy."""
+    subgraph and folds a repeat's copy.  It is the root's record for
+    :func:`~repro.counting.roots.run_roots`, which reads the first two
+    fields."""
 
-    result: int | list[int]  # the k-clique count, or the all-k row
     nodes: int
+    memory_bytes: int
+    result: int | list[int]  # the k-clique count, or the all-k row
     leaves: int
     early_exits: int
     set_op_words: float
     index_lookups: float
     max_depth: int
-    memory_bytes: int
 
     @classmethod
     def of(cls, result, ctr: Counters) -> "_RootTally":
         return cls(
-            result, ctr.function_calls, ctr.leaves, ctr.early_terminations,
-            ctr.set_op_words, ctr.index_lookups, ctr.max_depth,
-            ctr.peak_subgraph_bytes,
+            ctr.function_calls, ctr.peak_subgraph_bytes, result, ctr.leaves,
+            ctr.early_terminations, ctr.set_op_words, ctr.index_lookups,
+            ctr.max_depth,
         )
 
 
@@ -520,48 +519,29 @@ class SCTEngine:
         span,
         guard: bool = False,
     ) -> None:
-        """The root loop: count each of ``res.roots`` in order and fold
-        it into ``res`` — its count (or row) and counters into the
-        running totals, which a resumed run seeds, and its work and
-        memory onto the per-root lists.
+        """Count each of ``res.roots`` in order through
+        :func:`~repro.counting.roots.run_roots` and fold it into
+        ``res``: its count (or row) and counters into the running
+        totals, which a resumed run seeds, and its work and memory onto
+        the per-root lists.
 
-        Every root is ticked, counted, metered against ``ctl`` and only
-        then folded, so a budget abort or a checkpoint save at
-        ``ctl.complete_root`` sees whole roots only.  ``guard`` wraps
-        the loop in ``ctl.guard()`` (the caller owns the run's
-        checkpoints).
-
-        Roots induced in ``build_many`` blocks are memoized by their
-        packed rows for this call only: a repeat skips its rows and its
-        recursion and folds the first occurrence's :class:`_RootTally`
-        with its own ``build_words``.  Those are the same float
-        additions in the same order as :meth:`Counters.charge_root`
-        and :meth:`Counters.merge` make, so results are bit-identical.
-        Kernel calls are tallied over the roots and subtrees actually
-        walked: a repeat root calls no kernel, and a subtree memo hit
-        calls none below its own pivot scan.
+        A root too small for a k-clique is charged unbuilt
+        (:meth:`_charge_pruned`).  Block roots are memoized by their
+        packed rows for this call only: a repeat folds the first
+        occurrence's :class:`_RootTally` with its own ``build_words``,
+        the same float additions in the same order as counting it
+        again, so results are bit-identical.
         """
         length, cap = self._allk_shape(max_k) if k is None else (0, 0)
-        roots = res.roots
-        order = np.asarray(roots, dtype=np.int64)
-        pruned = self._prune_mask(order, k, early_termination)
-        prune = pruned.tolist()
-        memo: dict[bytes, _RootTally] = {}
-        ctxs = self.structure.build_many(order[~pruned], memo)
-        hits = misses = node_hits = node_misses = 0
+        build_words = self.structure.model_vectors()[0].tolist()
         calls = obs.kernel_tally()
+        node_memo = [0, 0]
 
-        def run_root(i: int, v: int) -> tuple[_RootTally, float]:
-            nonlocal hits, misses, node_hits, node_misses
-            if prune[i]:
-                ctr = Counters()
-                self._charge_pruned(v, ctr)
-                return _RootTally.of(0, ctr), ctr.build_words
-            ctx = next(ctxs)
-            if type(ctx) is tuple:  # (stored tally, build_words)
-                hits += 1
-                return ctx
+        def visit(v: int, ctx) -> _RootTally:
             ctr = Counters()
+            if ctx is None:
+                self._charge_pruned(v, ctr)
+                return _RootTally.of(0, ctr)
             acc = [0] * _ACC_SLOTS
             if k is None:
                 result = self._count_ctx_all(ctx, cap, length, ctr, acc)
@@ -573,77 +553,50 @@ class SCTEngine:
                 kernels.tally(
                     calls, ctr, 1, ctx.d > 0, acc[7], acc[8], acc[9]
                 )
-                node_hits += acc[9]
-                node_misses += acc[10]
-            tally = _RootTally.of(result, ctr)
-            if ctx.key is not None:
-                misses += 1
-                if len(memo) < _MEMO_MAX:
-                    memo[ctx.key] = tally
-            return tally, ctr.build_words
+                node_memo[0] += acc[9]
+                node_memo[1] += acc[10]
+            return _RootTally.of(result, ctr)
 
         totals = res.counters
         all_counts = res.all_counts
         work = res.per_root_work
         memory = res.per_root_memory
-        # Span + metrics wrap the whole root loop; the `finally` still
-        # publishes partial totals when a budget abort unwinds mid-run.
-        try:
-            with span, obs.phase("counting"), (
-                ctl.guard() if guard else nullcontext()
-            ):
-                for i, v in enumerate(roots):
-                    if ctl is None:
-                        tally, bw = run_root(i, v)
-                    else:
-                        # Budget/fault checks all happen BEFORE the root
-                        # is folded into the totals: a root is all-in or
-                        # not-at-all, which keeps checkpoints consistent.
-                        try:
-                            ctl.tick()
-                            tally, bw = run_root(i, v)
-                        except MemoryError as exc:
-                            raise MemoryBudgetExceededError(
-                                f"allocation failure at root {v}",
-                                spent=ctl.spent_snapshot(),
-                            ) from exc
-                        ctl.charge_nodes(tally.nodes)
-                        ctl.note_memory(tally.memory_bytes)
-                    (result, nodes, leaves, early, set_ops, lookups,
-                     depth, mem) = tally
-                    if k is None:
-                        for s in range(length):
-                            if result[s]:
-                                all_counts[s] += result[s]
-                    else:
-                        res.count += result
-                    work.append(set_ops + lookups + bw)
-                    memory.append(float(mem))
-                    # Counters.merge of the root's own counters, inline
-                    # so that a hit needs no Counters object.
-                    totals.function_calls += nodes
-                    totals.leaves += leaves
-                    totals.set_op_words += set_ops
-                    totals.index_lookups += lookups
-                    totals.subgraph_builds += 1
-                    totals.build_words += bw
-                    totals.early_terminations += early
-                    if depth > totals.max_depth:
-                        totals.max_depth = depth
-                    if mem > totals.peak_subgraph_bytes:
-                        totals.peak_subgraph_bytes = mem
-                    obs.note_memory(mem)
-                    if ctl is not None:
-                        ctl.complete_root(v)
-        finally:
-            labels = {
-                "engine": "sct",
-                "structure": self.structure.name,
-                "kernel": self.kernel.name,
-            }
-            obs.record_run(totals, roots=len(work), **labels)
-            obs.record_memo(hits, misses, node_hits, node_misses, **labels)
-            obs.record_kernel_calls(calls)
+
+        def fold(v: int, tally: _RootTally) -> None:
+            (nodes, mem, result, leaves, early, set_ops, lookups,
+             depth) = tally
+            if k is None:
+                for s in range(length):
+                    if result[s]:
+                        all_counts[s] += result[s]
+            else:
+                res.count += result
+            bw = build_words[v]
+            work.append(set_ops + lookups + bw)
+            memory.append(float(mem))
+            # Counters.merge of the root's own counters, inline so that
+            # a hit needs no Counters object.
+            t = totals
+            t.function_calls += nodes
+            t.leaves += leaves
+            t.set_op_words += set_ops
+            t.index_lookups += lookups
+            t.subgraph_builds += 1
+            t.build_words += bw
+            t.early_terminations += early
+            if depth > t.max_depth:
+                t.max_depth = depth
+            if mem > t.peak_subgraph_bytes:
+                t.peak_subgraph_bytes = mem
+
+        with span, obs.phase("counting"):
+            run_roots(
+                self.structure, res.roots, visit, fold, totals, engine="sct",
+                controller=ctl, guard=guard, calls=calls,
+                skip=partial(self._prune_mask, k=k,
+                             early_termination=early_termination),
+                memo={}, memo_max=_MEMO_MAX, node_memo=node_memo,
+            )
 
     # ------------------------------------------------------------------
     # per-root recursions

@@ -277,7 +277,7 @@ class SubgraphStructure(abc.ABC):
 
     def build_many(
         self, roots: Iterable[int], memo: dict | None = None
-    ) -> Iterator[RootContext | tuple[Any, float]]:
+    ) -> Iterator[RootContext | Any]:
         """Lazily yield ``build(v)`` for every ``v`` in ``roots``, in
         order, inducing a block of roots per vectorized pass (see
         :func:`plan_blocks`).
@@ -290,8 +290,8 @@ class SubgraphStructure(abc.ABC):
         With ``memo``, every root induced in a multi-root block
         (``d <= 64``, one word per row) is looked up by its key, its
         packed rows as bytes (their length fixes ``d``).  A hit yields
-        ``(memo[key], build_words)`` and loads nothing; a miss yields
-        the context with :attr:`RootContext.key` set, for the caller to
+        the stored ``memo[key]`` and loads nothing; a miss yields the
+        context with :attr:`RootContext.key` set, for the caller to
         store its value under.  Roots induced alone in row passes are
         never looked up.
         """
@@ -324,7 +324,7 @@ class SubgraphStructure(abc.ABC):
                 key = None if packed is None else packed[8 * m0 : 8 * m1]
                 hit = None if key is None else memo.get(key)
                 if hit is not None:
-                    yield hit, bw
+                    yield hit
                 else:
                     ctx = self._context(mem[m0:m1], d, words[m0:m1], bw)
                     ctx.key = key

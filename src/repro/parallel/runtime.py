@@ -56,6 +56,7 @@ import random
 import time
 from collections import OrderedDict
 from contextlib import contextmanager, nullcontext
+from functools import partial
 from multiprocessing import get_all_start_methods, get_context
 
 import numpy as np
@@ -244,37 +245,33 @@ def _execute_mode(task: dict, engine, graph: CSRGraph) -> dict:
 
         k = task["k"]
         per = [0] * graph.num_vertices
-        ctr = walk_roots(engine.structure, roots, vertex_sink(per, k), k=k)
+        ctr = walk_roots(engine.structure, roots, vertex_sink(per, k), k=k,
+                         engine="per-vertex")
         return {
             "per": {i: c for i, c in enumerate(per) if c},
             "counters": ctr.as_dict(),
         }
     if mode == "forest":
         from repro.counting.forest import collect_root_leaves
+        from repro.counting.roots import run_roots
 
         leaves_per_root = []
         counters_per_root = []
         chunk_totals = Counters()
-        ctxs = engine.structure.build_many(roots)
-        for v in roots:
-            ctr = Counters()
-            leaves = collect_root_leaves(
-                engine.structure, v, ctr, record_members=task["members"],
-                ctx=next(ctxs),
-            )
+        calls = obs.kernel_tally()
+
+        def fold(v: int, record: tuple) -> None:
+            _, _, ctr, leaves = record
             leaves_per_root.append(leaves)
             counters_per_root.append(ctr.as_dict())
             chunk_totals.merge(ctr)
-        obs.record_run(
-            chunk_totals, engine="sct-forest",
-            structure=engine.structure.name, kernel=kernels.NAME,
-            roots=len(roots),
+
+        run_roots(
+            engine.structure, roots,
+            partial(collect_root_leaves, record_members=task["members"],
+                    calls=calls),
+            fold, chunk_totals, engine="sct-forest", calls=calls,
         )
-        calls = obs.kernel_tally()
-        if calls is not None:
-            loaded = np.count_nonzero(engine.dag.degrees[roots])
-            kernels.tally(calls, chunk_totals, len(roots), int(loaded))
-        obs.record_kernel_calls(calls)
         return {"leaves": leaves_per_root, "counters": counters_per_root}
     raise ParallelModelError(f"unknown worker mode {mode!r}")
 
@@ -825,7 +822,7 @@ def parallel_build_forest(
     and no member-spill rung (use the serial build under a memory
     watermark when spilling matters).
     """
-    from repro.counting.forest import SCTForest
+    from repro.counting.forest import SCTForest, _LeafLists
 
     n = graph.num_vertices
     kernel_name = kernels.kernel_name(kernel)
@@ -910,39 +907,19 @@ def parallel_build_forest(
     # nondeterministic, but leaves are keyed by root and each root's
     # leaves arrive in recursion order, so this loop reproduces the
     # serial build's append order exactly.
-    held_n: list[int] = []
-    pivot_n: list[int] = []
-    leaf_roots: list[int] = []
-    held_members: list[int] | None = [] if members else None
-    pivot_members: list[int] | None = [] if members else None
+    lists = _LeafLists(members)
     totals = Counters()
     for v in range(n):
-        for h_count, p_count, h_ids, p_ids in leaves_by_root.get(v, ()):
-            held_n.append(h_count)
-            pivot_n.append(p_count)
-            leaf_roots.append(v)
-            if held_members is not None and h_ids is not None:
-                held_members.extend(h_ids)
-                pivot_members.extend(p_ids)
+        lists.append(v, leaves_by_root.get(v, ()))
         totals.merge(Counters.from_dict(counters_by_root[v]))
 
     reg = obs.get_registry()
     if reg.enabled:
-        reg.gauge("forest_leaves").set(len(held_n))
+        reg.gauge("forest_leaves").set(len(lists.held_n))
 
     return SCTForest(
         num_vertices=n,
-        held_n=np.asarray(held_n, dtype=np.int32),
-        pivot_n=np.asarray(pivot_n, dtype=np.int32),
-        roots=np.asarray(leaf_roots, dtype=np.int32),
-        held_members=(
-            None if held_members is None
-            else np.asarray(held_members, dtype=np.int32)
-        ),
-        pivot_members=(
-            None if pivot_members is None
-            else np.asarray(pivot_members, dtype=np.int32)
-        ),
+        **lists.arrays(),
         per_root_work=per_root_work,
         per_root_memory=per_root_memory,
         per_root_recursion=per_root_recursion,

@@ -34,7 +34,6 @@ from repro.counting import (
 )
 from repro import kernels, obs
 from repro.counting.binomial import binomial, binomial_row
-from repro.counting.counters import Counters
 from repro.counting.forest import build_forest, collect_root_leaves
 from repro.counting.peredge import per_edge_counts
 from repro.counting.pervertex import per_vertex_counts
@@ -455,8 +454,7 @@ def test_forest_leaves_match_reference_on_wide_roots():
     wide = [int(v) for v in np.flatnonzero(dag.degrees > 128)[:2]]
     assert wide
     for v in wide:
-        ctr = Counters()
-        got = collect_root_leaves(struct, v, ctr)
+        _, _, ctr, got = collect_root_leaves(v, struct.build(v))
         ref: list = []
 
         def leaf(held, pivots, held_ids, pivot_ids):

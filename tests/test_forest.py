@@ -43,7 +43,7 @@ from repro.errors import (
 from repro.graph.build import from_edge_list
 from repro.graph.generators import erdos_renyi, path_graph
 from repro.ordering import core_ordering
-from repro.runtime import FaultPlan, FaultSpec, RunController
+from repro.runtime import FaultPlan, FaultSpec, RunController, load_checkpoint
 from repro.runtime.budget import Budget
 
 from tests.backends import KERNEL_NAMES, backend as use_backend
@@ -235,6 +235,28 @@ def test_memory_budget_hard_raise_without_degrade(g):
     ctl = RunController(Budget(max_memory_bytes=budget))
     with pytest.raises(MemoryBudgetExceededError):
         build_forest(g, core_ordering(g), controller=ctl)
+
+
+@pytest.mark.parametrize("shrink", [1, 2])
+def test_memory_abort_checkpoints_whole_roots(tmp_path, g, shrink):
+    """The forest's own footprint, with a root's leaves in it, is
+    metered before they land: an abort checkpoints exactly the roots
+    it counted, a resume under the same watermark aborts again, and one
+    without it finishes bit-identically."""
+    full = build_forest(g, core_ordering(g))
+    budget = Budget(max_memory_bytes=_member_spill_budget(full) // shrink)
+    path = tmp_path / "ck.json"
+    with pytest.raises(MemoryBudgetExceededError):
+        build_forest(g, core_ordering(g), controller=RunController(
+            budget, checkpoint_path=path))
+    ck = load_checkpoint(path)
+    assert 0 < ck["state"]["next_root"] == ck["spent"].roots_done
+    with pytest.raises(MemoryBudgetExceededError):
+        build_forest(g, core_ordering(g), controller=RunController(
+            budget, checkpoint_path=path, resume=True))
+    resumed = build_forest(g, core_ordering(g), controller=RunController(
+        checkpoint_path=path, resume=True))
+    _assert_forests_identical(resumed, full)
 
 
 def test_memory_budget_spills_members_with_degrade(g):

@@ -22,6 +22,7 @@ both test backends (``tests/backends.py``):
 from __future__ import annotations
 
 import json
+from functools import partial
 
 import numpy as np
 import pytest
@@ -35,10 +36,13 @@ from repro.bench.harness import (
 )
 from repro.core import count_cliques
 from repro.core.hybrid import count_cliques_hybrid
-from repro.counting import count_kcliques
+from repro.counting import count_kcliques, profiles
 from repro.counting.arbcount import count_kcliques_enumeration
 from repro.counting.counters import Counters
 from repro.counting.forest import build_forest, get_forest
+from repro.counting.peredge import per_edge_counts
+from repro.counting.pervertex import per_vertex_counts
+from repro.counting.profiles import per_vertex_profiles
 from repro.counting.pivoter import run_pivoter
 from repro.counting.sct import SCTEngine
 from repro.graph.generators import complete_graph, erdos_renyi, overlay
@@ -52,6 +56,7 @@ from repro.obs import (
 )
 from repro.ordering import core_ordering, degree_ordering
 from repro.ordering.directionalize import directionalize
+from repro.errors import NodeBudgetExceededError
 from repro.runtime import Budget, RunController
 
 from tests.backends import KERNEL_NAMES, backend
@@ -217,16 +222,61 @@ def test_memo_lookups_cover_block_roots_only(kernel, k):
 
 
 # ======================================================================
-# 2b. registry totals == controller budget meter (clean runs)
+# 2b. registry totals == controller budget meter, over every root loop
 # ======================================================================
-@pytest.mark.parametrize("name,g", GRAPHS[::4], ids=IDS[::4])
-def test_nodes_visited_matches_controller_spent(name, g):
-    o = ordering(name, g)
+def _edit_batch(g, o):
+    # Toggle the pairs among the first four vertices: a batch that
+    # dirties a handful of roots whatever the graph.
+    forest = build_forest(g, o)
+    edits = [("-" if g.has_edge(u, v) else "+", u, v)
+             for u, v in ((0, 1), (0, 2), (1, 3), (2, 3))]
+    return lambda ctl: forest.copy().apply_edits(
+        edits, controller=ctl).counters
+
+
+def _profiles(g, o, controller):
+    # Profiles take no controller; hand one to the attribution loop.
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(profiles, "walk_roots",
+                   partial(profiles.walk_roots, controller=controller))
+        per_vertex_profiles(g, o)
+
+
+#: Every serial root loop: a set-up (not observed) returning the run
+#: under a controller, which returns its Counters where it has them.
+ROOT_LOOPS = {
+    "count": lambda g, o: lambda ctl: count_kcliques(
+        g, 4, o, controller=ctl).counters,
+    "count_all": lambda g, o: lambda ctl: SCTEngine(g, o).count_all(
+        controller=ctl).counters,
+    "forest": lambda g, o: lambda ctl: build_forest(
+        g, o, controller=ctl).counters,
+    "apply_edits": _edit_batch,
+    "per_vertex": lambda g, o: lambda ctl: per_vertex_counts(
+        g, 4, o, controller=ctl) and None,
+    "per_edge": lambda g, o: lambda ctl: per_edge_counts(
+        g, 3, o, controller=ctl) and None,
+    "profiles": lambda g, o: lambda ctl: _profiles(g, o, ctl),
+    "enumeration": lambda g, o: lambda ctl: count_kcliques_enumeration(
+        g, 4, o, controller=ctl).counters,
+}
+
+
+@pytest.mark.parametrize("name,g,loop", [
+    # The SCT count keeps the bare graph ids this test had before it
+    # covered every loop.
+    pytest.param(name, g, loop, id=i if loop == "count" else f"{i}-{loop}")
+    for (name, g), i in zip(GRAPHS[::4], IDS[::4])
+    for loop in sorted(ROOT_LOOPS)
+])
+def test_nodes_visited_matches_controller_spent(name, g, loop):
+    go = ROOT_LOOPS[loop](g, ordering(name, g))
     with obs.collecting() as reg:
         ctl = RunController()
-        r = count_kcliques(g, 4, o, controller=ctl)
+        counters = go(ctl)
     nodes = reg.total("engine_nodes_visited_total")
-    assert nodes == r.counters.function_calls
+    if counters is not None:
+        assert nodes == counters.function_calls
     assert nodes == ctl.spent.nodes
     # guard() mirrored the meter into the runtime gauges on exit.
     assert reg.value("runtime_nodes_spent") == ctl.spent.nodes
@@ -237,12 +287,14 @@ def test_nodes_visited_matches_controller_spent(name, g):
     )
 
 
-def test_roots_total_matches_controller_roots_done():
+@pytest.mark.parametrize("loop", sorted(ROOT_LOOPS))
+def test_roots_total_matches_controller_roots_done(loop):
     name, g = GRAPHS[5]
+    go = ROOT_LOOPS[loop](g, ordering(name, g))
     with obs.collecting() as reg:
         ctl = RunController()
-        count_kcliques(g, 4, ordering(name, g), controller=ctl)
-    assert reg.total("engine_roots_total") == ctl.spent.roots_done
+        go(ctl)
+    assert reg.total("engine_roots_total") == ctl.spent.roots_done > 0
 
 
 def test_checkpoint_writes_counted(tmp_path):
@@ -258,18 +310,20 @@ def test_checkpoint_writes_counted(tmp_path):
     assert progress == g.num_vertices // 4  # one autosave per 4 roots
 
 
-def test_budget_abort_still_publishes_partial_totals():
+@pytest.mark.parametrize("loop", sorted(ROOT_LOOPS))
+def test_budget_abort_still_publishes_partial_totals(loop):
     g = erdos_renyi(40, 0.3, seed=11)
-    o = core_ordering(g)
+    go = ROOT_LOOPS[loop](g, core_ordering(g))
     with obs.collecting() as reg:
         ctl = RunController(Budget(max_nodes=50))
-        with pytest.raises(Exception):
-            count_kcliques(g, 4, o, controller=ctl)
-    # The engine's `finally` published what was actually done before the
+        with pytest.raises(NodeBudgetExceededError):
+            go(ctl)
+    # The loop's `finally` published what was actually done before the
     # abort; the controller additionally charged the overflowing root,
-    # so its meter is >= the engine's published total.
+    # which the loop metered before folding it, so its meter is above
+    # the loop's published total.
     published = reg.total("engine_nodes_visited_total")
-    assert 0 < published <= ctl.spent.nodes
+    assert 0 < published < ctl.spent.nodes
 
 
 # ======================================================================

@@ -5,6 +5,7 @@ budget-exhaustion root sampling."""
 
 import warnings
 from contextlib import contextmanager
+from functools import partial
 
 import numpy as np
 import pytest
@@ -24,7 +25,11 @@ from repro.errors import (
 from repro.graph.generators import erdos_renyi
 from repro.graph.io import write_edge_list
 from repro import kernels
+from repro.counting import arbcount, profiles
+from repro.counting.arbcount import count_kcliques_enumeration
+from repro.counting.peredge import per_edge_counts
 from repro.counting.pervertex import per_vertex_counts
+from repro.counting.profiles import per_vertex_profiles
 from repro.ordering import core_ordering
 from repro.runtime import (
     Budget,
@@ -36,8 +41,10 @@ from repro.runtime import (
 )
 
 
-#: The program's own scan, captured before any test replaces it.
+#: The program's own scan and descent, captured before any test
+#: replaces them.
 _pivot_select = kernels.pivot_select
+_count_root = arbcount._count_root
 
 
 @pytest.fixture
@@ -98,6 +105,13 @@ def test_interrupt_propagates(g):
     ctl = RunController(faults=FaultPlan(FaultSpec("interrupt", at_op=2)))
     with pytest.raises(RunInterrupted):
         SCTEngine(g, core_ordering(g)).count(4, controller=ctl)
+    # The tick comes before a root's walk: interrupted at the first root
+    # (out-degree 8), the loop scans no pivot.
+    counter = _FailingPivot()
+    ctl = RunController(faults=FaultPlan(FaultSpec("interrupt", at_op=1)))
+    with counter.installed(), pytest.raises(RunInterrupted):
+        SCTEngine(g, core_ordering(g)).count(4, controller=ctl)
+    assert counter.calls == 0
 
 
 class _FailingPivot:
@@ -146,11 +160,31 @@ def test_bigint_kernel_fault_not_swallowed(g):
     assert fp.calls == 100
 
 
+#: A batch that dirties roots 0, 3, 8, 13, 16, 22 and 39 of ``g``.
+_EDITS = [("-", 0, 1), ("-", 3, 21), ("-", 8, 34), ("-", 14, 39),
+          ("+", 0, 2), ("+", 4, 16), ("+", 8, 22), ("+", 13, 22)]
+
+
+def _edit_batch(g, o):
+    forest = SCTForest.build(g, o)
+
+    def go(ctl):
+        edited = forest.copy()
+        edited.apply_edits(_EDITS, controller=ctl)
+        return edited
+
+    return go
+
+
+#: Each run's set-up (not metered), returning the run under a controller.
 _RECURSION_RUNS = {
-    "count": lambda g, o, ctl: SCTEngine(g, o).count(4, controller=ctl),
-    "count_all": lambda g, o, ctl: SCTEngine(g, o).count_all(
+    "count": lambda g, o: lambda ctl: SCTEngine(g, o).count(
+        4, controller=ctl),
+    "count_all": lambda g, o: lambda ctl: SCTEngine(g, o).count_all(
         controller=ctl),
-    "forest": lambda g, o, ctl: SCTForest.build(g, o, controller=ctl),
+    "forest": lambda g, o: lambda ctl: SCTForest.build(
+        g, o, controller=ctl),
+    "apply_edits": _edit_batch,
 }
 
 
@@ -171,46 +205,103 @@ def _same_run(a, b):
 @pytest.mark.parametrize("run", sorted(_RECURSION_RUNS))
 def test_allocation_failure_in_recursion_resumes_bit_identical(
         tmp_path, g, run):
-    go = _RECURSION_RUNS[run]
-    o = core_ordering(g)
+    go = _RECURSION_RUNS[run](g, core_ordering(g))
     counter = _FailingPivot()
     with counter.installed():
-        base = go(g, o, None)
+        base = go(None)
     path = tmp_path / "ck.json"
     ctl = RunController(checkpoint_path=path)
     with _FailingPivot(fail_at=counter.calls // 2).installed(), \
             pytest.raises(MemoryBudgetExceededError, match="at root") as ei:
-        go(g, o, ctl)
+        go(ctl)
     # The checkpoint holds exactly the whole roots before the faulting
     # one, as the unfaulted run counted them.
     v = int(str(ei.value).rsplit(" ", 1)[1])
     state = load_checkpoint(path)["state"]
-    assert 0 < v < g.num_vertices
-    assert state["next_root"] == v == ctl.spent.roots_done
-    assert state["per_root_work"] == base.per_root_work[:v].tolist()
-    assert state["per_root_memory"] == base.per_root_memory[:v].tolist()
-    resumed = go(g, o, RunController(checkpoint_path=path, resume=True))
+    if run == "apply_edits":
+        done = state["roots"]
+        assert 0 < len(done) == state["next_index"] == ctl.spent.roots_done
+        assert done == sorted(done) and done[-1] < v
+        assert state["recursion"] == base.per_root_recursion[done].tolist()
+        assert [len(leaves) for leaves in state["leaves"]] == [
+            np.count_nonzero(base.roots == r) for r in done]
+    else:
+        assert 0 < v < g.num_vertices
+        assert state["next_root"] == v == ctl.spent.roots_done
+        assert state["per_root_work"] == base.per_root_work[:v].tolist()
+        assert state["per_root_memory"] == base.per_root_memory[:v].tolist()
+    resumed = go(RunController(checkpoint_path=path, resume=True))
     _same_run(resumed, base)
 
 
-def test_allocation_failure_in_attribution_is_a_budget_error(g):
-    """The attribution root loop turns an allocation failure inside a
-    root into the budget error the other loops raise, so the CLI exits
-    3 with the controller's spend."""
+class _FailingDescent:
+    """Enumeration's descent with its ``fail_at``-th root raising
+    ``MemoryError`` inside the root (enumeration scans no pivots)."""
+
+    def __init__(self, fail_at=None):
+        self.fail_at = fail_at
+        self.calls = 0
+
+    def __call__(self, *args):
+        self.calls += 1
+        if self.calls == self.fail_at:
+            raise MemoryError("injected descent failure")
+        return _count_root(*args)
+
+
+def _profiles(g, o, controller=None):
+    # Profiles take no controller; hand one to the attribution loop.
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(profiles, "walk_roots",
+                   partial(profiles.walk_roots, controller=controller))
+        return per_vertex_profiles(g, o)
+
+
+#: Each attribution loop and enumeration under an optional controller,
+#: with the fault that fails it inside a root.
+_ROOT_FAULT_RUNS = {
+    "per_vertex": (lambda g, o, ctl: per_vertex_counts(
+        g, 4, o, controller=ctl), _FailingPivot),
+    "per_edge": (lambda g, o, ctl: per_edge_counts(
+        g, 3, o, controller=ctl), _FailingPivot),
+    "profiles": (lambda g, o, ctl: _profiles(g, o, ctl), _FailingPivot),
+    "enumeration": (lambda g, o, ctl: count_kcliques_enumeration(
+        g, 4, o, controller=ctl).count, _FailingDescent),
+}
+
+
+@contextmanager
+def _installed(fault):
+    if isinstance(fault, _FailingPivot):
+        with fault.installed():
+            yield
+    else:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(arbcount, "_count_root", fault)
+            yield
+
+
+@pytest.mark.parametrize("run", sorted(_ROOT_FAULT_RUNS))
+def test_allocation_failure_in_attribution_is_a_budget_error(g, run):
+    """Every root loop turns an allocation failure inside a root into
+    the budget error the others raise when a controller is attached, so
+    the CLI exits 3 with the controller's spend; without one the
+    failure surfaces unchanged."""
+    go, fault = _ROOT_FAULT_RUNS[run]
     o = core_ordering(g)
-    counter = _FailingPivot()
-    with counter.installed():
-        base = per_vertex_counts(g, 4, o)
-    with _FailingPivot(fail_at=counter.calls // 2).installed(), \
+    counter = fault()
+    with _installed(counter):
+        base = go(g, o, None)
+    with _installed(fault(fail_at=counter.calls // 2)), \
             pytest.raises(MemoryBudgetExceededError, match="at root") as ei:
-        per_vertex_counts(g, 4, o, controller=RunController())
+        go(g, o, RunController())
     assert ei.value.spent is not None and ei.value.spent.nodes > 0
     assert isinstance(ei.value.__cause__, MemoryError)
     # Without a controller the allocation failure surfaces unchanged.
-    with _FailingPivot(fail_at=counter.calls // 2).installed(), \
+    with _installed(fault(fail_at=counter.calls // 2)), \
             pytest.raises(MemoryError, match="injected"):
-        per_vertex_counts(g, 4, o)
-    assert per_vertex_counts(g, 4, o) == base
+        go(g, o, None)
+    assert go(g, o, None) == base
 
 
 # --------------------------------- rung 1: budget -> sampling (flagged)
