@@ -33,7 +33,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from repro.errors import BudgetExceededError, ReproError
+from repro.errors import BudgetExceededError, CountingError, ReproError
 
 __all__ = ["main", "build_parser"]
 
@@ -237,6 +237,32 @@ def _print_budget(spent) -> None:
               f"{spent.seconds:.3f} s, {spent.roots_done:,} roots")
 
 
+def _forest(args, g, ordering=None, structure="remap", controller=None):
+    """The forest ``--forest`` asks for, and where it came from.
+
+    ``use`` loads ``--forest-path`` (required; a corrupt ``.npz`` is
+    quarantined and the forest rebuilt from the graph, see
+    docs/robustness.md); ``build`` and ``auto`` build it under
+    ``ordering``, and ``build`` saves it to ``--forest-path`` when
+    given.
+    """
+    from repro.counting.forest import get_forest, load_or_rebuild_forest
+
+    if args.forest == "use":
+        if args.forest_path is None:
+            raise CountingError("--forest use requires --forest-path")
+        forest, rebuilt = load_or_rebuild_forest(
+            args.forest_path, g, structure=structure, controller=controller
+        )
+        return forest, ("rebuilt; corrupt file quarantined"
+                        if rebuilt else f"loaded from {args.forest_path}")
+    forest = get_forest(g, ordering, structure, controller=controller)
+    if args.forest == "build" and args.forest_path is not None:
+        forest.save(args.forest_path)
+        return forest, f"built, saved to {args.forest_path}"
+    return forest, "built"
+
+
 def _cmd_count(args) -> int:
     from repro.core import PivotScaleConfig, count_cliques
 
@@ -248,22 +274,13 @@ def _cmd_count(args) -> int:
         processes=args.processes,
         par_chunks=args.par_chunks,
         effective_num_vertices=eff,
-        forest=args.forest,
-        forest_path=args.forest_path,
         **_resilience_kwargs(args),
     )
 
-    if cfg.forest == "use":
+    if args.forest == "use":
         # Serve every query from a previously materialized forest —
-        # no recursion at all.  A corrupt .npz is quarantined and the
-        # forest rebuilt from the graph (see docs/robustness.md).
-        from repro.counting.forest import load_or_rebuild_forest
-
-        forest, rebuilt = load_or_rebuild_forest(
-            cfg.forest_path, g, structure=cfg.structure
-        )
-        origin = ("rebuilt; corrupt file quarantined"
-                  if rebuilt else f"loaded from {cfg.forest_path}")
+        # no recursion at all.
+        forest, origin = _forest(args, g, structure=cfg.structure)
         print(f"graph: {g}")
         print(f"forest: {forest.num_leaves:,} leaves ({origin})")
         print(f"{args.k}-cliques: {forest.count(args.k):,}")
@@ -289,15 +306,12 @@ def _cmd_count(args) -> int:
     # "build" always materializes the forest; "auto" does so only when
     # a second query (per-vertex) makes the build pay for itself.
     forest = None
-    if cfg.forest == "build" or (cfg.forest == "auto" and args.per_vertex):
-        from repro.counting.forest import get_forest
-
-        forest = get_forest(g, r.ordering, cfg.structure)
+    if args.forest == "build" or (args.forest == "auto" and args.per_vertex):
+        forest, _ = _forest(args, g, r.ordering, cfg.structure)
         print(f"forest: {forest.num_leaves:,} leaves "
               f"({forest.nbytes:,} bytes materialized)")
-        if cfg.forest == "build" and cfg.forest_path is not None:
-            forest.save(cfg.forest_path)
-            print(f"forest saved to {cfg.forest_path}")
+        if args.forest == "build" and args.forest_path is not None:
+            print(f"forest saved to {args.forest_path}")
     if args.per_vertex:
         from repro.counting import per_vertex_counts
 
@@ -315,37 +329,20 @@ def _print_top_per_vertex(per: list) -> None:
 
 
 def _cmd_dist(args) -> int:
-    from repro.core import PivotScaleConfig
-    from repro.counting.sct import SCTEngine
+    from repro.core import PivotScaleConfig, count_cliques_all_sizes
     from repro.ordering import core_ordering
 
     g, _ = _load_graph(args)
-    cfg = PivotScaleConfig(forest=args.forest,
-                           forest_path=args.forest_path,
+    cfg = PivotScaleConfig(ordering="core",
                            processes=args.processes,
                            par_chunks=args.par_chunks,
                            **_resilience_kwargs(args))
-    ctl = cfg.make_controller()
 
-    if cfg.forest in ("build", "use"):
+    if args.forest in ("build", "use"):
         # The whole distribution is one Pascal-row fold over the
         # materialized leaves.
-        if cfg.forest == "use":
-            from repro.counting.forest import load_or_rebuild_forest
-
-            forest, rebuilt = load_or_rebuild_forest(
-                cfg.forest_path, g, controller=ctl
-            )
-            origin = ("rebuilt; corrupt file quarantined"
-                      if rebuilt else f"loaded from {cfg.forest_path}")
-        else:
-            from repro.counting.forest import get_forest
-
-            forest = get_forest(g, core_ordering(g), controller=ctl)
-            origin = "built"
-            if cfg.forest_path is not None:
-                forest.save(cfg.forest_path)
-                origin = f"built, saved to {cfg.forest_path}"
+        ctl = cfg.make_controller()
+        forest, origin = _forest(args, g, core_ordering(g), controller=ctl)
         print(f"graph: {g}")
         print(f"forest: {forest.num_leaves:,} leaves ({origin})")
         for k, c in enumerate(forest.count_all(args.max_k)):
@@ -355,38 +352,7 @@ def _cmd_dist(args) -> int:
             _print_budget(ctl.spent_snapshot())
         return 0
 
-    procs = cfg.processes or 1
-    engine = SCTEngine(g, core_ordering(g))
-    try:
-        if cfg.shard_mb is not None:
-            from repro.shard import count_sharded
-
-            r = count_sharded(
-                g, engine.dag, max_k=args.max_k,
-                shard_mb=cfg.shard_mb, spill_dir=cfg.spill_dir,
-                resume=cfg.resume, controller=ctl, degrade=cfg.degrade,
-                processes=procs, chunks_per_process=cfg.par_chunks,
-                max_retries=cfg.shard_retries,
-            )
-        elif procs > 1:
-            from repro.parallel.pool import count_all_sizes_processes
-
-            r = count_all_sizes_processes(
-                g, engine.dag, max_k=args.max_k, processes=procs,
-                chunks_per_process=cfg.par_chunks,
-                controller=ctl, degrade=cfg.degrade,
-            )
-        else:
-            r = engine.count_all(max_k=args.max_k, controller=ctl)
-    except BudgetExceededError as e:
-        if ctl is None or not ctl.degrade:
-            raise
-        from repro.runtime.degrade import degrade_to_sampling
-
-        r = degrade_to_sampling(
-            engine, k=None, max_k=args.max_k,
-            state=ctl.state() if procs == 1 else None, cause=e,
-        )
+    r = count_cliques_all_sizes(g, cfg, max_k=args.max_k)
     print(f"graph: {g}")
     if r.approximate:
         print(f"(approximate; degraded from {r.degraded_from})")
@@ -394,8 +360,7 @@ def _cmd_dist(args) -> int:
         if k >= 1 and c:
             print(f"  k={k:3d}: ~{c:,.0f}" if r.approximate
                   else f"  k={k:3d}: {c:,}")
-    if ctl is not None:
-        _print_budget(ctl.spent_snapshot())
+    _print_budget(r.budget_spent)
     return 0
 
 
@@ -486,14 +451,14 @@ def _cmd_stream(args) -> int:
     from repro.counting.forest import get_forest
     from repro.ordering import core_ordering
 
+    if args.reorder_ratio <= 0:
+        raise CountingError("reorder_ratio must be > 0")
     g, _ = _load_graph(args)
     # Budgets/checkpointing apply per batch: each batch gets a fresh
     # controller on the same checkpoint path, so a killed batch resumes
     # its dirty-root recomputation and later batches start clean.
     cfg = PivotScaleConfig(
         structure=args.structure,
-        dynamic=args.policy,
-        reorder_ratio=args.reorder_ratio,
         deadline_seconds=args.deadline,
         max_nodes=args.max_nodes,
         max_memory_bytes=args.max_memory,
@@ -509,7 +474,7 @@ def _cmd_stream(args) -> int:
     for i, batch in enumerate(iter_batches(edits, args.batch_size), 1):
         ctl = cfg.make_controller()
         rep = forest.apply_edits(
-            batch, policy=cfg.dynamic, reorder_ratio=cfg.reorder_ratio,
+            batch, policy=args.policy, reorder_ratio=args.reorder_ratio,
             controller=ctl,
         )
         how = "reordered" if rep.reordered else "patched"

@@ -77,16 +77,6 @@ class PivotScaleConfig:
         hard failure.
     checkpoint_every:
         Autosave period in completed roots.
-    forest:
-        Materialized-SCT-forest policy: ``"auto"`` (default — build a
-        forest only when the workload asks several questions of one
-        graph), ``"build"`` (always build, and save to ``forest_path``
-        when set), ``"use"`` (load a previously saved forest from
-        ``forest_path`` and serve every query from it), or ``"off"``
-        (always re-recurse).
-    forest_path:
-        Where ``forest="build"`` saves / ``forest="use"`` loads the
-        ``.npz`` forest (next to checkpoints).
     shard_mb:
         Out-of-core watermark in MiB.  When set, counting runs through
         the crash-safe shard runtime (:mod:`repro.shard`): the root
@@ -104,17 +94,6 @@ class PivotScaleConfig:
         Bounded retries per failed shard (respill + recount with
         seeded exponential backoff) before the degradation ladder
         engages (default 3).
-    dynamic:
-        Edge-stream update policy for materialized forests (see
-        :mod:`repro.counting.dynamic`): ``None`` (default — static
-        graph, no incremental path), ``"patch"`` (keep the build-time
-        order, recompute only dirty roots), ``"reorder"`` (full
-        rebuild under a fresh degeneracy order on every batch), or
-        ``"auto"`` (patch until cumulative edits exceed
-        ``reorder_ratio x |E|``, then reorder).
-    reorder_ratio:
-        The ``"auto"`` policy's patch budget as a fraction of the
-        edited graph's edge count (default 0.25).
     """
 
     kernel: ClassVar[str] = "bigint"
@@ -135,13 +114,9 @@ class PivotScaleConfig:
     resume: bool = False
     degrade: bool = False
     checkpoint_every: int = 64
-    forest: str = "auto"
-    forest_path: str | None = None
     shard_mb: float | None = None
     spill_dir: str | None = None
     shard_retries: int = 3
-    dynamic: str | None = None
-    reorder_ratio: float = 0.25
 
     def __post_init__(self) -> None:
         if self.structure not in ("dense", "sparse", "remap"):
@@ -178,23 +153,6 @@ class PivotScaleConfig:
             raise CountingError("shard_retries must be >= 0")
         if self.checkpoint_every < 1:
             raise CountingError("checkpoint_every must be >= 1")
-        if self.forest not in ("auto", "build", "use", "off"):
-            raise CountingError(
-                f"unknown forest policy {self.forest!r}; "
-                "expected auto/build/use/off"
-            )
-        if self.forest == "use" and self.forest_path is None:
-            raise CountingError('forest="use" requires a forest_path')
-        if self.dynamic is not None:
-            from repro.counting.dynamic import POLICIES
-
-            if self.dynamic not in POLICIES:
-                raise CountingError(
-                    f"unknown dynamic policy {self.dynamic!r}; "
-                    f"expected one of {POLICIES} (or None)"
-                )
-        if self.reorder_ratio <= 0:
-            raise CountingError("reorder_ratio must be > 0")
 
     @property
     def wants_controller(self) -> bool:

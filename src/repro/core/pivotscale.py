@@ -124,14 +124,11 @@ def _run(
         except BudgetExceededError as e:
             if ctl is None or not ctl.degrade:
                 raise
-            # Bottom rung of the ladder: keep the exact per-root
-            # progress, estimate the uncounted roots, flag the result
-            # approximate.  The parallel runtime checkpoints progress
-            # at chunk granularity in its own state format, so the
-            # sampling estimate falls back to the whole graph there.
+            # Bottom rung of the ladder: keep the exact progress every
+            # executor leaves on the error, estimate the uncounted
+            # roots, flag the result approximate.
             counting = degrade_to_sampling(
-                engine, k=k, max_k=max_k,
-                state=ctl.state() if procs == 1 else None, cause=e,
+                engine, k=k, max_k=max_k, partial=e.partial, cause=e,
             )
         wall = time.perf_counter() - wall0
 

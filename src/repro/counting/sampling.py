@@ -149,35 +149,41 @@ def _root_sample_p(remaining: int, p: float | None) -> float:
     return min(1.0, max(0.05, 256.0 / remaining))
 
 
+def _sample_roots(engine: SCTEngine, roots) -> np.ndarray:
+    """The roots to sample over, as an int64 array (default: all)."""
+    if roots is None:
+        return np.arange(engine.graph.num_vertices, dtype=np.int64)
+    return np.asarray(roots, dtype=np.int64)
+
+
 def sample_count_roots(
     engine: SCTEngine,
     k: int,
-    start_root: int = 0,
+    roots=None,
     *,
     p: float | None = None,
     repeats: int = 3,
     seed: int = 0,
 ) -> ApproxCount:
-    """Root-sampling estimator over roots ``[start_root, n)``.
+    """Root-sampling estimator over ``roots`` (default: every root).
 
     The SCT total decomposes as ``Σ_v c_v`` over per-root counts, so
-    keeping each remaining root with probability ``p`` and counting it
-    *exactly* gives the unbiased Horvitz-Thompson estimate
-    ``Σ_sampled c_v / p``.  This is the estimator the graceful-
+    keeping each root with probability ``p`` and counting it *exactly*
+    gives the unbiased Horvitz-Thompson estimate ``Σ_sampled c_v / p``
+    of the roots' share.  This is the estimator the graceful-
     degradation ladder folds in for the roots an exhausted budget left
     uncounted (see :mod:`repro.runtime.degrade`): unlike whole-graph
     vertex sampling it composes exactly with partial exact progress.
     """
     _check(k, repeats)
-    n = engine.graph.num_vertices
-    remaining = n - start_root
-    if remaining <= 0:
+    roots = _sample_roots(engine, roots)
+    if roots.size == 0:
         return ApproxCount(0.0, 0.0, k, repeats, "root-sampling")
-    p = _root_sample_p(remaining, p)
+    p = _root_sample_p(roots.size, p)
     rng = np.random.default_rng(seed)
     samples: list[float] = []
     for _ in range(repeats):
-        keep = start_root + np.flatnonzero(rng.random(remaining) < p)
+        keep = roots[rng.random(roots.size) < p]
         c = sum(engine.count_root(int(v), k) for v in keep)
         samples.append(float(c) / p)
     return _summarize(samples, k, "root-sampling")
@@ -185,7 +191,7 @@ def sample_count_roots(
 
 def sample_all_sizes_roots(
     engine: SCTEngine,
-    start_root: int = 0,
+    roots=None,
     *,
     max_k: int | None = None,
     p: float | None = None,
@@ -195,22 +201,21 @@ def sample_all_sizes_roots(
     """All-k companion of :func:`sample_count_roots`.
 
     Returns ``(estimates, total_std_error)`` where ``estimates[s]``
-    estimates the s-cliques contributed by roots ``[start_root, n)``
-    and ``total_std_error`` is the spread of the summed estimate
+    estimates the s-cliques contributed by ``roots`` (default: every
+    root) and ``total_std_error`` is the spread of the summed estimate
     across repeats.
     """
     if repeats < 1:
         raise CountingError("repeats must be >= 1")
-    n = engine.graph.num_vertices
     length, _cap = engine._allk_shape(max_k)
-    remaining = n - start_root
-    if remaining <= 0:
+    roots = _sample_roots(engine, roots)
+    if roots.size == 0:
         return [0.0] * length, 0.0
-    p = _root_sample_p(remaining, p)
+    p = _root_sample_p(roots.size, p)
     rng = np.random.default_rng(seed)
     rows: list[list[float]] = []
     for _ in range(repeats):
-        keep = start_root + np.flatnonzero(rng.random(remaining) < p)
+        keep = roots[rng.random(roots.size) < p]
         row = [0.0] * length
         for v in keep:
             for s, c in enumerate(engine.count_root_all(int(v), max_k)):

@@ -45,7 +45,7 @@ from repro.counting.binomial import binomial, binomial_row
 from repro.counting.counters import Counters
 from repro.counting.roots import run_roots
 from repro.counting.structures import STRUCTURES, SubgraphStructure
-from repro.errors import CheckpointError, CountingError
+from repro.errors import BudgetExceededError, CheckpointError, CountingError
 from repro.graph.csr import CSRGraph
 from repro.ordering.base import Ordering
 from repro.ordering.directionalize import directionalize
@@ -56,6 +56,7 @@ __all__ = [
     "SCTEngine",
     "CountResult",
     "RootBatchResult",
+    "PartialCounts",
     "count_kcliques",
     "count_all_sizes",
 ]
@@ -176,6 +177,84 @@ class RootBatchResult:
     counters: Counters
     per_root_work: list[float]
     per_root_memory: list[float]
+
+    def record(self) -> dict:
+        """The batch as a JSON-ready partial-count record, the form a
+        pool chunk crosses back to the parent in and a shard's ledger
+        entry stores; :meth:`PartialCounts.fold` folds it."""
+        return {
+            "count": self.count,
+            "all_counts": self.all_counts,
+            "counters": self.counters.as_dict(),
+            "per_root_work": list(self.per_root_work),
+            "per_root_memory": list(self.per_root_memory),
+        }
+
+
+class PartialCounts:
+    """Exact partial counts over disjoint root sets, folded into one run.
+
+    The reduce of the map over root batches: the process pool folds
+    each chunk's record here and the shard executor each shard's, and a
+    budget abort hands the sampling rung what was folded so far (see
+    :class:`~repro.errors.BudgetExceededError`).  ``all_counts`` is
+    ``None`` for a target-k run; for all-k it starts at ``length``
+    entries and grows to the longest row folded.  ``done`` marks the
+    roots folded, and ``degraded_from`` the first rung a folded record
+    went through.
+    """
+
+    def __init__(self, num_vertices: int, k: int | None, length: int = 2):
+        self.k = k
+        self.total = 0
+        self.all_counts: list[int] | None = (
+            None if k is not None else [0] * length
+        )
+        self.counters = Counters()
+        self.per_root_work = np.zeros(num_vertices, dtype=np.float64)
+        self.per_root_memory = np.zeros(num_vertices, dtype=np.float64)
+        self.done = np.zeros(num_vertices, dtype=bool)
+        self.degraded_from: str | None = None
+
+    def fold(self, roots, record: dict, degraded: str | None = None) -> None:
+        """Fold ``record`` (see :meth:`RootBatchResult.record`), whose
+        per-root vectors are aligned with ``roots`` (an index array or
+        a slice of vertex ids); ``degraded`` names the rung that
+        produced it, if any."""
+        row = self.all_counts
+        if row is not None:
+            part = record["all_counts"] or ()
+            while len(row) < len(part):
+                row.append(0)
+            for s, c in enumerate(part):
+                if c:
+                    row[s] += c
+        else:
+            self.total += record["count"]
+        self.per_root_work[roots] = record["per_root_work"]
+        self.per_root_memory[roots] = record["per_root_memory"]
+        self.counters.merge(Counters.from_dict(record["counters"]))
+        self.done[roots] = True
+        if degraded is not None and self.degraded_from is None:
+            self.degraded_from = degraded
+
+    def result(self, structure: str, kernel: str) -> "CountResult":
+        """The folded run as a :class:`CountResult` (row trimmed)."""
+        row = self.all_counts
+        if row is not None:
+            while len(row) > 1 and row[-1] == 0:
+                row.pop()
+        return CountResult(
+            count=None if self.k is None else self.total,
+            all_counts=row,
+            k=self.k,
+            counters=self.counters,
+            per_root_work=self.per_root_work,
+            per_root_memory=self.per_root_memory,
+            structure=structure,
+            kernel=kernel,
+            degraded_from=self.degraded_from,
+        )
 
 
 class SCTEngine:
@@ -485,10 +564,21 @@ class SCTEngine:
             "sct.count" if k is not None else "sct.count_all",
             **self._span_attrs(k, max_k),
         )
-        self._fold_roots(
-            res, k, max_k, early_termination, ctl, span,
-            guard=ctl is not None,
-        )
+        try:
+            self._fold_roots(
+                res, k, max_k, early_termination, ctl, span,
+                guard=ctl is not None,
+            )
+        except BudgetExceededError as exc:
+            # Roots fold in order, so the finished ones are a prefix.
+            record = res.record()
+            record["per_root_work"] = prior_work + res.per_root_work
+            record["per_root_memory"] = prior_memory + res.per_root_memory
+            exc.partial = PartialCounts(n, k)
+            exc.partial.fold(
+                slice(0, len(record["per_root_work"])), record
+            )
+            raise
 
         all_counts = res.all_counts
         if all_counts is not None:

@@ -86,11 +86,19 @@ class BudgetExceededError(ReproError):
     at the moment of exhaustion (``None`` when the raising site had no
     controller), so harnesses can report *how far* a run got — the
     paper's "> 2h" cells become ``>budget(... nodes)`` cells.
+
+    ``partial`` is the exact progress the aborted counting run keeps, a
+    :class:`~repro.counting.sct.PartialCounts` over its finished roots;
+    each executor (serial, process pool, shards) attaches its own on the
+    way out, and the sampling rung
+    (:func:`~repro.runtime.degrade.degrade_to_sampling`) estimates only
+    the roots it leaves out.  ``None`` when nothing attached one.
     """
 
     def __init__(self, message: str, spent=None) -> None:
         super().__init__(message)
         self.spent = spent
+        self.partial = None
 
 
 class DeadlineExceededError(BudgetExceededError):

@@ -17,14 +17,13 @@ chunk granularity.  This module keeps the thin, validated wrappers:
 * :func:`build_forest_processes` — parallel
   :class:`~repro.counting.forest.SCTForest` materialization.
 
-``processes=1`` (and the empty graph) delegate to the serial engines
-with the same controller, so metadata — ``approximate``,
-``degraded_from``, budget errors — propagates identically on every
-path.  On this repository's single-core reference environment the pool
-runs correctly but cannot show speedups; the scaling *figures*
-therefore use the deterministic machine model
-(:mod:`repro.parallel.simulate`), and ``benchmarks/bench_parallel.py``
-gates the real backend's scheduling overhead instead.
+``processes=1`` delegates to the serial engines with the same
+controller, so metadata — ``approximate``, ``degraded_from``, budget
+errors — propagates identically on every path.  The scaling *figures*
+use the deterministic machine model (:mod:`repro.parallel.simulate`),
+since a real pool on a small host cannot show 64-thread behaviour;
+``benchmarks/bench_parallel.py`` gates the real backend's speedup and
+scheduling overhead.
 """
 
 from __future__ import annotations
@@ -88,10 +87,8 @@ def count_kcliques_processes(
     chunks_per_process: int = 4,
     kernel=None,
     controller: RunController | None = None,
-    collect_metrics: bool | None = None,
     degrade: bool = False,
     runtime: ParallelRuntime | None = None,
-    start_method: str | None = None,
     fault_chunks=(),
     worker_retries: int = 2,
     retry_backoff: float = 0.0,
@@ -103,6 +100,8 @@ def count_kcliques_processes(
     :meth:`SCTEngine.count <repro.counting.sct.SCTEngine.count>` — the
     SCT total is a sum over roots and workers count disjoint root
     chunks.  Returns the full :class:`~repro.counting.sct.CountResult`.
+    Workers collect metrics when the parent registry is enabled, and
+    the parent merges them, so counter totals stay exact.
 
     Parameters
     ----------
@@ -119,9 +118,6 @@ def count_kcliques_processes(
         A :class:`~repro.runtime.RunController`, honored at chunk
         granularity: budgets, checkpoint/resume of completed-chunk
         partial sums, and the worker-crash degradation rung.
-    collect_metrics:
-        Worker-side metrics collection; ``None`` follows the parent
-        registry's enabled flag.
     degrade:
         Allow the worker-crash rung without a controller: a failed
         chunk re-runs in-process on ``bigint`` (exact, flagged
@@ -130,9 +126,6 @@ def count_kcliques_processes(
     runtime:
         A reusable :class:`~repro.parallel.runtime.ParallelRuntime`
         pool; by default each call owns a throwaway one.
-    start_method:
-        ``"fork"`` / ``"spawn"`` override (ignored when ``runtime`` is
-        given; default ``fork`` where available).
     fault_chunks:
         Chunk ids forced to fail in the worker — deterministic fault
         injection for tests/CI, the parallel analog of
@@ -163,8 +156,7 @@ def count_kcliques_processes(
     return parallel_count(
         graph, dag, k=k, structure=structure, kernel=kernel,
         processes=procs, chunks_per_process=chunks_per_process,
-        controller=controller, collect_metrics=collect_metrics,
-        degrade=degrade, runtime=runtime, start_method=start_method,
+        controller=controller, degrade=degrade, runtime=runtime,
         fault_chunks=fault_chunks, worker_retries=worker_retries,
         retry_backoff=retry_backoff, retry_seed=retry_seed,
     )
@@ -180,10 +172,8 @@ def count_all_sizes_processes(
     chunks_per_process: int = 4,
     kernel=None,
     controller: RunController | None = None,
-    collect_metrics: bool | None = None,
     degrade: bool = False,
     runtime: ParallelRuntime | None = None,
-    start_method: str | None = None,
     fault_chunks=(),
     worker_retries: int = 2,
     retry_backoff: float = 0.0,
@@ -207,8 +197,7 @@ def count_all_sizes_processes(
     return parallel_count(
         graph, dag, k=None, max_k=max_k, structure=structure, kernel=kernel,
         processes=procs, chunks_per_process=chunks_per_process,
-        controller=controller, collect_metrics=collect_metrics,
-        degrade=degrade, runtime=runtime, start_method=start_method,
+        controller=controller, degrade=degrade, runtime=runtime,
         fault_chunks=fault_chunks, worker_retries=worker_retries,
         retry_backoff=retry_backoff, retry_seed=retry_seed,
     )
@@ -224,10 +213,8 @@ def per_vertex_counts_processes(
     chunks_per_process: int = 4,
     kernel=None,
     controller: RunController | None = None,
-    collect_metrics: bool | None = None,
     degrade: bool = False,
     runtime: ParallelRuntime | None = None,
-    start_method: str | None = None,
     fault_chunks=(),
     worker_retries: int = 2,
     retry_backoff: float = 0.0,
@@ -249,8 +236,7 @@ def per_vertex_counts_processes(
     return parallel_per_vertex(
         graph, dag, k=k, structure=structure, kernel=kernel,
         processes=procs, chunks_per_process=chunks_per_process,
-        controller=controller, collect_metrics=collect_metrics,
-        degrade=degrade, runtime=runtime, start_method=start_method,
+        controller=controller, degrade=degrade, runtime=runtime,
         fault_chunks=fault_chunks, worker_retries=worker_retries,
         retry_backoff=retry_backoff, retry_seed=retry_seed,
     )
@@ -266,10 +252,8 @@ def build_forest_processes(
     kernel=None,
     members: bool = True,
     controller: RunController | None = None,
-    collect_metrics: bool | None = None,
     degrade: bool = False,
     runtime: ParallelRuntime | None = None,
-    start_method: str | None = None,
     fault_chunks=(),
     worker_retries: int = 2,
     retry_backoff: float = 0.0,
@@ -292,9 +276,8 @@ def build_forest_processes(
     return parallel_build_forest(
         graph, dag, structure=structure, kernel=kernel,
         processes=procs, chunks_per_process=chunks_per_process,
-        members=members, controller=controller,
-        collect_metrics=collect_metrics, degrade=degrade, runtime=runtime,
-        start_method=start_method, fault_chunks=fault_chunks,
+        members=members, controller=controller, degrade=degrade,
+        runtime=runtime, fault_chunks=fault_chunks,
         worker_retries=worker_retries, retry_backoff=retry_backoff,
         retry_seed=retry_seed,
     )

@@ -19,14 +19,20 @@ EPYC:
   ones.  Chunks stream through ``imap_unordered(..., chunksize=1)`` so
   whichever worker frees up first takes the next chunk and stragglers
   never serialize the tail.
-* **Subsystem integration.**  A :class:`~repro.runtime.RunController`
-  is honored at *chunk* granularity: deadline/node/memory budgets are
-  metered as each chunk's result folds in (a chunk is all-in or
-  not-at-all, exactly like the serial engines' roots), checkpoints
-  record completed-chunk partial sums and resume bit-identically, and
-  worker metrics registries are snapshotted per task and merged into
-  the parent (:meth:`~repro.obs.registry.MetricsRegistry.merge_snapshot`)
-  so ``engine_*``/``kernel_*`` counter totals stay exact.
+* **One chunk loop.**  :func:`run_chunks` is the parent side of every
+  pool run — counting, per-vertex attribution and the forest build —
+  as :func:`~repro.counting.roots.run_roots` is the serial root loop.
+  It honors a :class:`~repro.runtime.RunController` at *chunk*
+  granularity: deadline/node/memory budgets are metered as each
+  chunk's result folds in (a chunk is all-in or not-at-all, exactly
+  like the serial engines' roots), and worker metrics registries are
+  snapshotted per task and merged into the parent
+  (:meth:`~repro.obs.registry.MetricsRegistry.merge_snapshot`) so
+  ``engine_*``/``kernel_*`` counter totals stay exact.  Each entry
+  point keeps its fold: :func:`parallel_count` folds chunk records into a
+  :class:`~repro.counting.sct.PartialCounts` (the shard executor's
+  accumulator too), whose checkpoints record completed-chunk partial
+  sums and resume bit-identically.
 * **Worker-crash resilience.**  Workers report failures as data
   (never as a raised exception through the pool), so the parent knows
   which chunk died.  A failed chunk is first *resubmitted to the pool*
@@ -58,12 +64,14 @@ from collections import OrderedDict
 from contextlib import contextmanager, nullcontext
 from functools import partial
 from multiprocessing import get_all_start_methods, get_context
+from typing import Callable
 
 import numpy as np
 
 from repro import kernels, obs
 from repro.counting.counters import Counters
 from repro.errors import (
+    BudgetExceededError,
     CheckpointError,
     ParallelModelError,
     WorkerCrashError,
@@ -77,6 +85,7 @@ from repro.runtime.controller import RunController
 __all__ = [
     "ParallelRuntime",
     "plan_chunks",
+    "run_chunks",
     "parallel_count",
     "parallel_per_vertex",
     "parallel_build_forest",
@@ -221,24 +230,13 @@ def _cached_engine(task: dict, graph: CSRGraph, dag: CSRGraph):
 
 
 def _execute_mode(task: dict, engine, graph: CSRGraph) -> dict:
+    """Run one chunk's roots; every mode's payload carries the chunk's
+    ``counters``, which the parent meters before it folds the rest."""
     mode = task["mode"]
     roots = task["roots"]
     if mode == "count":
-        res = engine.count_roots(roots, task["k"])
-        return {
-            "count": res.count,
-            "counters": res.counters.as_dict(),
-            "per_root_work": res.per_root_work,
-            "per_root_memory": res.per_root_memory,
-        }
-    if mode == "allk":
-        res = engine.count_roots(roots, None, max_k=task["max_k"])
-        return {
-            "all_counts": res.all_counts,
-            "counters": res.counters.as_dict(),
-            "per_root_work": res.per_root_work,
-            "per_root_memory": res.per_root_memory,
-        }
+        res = engine.count_roots(roots, task["k"], max_k=task["max_k"])
+        return res.record()
     if mode == "pervertex":
         from repro.counting.forest import walk_roots
         from repro.counting.pervertex import vertex_sink
@@ -272,7 +270,11 @@ def _execute_mode(task: dict, engine, graph: CSRGraph) -> dict:
                     calls=calls),
             fold, chunk_totals, engine="sct-forest", calls=calls,
         )
-        return {"leaves": leaves_per_root, "counters": counters_per_root}
+        return {
+            "leaves": leaves_per_root,
+            "counters": chunk_totals.as_dict(),
+            "root_counters": counters_per_root,
+        }
     raise ParallelModelError(f"unknown worker mode {mode!r}")
 
 
@@ -330,9 +332,7 @@ class ParallelRuntime:
         Worker count; defaults to ``os.cpu_count()``.
     start_method:
         ``"fork"`` / ``"spawn"`` / ``"forkserver"``; defaults to
-        ``$REPRO_START_METHOD`` if set (how CI sweeps the whole suite
-        under each method), else ``fork`` where available (cheap
-        workers), else ``spawn``.
+        ``fork`` where available (cheap workers), else ``spawn``.
     """
 
     def __init__(
@@ -342,8 +342,6 @@ class ParallelRuntime:
             raise ParallelModelError("processes must be >= 1")
         self.processes = processes or os.cpu_count() or 1
         methods = get_all_start_methods()
-        if start_method is None:
-            start_method = os.environ.get("REPRO_START_METHOD") or None
         if start_method is None:
             start_method = "fork" if "fork" in methods else "spawn"
         elif start_method not in methods:
@@ -387,14 +385,12 @@ class ParallelRuntime:
 
 
 @contextmanager
-def _pool_for(
-    runtime: ParallelRuntime | None, processes: int, start_method: str | None
-):
+def _pool_for(runtime: ParallelRuntime | None, processes: int):
     """Borrow the caller's runtime, or own a throwaway one."""
     if runtime is not None:
         yield runtime
     else:
-        with ParallelRuntime(processes, start_method=start_method) as rt:
+        with ParallelRuntime(processes) as rt:
             yield rt
 
 
@@ -410,35 +406,6 @@ def _normalize_fault_chunks(fault_chunks) -> dict[int, float]:
     if isinstance(fault_chunks, dict):
         return {int(c): float(f) for c, f in fault_chunks.items()}
     return {int(c): math.inf for c in fault_chunks}
-
-
-def _build_tasks(
-    chunks: list[np.ndarray],
-    pending: list[int],
-    spec,
-    *,
-    mode: str,
-    structure: str,
-    metrics: bool,
-    fault_chunks,
-    **extra,
-) -> list[dict]:
-    fault_counts = _normalize_fault_chunks(fault_chunks)
-    tasks = []
-    for cid in pending:
-        task = {
-            "chunk_id": cid,
-            "roots": [int(v) for v in chunks[cid]],
-            "spec": spec,
-            "mode": mode,
-            "structure": structure,
-            "metrics": metrics,
-        }
-        if fault_counts.get(cid, 0) >= 1:
-            task["crash"] = True
-        task.update(extra)
-        tasks.append(task)
-    return tasks
 
 
 def _retry_in_process(
@@ -467,11 +434,14 @@ _sleep = time.sleep  # monkeypatch seam for backoff tests
 
 
 def _retry_delay(rng: random.Random, attempt: int, backoff: float) -> float:
-    """Seeded exponential backoff with jitter: ``backoff * 2^(a-1)``
-    scaled by a uniform factor in [0.5, 1.5).  The jitter stream is
-    advanced even when ``backoff == 0`` so enabling sleeps never
-    changes which delays a given (seed, chunk) pair draws."""
+    """Seeded exponential backoff with jitter for retry ``attempt``
+    (1-based): ``backoff * 2^(a-1)`` scaled by a uniform factor in
+    [0.5, 1.5), or 0 when ``backoff <= 0``.  The jitter stream is
+    advanced either way so enabling sleeps never changes which delays
+    a given seed draws.  The pool and the shard executor share it."""
     jitter = 0.5 + rng.random()
+    if backoff <= 0.0:
+        return 0.0
     return backoff * (2.0 ** (attempt - 1)) * jitter
 
 
@@ -528,8 +498,89 @@ def _resolve_failure(
 
 
 # ----------------------------------------------------------------------
-# parent-side drivers
+# the parent side: one chunk loop, three entry points
 # ----------------------------------------------------------------------
+def run_chunks(
+    graph: CSRGraph,
+    dag: CSRGraph,
+    chunks: list[np.ndarray],
+    pending: list[int],
+    task: dict,
+    fold: Callable[[int, dict, str | None], None],
+    *,
+    processes: int,
+    controller: RunController | None = None,
+    degrade: bool = False,
+    runtime: ParallelRuntime | None = None,
+    fault_chunks=(),
+    worker_retries: int = 2,
+    retry_backoff: float = 0.0,
+    retry_seed: int = 0,
+) -> None:
+    """Run the ``pending`` chunks of ``chunks`` on the pool and fold
+    each result as it arrives — the parent side of every pool run, the
+    chunk-level twin of :func:`~repro.counting.roots.run_roots`.
+
+    ``task`` holds the worker's fields for every chunk (its ``mode``,
+    ``structure`` and the mode's arguments); ``fold(chunk_id, payload,
+    degraded)`` adds one chunk's payload into the caller's state, with
+    ``degraded="worker"`` when the chunk was recounted in-process.
+
+    The loop publishes the graph pair, streams one task per chunk
+    (``chunksize=1``), ticks ``controller`` as each result arrives,
+    recovers a crashed chunk (:func:`_resolve_failure`: pool retries,
+    then the in-process rung when ``degrade`` or the controller's
+    policy allows), meters the payload's chunk-level ``counters``
+    *before* the fold (a chunk is all-in or not-at-all, so checkpoints
+    stay consistent), notes its memory to the profiler, merges the
+    worker's metrics snapshot when the parent registry is enabled, and
+    completes the chunk's roots.  The controller's
+    :meth:`~repro.runtime.RunController.guard` wraps the loop even when
+    no chunk is pending; the caller owns its checkpoint state.
+    """
+    ctl = controller
+    metrics = obs.get_registry().enabled
+    allow_degrade = degrade or (ctl is not None and ctl.degrade)
+    fault_counts = _normalize_fault_chunks(fault_chunks)
+    with ctl.guard() if ctl is not None else nullcontext():
+        if not pending:
+            return
+        with publish_graph_pair(graph, dag) as shared, _pool_for(
+            runtime, processes
+        ) as rt:
+            tasks = {
+                cid: dict(
+                    task, chunk_id=cid, roots=[int(v) for v in chunks[cid]],
+                    spec=shared.spec, metrics=metrics,
+                    crash=fault_counts.get(cid, 0) >= 1,
+                )
+                for cid in pending
+            }
+            for cid, payload in rt.map_chunks(list(tasks.values())):
+                if ctl is not None:
+                    ctl.tick()
+                if not payload.get("ok"):
+                    payload = _resolve_failure(
+                        rt, graph, dag, tasks[cid], payload.get("error", ""),
+                        fault_counts=fault_counts,
+                        worker_retries=worker_retries,
+                        retry_backoff=retry_backoff,
+                        retry_seed=retry_seed,
+                        allow_degrade=allow_degrade,
+                    )
+                ctr = Counters.from_dict(payload["counters"])
+                if ctl is not None:
+                    ctl.charge_nodes(ctr.function_calls)
+                    ctl.note_memory(ctr.peak_subgraph_bytes)
+                degraded = "worker" if payload.get("degraded") else None
+                fold(cid, payload, degraded)
+                obs.note_memory(ctr.peak_subgraph_bytes)
+                if metrics and payload.get("metrics"):
+                    obs.get_registry().merge_snapshot(payload["metrics"])
+                if ctl is not None:
+                    ctl.complete_roots(len(chunks[cid]))
+
+
 def parallel_count(
     graph: CSRGraph,
     dag: CSRGraph,
@@ -541,67 +592,42 @@ def parallel_count(
     processes: int,
     chunks_per_process: int = 4,
     controller: RunController | None = None,
-    collect_metrics: bool | None = None,
-    degrade: bool = False,
-    runtime: ParallelRuntime | None = None,
-    start_method: str | None = None,
-    fault_chunks=(),
-    worker_retries: int = 2,
-    retry_backoff: float = 0.0,
-    retry_seed: int = 0,
     roots: np.ndarray | None = None,
+    **pool,
 ):
     """Multi-process exact counting (target-k when ``k`` is set, all-k
     otherwise).  Returns a full
     :class:`~repro.counting.sct.CountResult`, like the serial engines.
 
-    ``collect_metrics=None`` (default) follows the parent registry:
-    when metrics are enabled, workers snapshot their per-task
-    registries and the parent merges them, keeping counter totals
-    exact; when disabled, workers skip collection entirely.
-
     ``roots`` restricts the run to a subset of root vertices (partial
     sums over the rest are zero) — the shard executor counts one
-    shard's root range per call.  ``worker_retries`` /
-    ``retry_backoff`` / ``retry_seed`` shape the bounded crash-retry
-    loop (see :func:`_resolve_failure`).
+    shard's root range per call.  ``pool`` takes :func:`run_chunks`'s
+    crash and pool options (``degrade``, ``runtime``, ``fault_chunks``,
+    ``worker_retries``, ``retry_backoff``, ``retry_seed``).  A budget
+    abort leaves the folded chunks on the error's ``partial``.
     """
-    from repro.counting.sct import CountResult
+    from repro.counting.sct import PartialCounts
 
-    n = graph.num_vertices
     kernel_name = kernels.kernel_name(kernel)
     chunks = plan_chunks(dag.degrees, processes, chunks_per_process, roots)
     num_chunks = len(chunks)
-    length = 0
-    all_counts: list[int] | None = None
-    if k is None:
-        length = _allk_length(dag, max_k)
-        all_counts = [0] * length
-    totals = Counters()
-    per_root_work = np.zeros(n, dtype=np.float64)
-    per_root_memory = np.zeros(n, dtype=np.float64)
-    total = 0
+    length = _allk_length(dag, max_k)
+    acc = PartialCounts(graph.num_vertices, k, length)
     done: set[int] = set()
-    degraded_from: str | None = None
     ctl = controller
-    merge_metrics = (
-        obs.get_registry().enabled
-        if collect_metrics is None
-        else bool(collect_metrics)
-    )
-    allow_degrade = degrade or (ctl is not None and ctl.degrade)
-    fault_counts = _normalize_fault_chunks(fault_chunks)
 
     if ctl is not None:
         def snapshot() -> dict:
             return {
                 "done_chunks": sorted(done),
-                "total": total,
-                "all_counts": None if all_counts is None else list(all_counts),
-                "counters": totals.as_dict(),
-                "per_root_work": per_root_work.tolist(),
-                "per_root_memory": per_root_memory.tolist(),
-                "degraded_from": degraded_from,
+                "total": acc.total,
+                "all_counts": (
+                    None if acc.all_counts is None else list(acc.all_counts)
+                ),
+                "counters": acc.counters.as_dict(),
+                "per_root_work": acc.per_root_work.tolist(),
+                "per_root_memory": acc.per_root_memory.tolist(),
+                "degraded_from": acc.degraded_from,
             }
 
         descriptor = {
@@ -618,92 +644,43 @@ def parallel_count(
         state = ctl.begin(descriptor, snapshot)
         if state is not None:
             done = {int(c) for c in state["done_chunks"]}
-            total = int(state["total"])
-            if all_counts is not None:
+            acc.total = int(state["total"])
+            if acc.all_counts is not None:
                 stored = state.get("all_counts")
                 if stored is None or len(stored) != length:
                     raise CheckpointError(
                         "checkpoint all_counts row does not match this "
                         "run's clique-size cap"
                     )
-                all_counts = [int(c) for c in stored]
-            totals = Counters.from_dict(state["counters"])
-            per_root_work[:] = state["per_root_work"]
-            per_root_memory[:] = state["per_root_memory"]
-            degraded_from = state.get("degraded_from")
+                acc.all_counts = [int(c) for c in stored]
+            acc.counters = Counters.from_dict(state["counters"])
+            acc.per_root_work[:] = state["per_root_work"]
+            acc.per_root_memory[:] = state["per_root_memory"]
+            acc.degraded_from = state.get("degraded_from")
+            for c in done:
+                acc.done[chunks[c]] = True
 
-    pending = [c for c in range(num_chunks) if c not in done]
-    mode = "count" if k is not None else "allk"
-    with obs.span(
-        "parallel.count" if k is not None else "parallel.count_all",
-        engine="sct-parallel", processes=processes, chunks=num_chunks,
-        structure=structure, kernel=kernel_name,
-    ), obs.phase("counting"), (
-        ctl.guard() if ctl is not None else nullcontext()
-    ):
-        if pending:
-            with publish_graph_pair(graph, dag) as shared, _pool_for(
-                runtime, processes, start_method
-            ) as rt:
-                tasks = _build_tasks(
-                    chunks, pending, shared.spec, mode=mode,
-                    structure=structure, metrics=merge_metrics,
-                    fault_chunks=fault_chunks, k=k, max_k=max_k,
-                    members=True,
-                )
-                for chunk_id, payload in rt.map_chunks(tasks):
-                    if ctl is not None:
-                        ctl.tick()
-                    if not payload.get("ok"):
-                        payload = _resolve_failure(
-                            rt, graph, dag, tasks[pending.index(chunk_id)],
-                            payload.get("error", ""),
-                            fault_counts=fault_counts,
-                            worker_retries=worker_retries,
-                            retry_backoff=retry_backoff,
-                            retry_seed=retry_seed,
-                            allow_degrade=allow_degrade,
-                        )
-                    ctr = Counters.from_dict(payload["counters"])
-                    if ctl is not None:
-                        # Meter BEFORE folding: a chunk is all-in or
-                        # not-at-all, so checkpoints stay consistent.
-                        ctl.charge_nodes(ctr.function_calls)
-                        ctl.note_memory(ctr.peak_subgraph_bytes)
-                    roots_arr = chunks[chunk_id]
-                    if all_counts is not None:
-                        row = payload["all_counts"]
-                        for s in range(length):
-                            if row[s]:
-                                all_counts[s] += row[s]
-                    else:
-                        total += payload["count"]
-                    per_root_work[roots_arr] = payload["per_root_work"]
-                    per_root_memory[roots_arr] = payload["per_root_memory"]
-                    totals.merge(ctr)
-                    obs.note_memory(ctr.peak_subgraph_bytes)
-                    if payload.get("degraded") and degraded_from is None:
-                        degraded_from = "worker"
-                    if merge_metrics and payload.get("metrics"):
-                        obs.get_registry().merge_snapshot(payload["metrics"])
-                    done.add(chunk_id)
-                    if ctl is not None:
-                        ctl.complete_roots(len(roots_arr))
+    def fold(cid: int, payload: dict, degraded: str | None) -> None:
+        acc.fold(chunks[cid], payload, degraded)
+        done.add(cid)
 
-    if all_counts is not None:
-        while len(all_counts) > 1 and all_counts[-1] == 0:
-            all_counts.pop()
-    return CountResult(
-        count=None if k is None else total,
-        all_counts=all_counts,
-        k=k,
-        counters=totals,
-        per_root_work=per_root_work,
-        per_root_memory=per_root_memory,
-        structure=structure,
-        kernel=kernel_name,
-        degraded_from=degraded_from,
-    )
+    try:
+        with obs.span(
+            "parallel.count" if k is not None else "parallel.count_all",
+            engine="sct-parallel", processes=processes, chunks=num_chunks,
+            structure=structure, kernel=kernel_name,
+        ), obs.phase("counting"):
+            run_chunks(
+                graph, dag, chunks,
+                [c for c in range(num_chunks) if c not in done],
+                {"mode": "count", "structure": structure, "k": k,
+                 "max_k": max_k},
+                fold, processes=processes, controller=ctl, **pool,
+            )
+    except BudgetExceededError as exc:
+        exc.partial = acc
+        raise
+    return acc.result(structure, kernel_name)
 
 
 def parallel_per_vertex(
@@ -716,80 +693,41 @@ def parallel_per_vertex(
     processes: int,
     chunks_per_process: int = 4,
     controller: RunController | None = None,
-    collect_metrics: bool | None = None,
-    degrade: bool = False,
-    runtime: ParallelRuntime | None = None,
-    start_method: str | None = None,
-    fault_chunks=(),
-    worker_retries: int = 2,
-    retry_backoff: float = 0.0,
-    retry_seed: int = 0,
+    **pool,
 ) -> list[int]:
     """Multi-process per-vertex k-clique counts (exact ints).
 
     Mirrors the serial :func:`repro.counting.pervertex.per_vertex_counts`
     contract: budgets at task granularity, no checkpoint state (a
-    budget abort discards the run).
+    budget abort discards the run).  ``pool`` as in
+    :func:`parallel_count`.
     """
-    n = graph.num_vertices
     kernel_name = kernels.kernel_name(kernel)
     chunks = plan_chunks(dag.degrees, processes, chunks_per_process)
-    per: list[int] = [0] * n
-    ctl = controller
-    merge_metrics = (
-        obs.get_registry().enabled
-        if collect_metrics is None
-        else bool(collect_metrics)
-    )
-    allow_degrade = degrade or (ctl is not None and ctl.degrade)
-    fault_counts = _normalize_fault_chunks(fault_chunks)
-    if ctl is not None:
-        ctl.begin({
+    per: list[int] = [0] * graph.num_vertices
+    if controller is not None:
+        controller.begin({
             "engine": "per-vertex-parallel",
             "k": k,
             "structure": structure,
             "kernel": kernel_name,
             "graph": graph_fingerprint(graph),
         })
+
+    def fold(cid: int, payload: dict, degraded: str | None) -> None:
+        for v, c in payload["per"].items():
+            per[int(v)] += c
+
     with obs.span(
         "parallel.per_vertex", engine="per-vertex-parallel",
         processes=processes, chunks=len(chunks), structure=structure,
         kernel=kernel_name,
-    ), obs.phase("counting"), (
-        ctl.guard() if ctl is not None else nullcontext()
-    ):
-        if chunks:
-            with publish_graph_pair(graph, dag) as shared, _pool_for(
-                runtime, processes, start_method
-            ) as rt:
-                tasks = _build_tasks(
-                    chunks, list(range(len(chunks))), shared.spec,
-                    mode="pervertex", structure=structure,
-                    metrics=merge_metrics, fault_chunks=fault_chunks, k=k,
-                )
-                for chunk_id, payload in rt.map_chunks(tasks):
-                    if ctl is not None:
-                        ctl.tick()
-                    if not payload.get("ok"):
-                        payload = _resolve_failure(
-                            rt, graph, dag, tasks[chunk_id],
-                            payload.get("error", ""),
-                            fault_counts=fault_counts,
-                            worker_retries=worker_retries,
-                            retry_backoff=retry_backoff,
-                            retry_seed=retry_seed,
-                            allow_degrade=allow_degrade,
-                        )
-                    ctr = Counters.from_dict(payload["counters"])
-                    if ctl is not None:
-                        ctl.charge_nodes(ctr.function_calls)
-                        ctl.note_memory(ctr.peak_subgraph_bytes)
-                    for v, c in payload["per"].items():
-                        per[int(v)] += c
-                    if merge_metrics and payload.get("metrics"):
-                        obs.get_registry().merge_snapshot(payload["metrics"])
-                    if ctl is not None:
-                        ctl.complete_roots(len(chunks[chunk_id]))
+    ), obs.phase("counting"):
+        run_chunks(
+            graph, dag, chunks, list(range(len(chunks))),
+            {"mode": "pervertex", "structure": structure, "k": k},
+            fold, processes=processes, controller=controller, **pool,
+        )
     return per
 
 
@@ -803,14 +741,7 @@ def parallel_build_forest(
     chunks_per_process: int = 4,
     members: bool = True,
     controller: RunController | None = None,
-    collect_metrics: bool | None = None,
-    degrade: bool = False,
-    runtime: ParallelRuntime | None = None,
-    start_method: str | None = None,
-    fault_chunks=(),
-    worker_retries: int = 2,
-    retry_backoff: float = 0.0,
-    retry_seed: int = 0,
+    **pool,
 ):
     """Multi-process :class:`~repro.counting.forest.SCTForest` build.
 
@@ -820,7 +751,8 @@ def parallel_build_forest(
     served from them — are bit-identical to a serial build.  Budgets
     are metered per chunk; the parallel build has no checkpoint state
     and no member-spill rung (use the serial build under a memory
-    watermark when spilling matters).
+    watermark when spilling matters).  ``pool`` as in
+    :func:`parallel_count`.
     """
     from repro.counting.forest import SCTForest, _LeafLists
 
@@ -833,14 +765,6 @@ def parallel_build_forest(
     per_root_memory = np.zeros(n, dtype=np.float64)
     per_root_recursion = np.zeros(n, dtype=np.float64)
     degraded_from: str | None = None
-    ctl = controller
-    merge_metrics = (
-        obs.get_registry().enabled
-        if collect_metrics is None
-        else bool(collect_metrics)
-    )
-    allow_degrade = degrade or (ctl is not None and ctl.degrade)
-    fault_counts = _normalize_fault_chunks(fault_chunks)
     descriptor = {
         "engine": "sct-forest",
         "structure": structure,
@@ -849,59 +773,32 @@ def parallel_build_forest(
         "graph_fingerprint": graph_fingerprint(graph),
         "dag_fingerprint": graph_fingerprint(dag),
     }
-    if ctl is not None:
-        ctl.begin(dict(descriptor, parallel=processes))
+    if controller is not None:
+        controller.begin(dict(descriptor, parallel=processes))
+
+    def fold(cid: int, payload: dict, degraded: str | None) -> None:
+        nonlocal degraded_from
+        for v, leaves, ctr_d in zip(
+            chunks[cid].tolist(), payload["leaves"], payload["root_counters"]
+        ):
+            leaves_by_root[v] = leaves
+            counters_by_root[v] = ctr_d
+            ctr = Counters.from_dict(ctr_d)
+            per_root_work[v] = ctr.work
+            per_root_memory[v] = ctr.peak_subgraph_bytes
+            per_root_recursion[v] = ctr.recursion_work
+        degraded_from = degraded_from or degraded
+
     with obs.span(
         "parallel.forest_build", engine="sct-forest", processes=processes,
         chunks=len(chunks), structure=structure, kernel=kernel_name,
-    ), obs.phase("forest_build"), (
-        ctl.guard() if ctl is not None else nullcontext()
-    ):
-        if chunks:
-            with publish_graph_pair(graph, dag) as shared, _pool_for(
-                runtime, processes, start_method
-            ) as rt:
-                tasks = _build_tasks(
-                    chunks, list(range(len(chunks))), shared.spec,
-                    mode="forest", structure=structure,
-                    metrics=merge_metrics, fault_chunks=fault_chunks,
-                    members=bool(members),
-                )
-                for chunk_id, payload in rt.map_chunks(tasks):
-                    if ctl is not None:
-                        ctl.tick()
-                    if not payload.get("ok"):
-                        payload = _resolve_failure(
-                            rt, graph, dag, tasks[chunk_id],
-                            payload.get("error", ""),
-                            fault_counts=fault_counts,
-                            worker_retries=worker_retries,
-                            retry_backoff=retry_backoff,
-                            retry_seed=retry_seed,
-                            allow_degrade=allow_degrade,
-                        )
-                        if payload.get("degraded") and degraded_from is None:
-                            degraded_from = "worker"
-                    roots_arr = chunks[chunk_id]
-                    chunk_ctr = Counters()
-                    for v, leaves, ctr_d in zip(
-                        roots_arr, payload["leaves"], payload["counters"]
-                    ):
-                        v = int(v)
-                        leaves_by_root[v] = leaves
-                        counters_by_root[v] = ctr_d
-                        ctr = Counters.from_dict(ctr_d)
-                        per_root_work[v] = ctr.work
-                        per_root_memory[v] = ctr.peak_subgraph_bytes
-                        per_root_recursion[v] = ctr.recursion_work
-                        chunk_ctr.merge(ctr)
-                    if ctl is not None:
-                        ctl.charge_nodes(chunk_ctr.function_calls)
-                        ctl.note_memory(chunk_ctr.peak_subgraph_bytes)
-                        ctl.complete_roots(len(roots_arr))
-                    obs.note_memory(chunk_ctr.peak_subgraph_bytes)
-                    if merge_metrics and payload.get("metrics"):
-                        obs.get_registry().merge_snapshot(payload["metrics"])
+    ), obs.phase("forest_build"):
+        run_chunks(
+            graph, dag, chunks, list(range(len(chunks))),
+            {"mode": "forest", "structure": structure,
+             "members": bool(members)},
+            fold, processes=processes, controller=controller, **pool,
+        )
 
     # Reassemble in root order: chunk completion order is
     # nondeterministic, but leaves are keyed by root and each root's

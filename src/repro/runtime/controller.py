@@ -252,11 +252,6 @@ class RunController:
         snap.seconds = self.elapsed_seconds()
         return snap
 
-    def state(self) -> dict | None:
-        """The engine's current checkpointable state (or ``None`` for
-        engines that did not register a snapshot provider)."""
-        return self._snapshot() if self._snapshot is not None else None
-
     def save(self, *, complete: bool = False) -> None:
         """Write the checkpoint now (no-op without a path/provider)."""
         if self.checkpoint_path is None or self._snapshot is None:

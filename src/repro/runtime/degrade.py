@@ -6,9 +6,11 @@ ladder this module (with the engines) implements, from least to most
 lossy:
 
 1. **budget exhaustion → root sampling** (this module).  When the
-   node/deadline/memory budget dies at root ``r``, the exact per-root
-   counts for roots ``< r`` are kept and the remaining roots are
-   estimated with the unbiased root-sampling estimator
+   node/deadline/memory budget dies, the exact counts of every root
+   the executor finished — a prefix for the serial engine, whole
+   chunks or shards for the pool and the shard executor — are kept,
+   and only the other roots are estimated with the unbiased
+   root-sampling estimator
    (:func:`repro.counting.sampling.sample_count_roots`), which
    composes exactly with partial progress because the SCT total is a
    sum over roots.  The folded result is flagged ``approximate``.
@@ -44,7 +46,7 @@ def degrade_to_sampling(
     *,
     k: int | None,
     max_k: int | None = None,
-    state: dict | None,
+    partial=None,
     cause: BudgetExceededError | None = None,
     p: float | None = None,
     repeats: int = 3,
@@ -59,52 +61,50 @@ def degrade_to_sampling(
         budget (per-root counting is reused for the sampled roots).
     k / max_k:
         The original request (``k=None`` = all-k).
-    state:
-        The controller's last engine snapshot (``controller.state()``);
-        ``None`` means no root completed — the whole count is
-        estimated.
+    partial:
+        The run's exact progress, a
+        :class:`~repro.counting.sct.PartialCounts` — the budget error's
+        ``partial``, which every executor attaches: its finished roots,
+        their totals and their per-root vectors.  ``None`` means no
+        root finished — the whole count is estimated.
     cause:
         The budget error being degraded away from (for the warning).
 
     Returns a :class:`~repro.counting.sct.CountResult` with
     ``approximate=True``, ``degraded_from`` extended with ``"exact"``,
-    and the already-counted roots folded in exactly.
+    and the finished roots folded in exactly; only the others are
+    sampled.
     """
-    from repro.counting.counters import Counters
     from repro.counting.sampling import (
         sample_all_sizes_roots,
         sample_count_roots,
     )
-    from repro.counting.sct import CountResult
+    from repro.counting.sct import CountResult, PartialCounts
 
     n = engine.graph.num_vertices
-    state = state or {}
-    next_root = int(state.get("next_root", 0))
-    counters = Counters.from_dict(state.get("counters", {}))
-    per_root_work = np.zeros(n, dtype=np.float64)
-    per_root_memory = np.zeros(n, dtype=np.float64)
-    if next_root:
-        per_root_work[:next_root] = state.get("per_root_work", [])
-        per_root_memory[:next_root] = state.get("per_root_memory", [])
-    degraded_from = _join_degraded(state.get("degraded_from"), "exact")
+    if partial is None:
+        partial = PartialCounts(n, k)
+    remaining = np.flatnonzero(~partial.done)
+    roots_done = n - remaining.size
+    degraded_from = _join_degraded(partial.degraded_from, "exact")
     obs.degradation(
-        "sampling", engine="sct", next_root=next_root,
+        "sampling", engine="sct", roots_done=roots_done,
         cause=type(cause).__name__ if cause is not None else None,
     )
 
     if k is not None:
-        exact_total = int(state.get("total", 0))
         est = sample_count_roots(
-            engine, k, next_root, p=p, repeats=repeats, seed=seed
+            engine, k, remaining, p=p, repeats=repeats, seed=seed
         )
-        count: float = float(exact_total) + est.estimate
+        count: float = float(partial.total) + est.estimate
         all_counts = None
         std_error = est.std_error
     else:
         length, _cap = engine._allk_shape(max_k)
-        stored = state.get("all_counts") or [0] * length
+        stored = partial.all_counts
+        stored = stored + [0] * (length - len(stored))
         estimates, std_error = sample_all_sizes_roots(
-            engine, next_root, max_k=max_k, p=p, repeats=repeats, seed=seed
+            engine, remaining, max_k=max_k, p=p, repeats=repeats, seed=seed
         )
         all_counts = [float(e) + float(x) for e, x in zip(stored, estimates)]
         while len(all_counts) > 1 and all_counts[-1] == 0:
@@ -112,7 +112,7 @@ def degrade_to_sampling(
         count = None
 
     warnings.warn(
-        f"budget exhausted after {next_root}/{n} exact roots"
+        f"budget exhausted after {roots_done}/{n} exact roots"
         f"{f' ({cause})' if cause is not None else ''}; returning "
         f"root-sampled approximation (std error ~{std_error:.3g})",
         DegradedResultWarning,
@@ -122,9 +122,9 @@ def degrade_to_sampling(
         count=count,
         all_counts=all_counts,
         k=k,
-        counters=counters,
-        per_root_work=per_root_work,
-        per_root_memory=per_root_memory,
+        counters=partial.counters,
+        per_root_work=partial.per_root_work,
+        per_root_memory=partial.per_root_memory,
         structure=engine.structure.name,
         kernel=engine.kernel.name,
         approximate=True,

@@ -45,15 +45,17 @@ from __future__ import annotations
 import os
 import random
 import time
+from contextlib import nullcontext
 
 import numpy as np
 
 from repro import kernels, obs
-from repro.errors import IOIntegrityError, ShardError
+from repro.errors import BudgetExceededError, IOIntegrityError, ShardError
 from repro.counting.counters import Counters
 from repro.graph.csr import CSRGraph
 from repro.ordering.base import Ordering
 from repro.ordering.directionalize import directionalize
+from repro.parallel.runtime import _retry_delay
 from repro.runtime.checkpoint import graph_fingerprint
 from repro.runtime.controller import RunController
 from repro.shard.ledger import LEDGER_NAME, ShardLedger
@@ -67,16 +69,6 @@ __all__ = ["count_sharded"]
 _sleep = time.sleep
 
 
-def _retry_delay(rng: random.Random, attempt: int, backoff: float) -> float:
-    """Seeded exponential backoff with jitter for retry ``attempt``
-    (1-based).  The jitter stream advances even at ``backoff == 0`` so
-    enabling real sleeps never changes the delays drawn."""
-    jitter = 0.5 + rng.random()
-    if backoff <= 0.0:
-        return 0.0
-    return backoff * (2.0 ** (attempt - 1)) * jitter
-
-
 def _spill_files_present(spill_dir, shard) -> bool:
     from repro.shard.spill import shard_paths
 
@@ -85,49 +77,42 @@ def _spill_files_present(spill_dir, shard) -> bool:
     )
 
 
-def _count_slice(
-    sliced_graph,
-    sliced_dag,
+def _count_range(
+    graph,
+    dag,
     shard,
     *,
     k,
     max_k,
     structure,
-    processes,
-    chunks_per_process,
-    runtime,
+    processes=None,
+    chunks_per_process=4,
+    runtime=None,
 ) -> dict:
-    """Count one shard's roots on its mmapped slice; return the
-    JSON-ready partial-result state recorded in the ledger."""
+    """Count one shard's roots on ``graph``/``dag`` — its mmapped slice,
+    or the resident graph on the fallback rung — and return the
+    JSON-ready partial-count record the ledger stores."""
+    from repro.counting.sct import RootBatchResult, SCTEngine
+
     lo, hi = shard.lo, shard.hi
-    state: dict = {"lo": lo, "hi": hi}
     if processes is not None and processes > 1:
         from repro.parallel.runtime import parallel_count
 
         res = parallel_count(
-            sliced_graph, sliced_dag, k=k, max_k=max_k,
+            graph, dag, k=k, max_k=max_k,
             structure=structure, processes=processes,
             chunks_per_process=chunks_per_process, runtime=runtime,
             roots=np.arange(lo, hi, dtype=np.int64),
         )
-        state["count"] = 0 if res.count is None else res.count
-        state["all_counts"] = (
-            None if res.all_counts is None else list(res.all_counts)
+        batch = RootBatchResult(
+            list(range(lo, hi)), res.count or 0, res.all_counts,
+            res.counters, res.per_root_work[lo:hi].tolist(),
+            res.per_root_memory[lo:hi].tolist(),
         )
-        state["counters"] = res.counters.as_dict()
-        state["per_root_work"] = res.per_root_work[lo:hi].tolist()
-        state["per_root_memory"] = res.per_root_memory[lo:hi].tolist()
     else:
-        from repro.counting.sct import SCTEngine
-
-        eng = SCTEngine(sliced_graph, sliced_dag, structure)
+        eng = SCTEngine(graph, dag, structure)
         batch = eng.count_roots(range(lo, hi), k, max_k=max_k)
-        state["count"] = batch.count
-        state["all_counts"] = batch.all_counts
-        state["counters"] = batch.counters.as_dict()
-        state["per_root_work"] = list(batch.per_root_work)
-        state["per_root_memory"] = list(batch.per_root_memory)
-    return state
+    return {"lo": lo, "hi": hi, **batch.record()}
 
 
 def count_sharded(
@@ -203,7 +188,7 @@ def count_sharded(
         The same result object as the serial engines, with
         ``degraded_from="shard"`` when the fallback rung engaged.
     """
-    from repro.counting.sct import CountResult, SCTEngine
+    from repro.counting.sct import PartialCounts
     from repro.errors import CountingError
 
     if k is not None and k < 1:
@@ -261,32 +246,8 @@ def count_sharded(
         except OSError as exc:
             obs.degradation("ledger_append", error=str(exc))
 
-    n = graph.num_vertices
-    totals = Counters()
-    per_root_work = np.zeros(n, dtype=np.float64)
-    per_root_memory = np.zeros(n, dtype=np.float64)
-    total = 0
-    all_row: list[int] | None = None if k is not None else [0, 0]
-    degraded_from: str | None = None
+    acc = PartialCounts(graph.num_vertices, k)
     reg = obs.get_registry()
-
-    def fold(shard, state: dict) -> None:
-        nonlocal total, degraded_from
-        lo, hi = shard.lo, shard.hi
-        if all_row is not None:
-            row = state.get("all_counts") or []
-            while len(all_row) < len(row):
-                all_row.append(0)
-            for s, c in enumerate(row):
-                if c:
-                    all_row[s] += c
-        else:
-            total += int(state.get("count", 0))
-        per_root_work[lo:hi] = state["per_root_work"]
-        per_root_memory[lo:hi] = state["per_root_memory"]
-        totals.merge(Counters.from_dict(state["counters"]))
-        if state.get("degraded") and degraded_from is None:
-            degraded_from = "shard"
 
     def run_shard(shard) -> dict:
         """Spill (if needed), verify, mmap, count — with bounded
@@ -316,7 +277,7 @@ def count_sharded(
                 sg, sdag = load_shard_slice(
                     spill_dir, shard, manifest, faults=faults
                 )
-                return _count_slice(
+                return _count_range(
                     sg, sdag, shard, k=k, max_k=max_k,
                     structure=structure, processes=processes,
                     chunks_per_process=chunks_per_process,
@@ -339,67 +300,51 @@ def count_sharded(
             obs.degradation(
                 "shard_fallback", shard=shard.index, error=str(last_error),
             )
-            eng = SCTEngine(graph, dag, structure)
-            batch = eng.count_roots(range(shard.lo, shard.hi), k, max_k=max_k)
-            return {
-                "lo": shard.lo,
-                "hi": shard.hi,
-                "count": batch.count,
-                "all_counts": batch.all_counts,
-                "counters": batch.counters.as_dict(),
-                "per_root_work": list(batch.per_root_work),
-                "per_root_memory": list(batch.per_root_memory),
-                "degraded": True,
-            }
+            state = _count_range(
+                graph, dag, shard, k=k, max_k=max_k, structure=structure
+            )
+            return dict(state, degraded=True)
         raise ShardError(
             f"shard {shard.index} (roots [{shard.lo}, {shard.hi})) failed "
             f"after {max_retries + 1} attempts: {last_error}"
         ) from last_error
 
-    from contextlib import nullcontext
+    def fold(shard, state: dict) -> None:
+        degraded = "shard" if state.get("degraded") else None
+        acc.fold(slice(shard.lo, shard.hi), state, degraded)
 
     pending = [s for s in plan.shards if s.index not in ledger.done]
-    with obs.span(
-        "shard.count" if k is not None else "shard.count_all",
-        engine="sct-shard", shards=plan.num_shards,
-        structure=structure, kernel=kernel_name,
-    ), obs.phase("counting"), (
-        ctl.guard() if ctl is not None else nullcontext()
-    ):
-        # Fold already-recorded shards first (resume path) — in shard
-        # index order, so the fold order matches a fresh run.
-        for shard in plan.shards:
-            state = ledger.done.get(shard.index)
-            if state is not None:
+    try:
+        with obs.span(
+            "shard.count" if k is not None else "shard.count_all",
+            engine="sct-shard", shards=plan.num_shards,
+            structure=structure, kernel=kernel_name,
+        ), obs.phase("counting"), (
+            ctl.guard() if ctl is not None else nullcontext()
+        ):
+            # Fold already-recorded shards first (resume path) — in
+            # shard index order, so the fold order matches a fresh run.
+            for shard in plan.shards:
+                state = ledger.done.get(shard.index)
+                if state is not None:
+                    fold(shard, state)
+            for shard in pending:
+                if ctl is not None:
+                    ctl.tick()
+                state = run_shard(shard)
+                if ctl is not None:
+                    # Meter BEFORE recording/folding: a shard is all-in
+                    # or not-at-all, so the ledger stays consistent.
+                    ctr = Counters.from_dict(state["counters"])
+                    ctl.charge_nodes(ctr.function_calls)
+                    ctl.note_memory(ctr.peak_subgraph_bytes)
+                ledger_append(ledger.record_done, shard.index, state)
                 fold(shard, state)
-        for shard in pending:
-            if ctl is not None:
-                ctl.tick()
-            state = run_shard(shard)
-            if ctl is not None:
-                # Meter BEFORE recording/folding: a shard is all-in or
-                # not-at-all, so the ledger stays consistent.
-                ctr = Counters.from_dict(state["counters"])
-                ctl.charge_nodes(ctr.function_calls)
-                ctl.note_memory(ctr.peak_subgraph_bytes)
-            ledger_append(ledger.record_done, shard.index, state)
-            fold(shard, state)
-            if ctl is not None:
-                ctl.complete_roots(shard.num_roots)
-        if not ledger.complete:
-            ledger_append(ledger.record_complete)
-
-    if all_row is not None:
-        while len(all_row) > 1 and all_row[-1] == 0:
-            all_row.pop()
-    return CountResult(
-        count=None if k is None else total,
-        all_counts=all_row,
-        k=k,
-        counters=totals,
-        per_root_work=per_root_work,
-        per_root_memory=per_root_memory,
-        structure=structure,
-        kernel=kernel_name,
-        degraded_from=degraded_from,
-    )
+                if ctl is not None:
+                    ctl.complete_roots(shard.num_roots)
+            if not ledger.complete:
+                ledger_append(ledger.record_complete)
+    except BudgetExceededError as exc:
+        exc.partial = acc
+        raise
+    return acc.result(structure, kernel_name)

@@ -82,6 +82,29 @@ def test_dist_forest_build(tmp_path, capsys):
     assert "k=  3: 10" in out
 
 
+@pytest.mark.parametrize("command", (["count", "-k", "3"], ["dist"]))
+def test_forest_use_requires_a_path(tmp_path, capsys, monkeypatch, command):
+    """``--forest use`` without ``--forest-path`` exits 2 before any
+    counting; the pipeline config no longer carries forest knobs."""
+    from repro import core
+    from repro.core import PivotScaleConfig
+
+    with pytest.raises(TypeError):
+        PivotScaleConfig(forest="use")
+
+    def no_count(*args, **kwargs):
+        raise AssertionError("counted before checking the flags")
+
+    monkeypatch.setattr(core, "count_cliques", no_count)
+    monkeypatch.setattr(core, "count_cliques_all_sizes", no_count)
+    path = tmp_path / "k5.el"
+    write_edge_list(complete_graph(5), path)
+    argv = [command[0], "--edge-list", str(path), *command[1:],
+            "--forest", "use"]
+    assert main(argv) == 2
+    assert "--forest use requires --forest-path" in capsys.readouterr().err
+
+
 def test_orderings_command(tmp_path, capsys):
     path = tmp_path / "g.el"
     write_edge_list(complete_graph(8), path)

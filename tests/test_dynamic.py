@@ -694,13 +694,34 @@ def test_disabled_obs_costs_nothing_extra(g):
 # ----------------------------------------------------------------------
 # Config + CLI plumbing
 # ----------------------------------------------------------------------
-def test_config_dynamic_knobs():
-    assert PivotScaleConfig(dynamic="patch").dynamic == "patch"
-    assert PivotScaleConfig().dynamic is None
-    with pytest.raises(CountingError):
-        PivotScaleConfig(dynamic="bogus")
-    with pytest.raises(CountingError):
-        PivotScaleConfig(reorder_ratio=0.0)
+def test_config_dynamic_knobs(g, tmp_path, monkeypatch, capsys):
+    """The edge-stream knobs are the ``stream`` command's flags, the
+    only place that reads them, and are checked before any counting;
+    the pipeline config has none."""
+    from repro.cli import main as cli_main
+    from repro.counting import forest as forest_mod
+    from repro.graph.io import write_edge_list
+
+    for knob in ({"dynamic": "patch"}, {"reorder_ratio": 0.25}):
+        with pytest.raises(TypeError):
+            PivotScaleConfig(**knob)
+    path, edits = tmp_path / "g.el", tmp_path / "edits.txt"
+    write_edge_list(g, path)
+    edits.write_text("+ 0 9\n")
+    base = ["stream", "--edge-list", str(path), "--edits", str(edits),
+            "-k", "3"]
+    assert cli_main(base + ["--policy", "patch"]) == 0
+    assert "batch 1:" in capsys.readouterr().out
+    with pytest.raises(SystemExit) as ei:
+        cli_main(base + ["--policy", "bogus"])
+    assert ei.value.code == 2
+
+    def no_forest(*args, **kwargs):
+        raise AssertionError("built a forest before checking the flags")
+
+    monkeypatch.setattr(forest_mod, "get_forest", no_forest)
+    assert cli_main(base + ["--reorder-ratio", "0"]) == 2
+    assert "reorder_ratio must be > 0" in capsys.readouterr().err
 
 
 def test_edit_file_parsing(tmp_path):

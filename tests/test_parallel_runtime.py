@@ -56,6 +56,61 @@ def rt_spawn():
 
 
 # ----------------------------------------------------------------------
+# every pool entry point, one contract: (pool run, serial run, what must match)
+# ----------------------------------------------------------------------
+def _forest_state(f):
+    return (
+        [a.tolist() for a in (f.roots, f.held_n, f.pivot_n,
+                              f.held_members, f.pivot_members)],
+        [v.tolist() for v in (f.per_root_work, f.per_root_memory,
+                              f.per_root_recursion)],
+        f.counters.function_calls,
+    )
+
+
+POOL_MODES = {
+    "count": (
+        lambda g, o, **kw: count_kcliques_processes(
+            g, 3, o, processes=2, **kw),
+        lambda g, o: SCTEngine(g, o).count(3),
+        lambda r: (r.count, r.counters.function_calls,
+                   r.per_root_work.tolist(), r.per_root_memory.tolist()),
+    ),
+    "allk": (
+        lambda g, o, **kw: count_all_sizes_processes(
+            g, o, processes=2, **kw),
+        lambda g, o: SCTEngine(g, o).count_all(),
+        lambda r: (r.all_counts, r.counters.function_calls,
+                   r.per_root_work.tolist(), r.per_root_memory.tolist()),
+    ),
+    "pervertex": (
+        lambda g, o, **kw: per_vertex_counts_processes(
+            g, 3, o, processes=2, **kw),
+        lambda g, o: per_vertex_counts(g, 3, o),
+        lambda r: r,
+    ),
+    "forest": (
+        lambda g, o, **kw: build_forest_processes(g, o, processes=2, **kw),
+        lambda g, o: build_forest(g, o),
+        _forest_state,
+    ),
+}
+
+#: The worker task of each pool mode (see ``runtime._execute_mode``).
+_TASKS = {
+    "count": {"mode": "count", "k": 3, "max_k": None},
+    "allk": {"mode": "count", "k": None, "max_k": None},
+    "pervertex": {"mode": "pervertex", "k": 3},
+    "forest": {"mode": "forest", "members": True},
+}
+
+
+def _degraded_from(result):
+    # Per-vertex counts are a bare list and carry no flag.
+    return getattr(result, "degraded_from", None)
+
+
+# ----------------------------------------------------------------------
 # corpus differential: parallel == serial, bit for bit
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("name,g", GRAPHS, ids=IDS)
@@ -74,7 +129,8 @@ def test_corpus_fork_matches_serial(name, g, rt_fork):
 def test_corpus_spawn_matches_serial(rt_spawn):
     # spawn re-imports the worker module from scratch — the start
     # method real deployments use on macOS/Windows.  One persistent
-    # pool over the full corpus keeps this affordable.
+    # pool over the full corpus keeps this affordable; one per-vertex
+    # and one forest run cover the other worker modes.
     for name, g in GRAPHS:
         o = ordering(name, g)
         serial = SCTEngine(g, o).count(3).count
@@ -82,6 +138,11 @@ def test_corpus_spawn_matches_serial(rt_spawn):
             g, 3, o, processes=2, runtime=rt_spawn
         ).count
         assert got == serial, name
+    name, g = GRAPHS[2]
+    o = ordering(name, g)
+    for mode in ("pervertex", "forest"):
+        run, serial, state = POOL_MODES[mode]
+        assert state(run(g, o, runtime=rt_spawn)) == state(serial(g, o)), mode
 
 
 @pytest.mark.slow
@@ -125,11 +186,13 @@ def test_forest_matches_serial(rt_fork):
 # ----------------------------------------------------------------------
 # obs integration: merged worker counters == serial counters
 # ----------------------------------------------------------------------
-def test_worker_metrics_sum_to_serial(rt_fork):
+@pytest.mark.parametrize("mode", sorted(POOL_MODES))
+def test_worker_metrics_sum_to_serial(rt_fork, mode):
     # Every chunk is its own root-subgraph memo scope, so kernel calls
-    # depend on the chunk plan: the serial reference counts the pool's
-    # plan one count_roots call per chunk.
+    # depend on the chunk plan: the serial reference runs the pool's
+    # plan in-process, one worker task per chunk.
     from repro.ordering.directionalize import directionalize
+    from repro.parallel.runtime import _execute_mode
 
     name, g = GRAPHS[2]
     o = ordering(name, g)
@@ -137,12 +200,14 @@ def test_worker_metrics_sum_to_serial(rt_fork):
     with obs.collecting() as reg_s:
         engine = SCTEngine(g, dag)
         for chunk in plan_chunks(dag.degrees, 2, 4):
-            engine.count_roots(chunk, 3)
+            _execute_mode(dict(_TASKS[mode], roots=chunk.tolist()),
+                          engine, g)
+    run = POOL_MODES[mode][0]
     # Metrics-on tasks run on each worker's cached engine: a second
     # run on the same pool must report exactly what the first did.
     for _ in range(2):
         with obs.collecting() as reg_p:
-            count_kcliques_processes(g, 3, o, processes=2, runtime=rt_fork)
+            run(g, o, runtime=rt_fork)
         for metric in ("engine_nodes_visited_total", "kernel_calls_total",
                        "engine_roots_total"):
             assert reg_p.total(metric) == reg_s.total(metric), metric
@@ -158,12 +223,16 @@ def test_worker_metrics_sum_to_serial(rt_fork):
 # ----------------------------------------------------------------------
 # runtime/controller integration
 # ----------------------------------------------------------------------
-def test_budget_enforced_at_chunk_granularity():
+@pytest.mark.parametrize("mode", sorted(POOL_MODES))
+def test_budget_enforced_at_chunk_granularity(mode):
     name, g = GRAPHS[2]
     o = ordering(name, g)
     ctl = RunController(Budget(max_nodes=1))
     with pytest.raises(NodeBudgetExceededError):
-        count_kcliques_processes(g, 3, o, processes=2, controller=ctl)
+        POOL_MODES[mode][0](g, o, controller=ctl)
+    # The chunk that crossed the budget was metered, never folded.
+    assert ctl.spent.nodes > 1
+    assert ctl.spent.roots_done == 0
 
 
 def test_checkpoint_resume_bit_identical(tmp_path):
@@ -185,29 +254,26 @@ def test_checkpoint_resume_bit_identical(tmp_path):
     assert resumed.spent.roots_done == g.num_vertices
 
 
-def test_worker_crash_raises_without_degrade(rt_fork):
+@pytest.mark.parametrize("mode", sorted(POOL_MODES))
+def test_worker_crash_raises_without_degrade(rt_fork, mode):
     name, g = GRAPHS[2]
     o = ordering(name, g)
     with pytest.raises(WorkerCrashError):
-        count_kcliques_processes(
-            g, 3, o, processes=2, runtime=rt_fork, fault_chunks={0}
-        )
+        POOL_MODES[mode][0](g, o, runtime=rt_fork, fault_chunks={0})
 
 
-def test_worker_crash_degrades_to_exact_retry(rt_fork):
+@pytest.mark.parametrize("mode", sorted(POOL_MODES))
+def test_worker_crash_degrades_to_exact_retry(rt_fork, mode):
     name, g = GRAPHS[2]
     o = ordering(name, g)
-    serial = SCTEngine(g, o).count(3)
-    got = count_kcliques_processes(
-        g, 3, o, processes=2, runtime=rt_fork, degrade=True,
-        fault_chunks={0, 1},
-    )
+    run, serial, state = POOL_MODES[mode]
+    got = run(g, o, runtime=rt_fork, degrade=True, fault_chunks={0, 1})
     # The retry rung re-runs the dead chunks in-process on the bigint
-    # reference backend: the count stays exact, only the flag records
+    # reference backend: the result stays exact, only the flag records
     # that workers died.
-    assert got.count == serial.count
-    assert got.counters.function_calls == serial.counters.function_calls
-    assert got.degraded_from == "worker"
+    assert state(got) == state(serial(g, o))
+    if mode != "pervertex":
+        assert _degraded_from(got) == "worker"
 
 
 # ----------------------------------------------------------------------
@@ -342,23 +408,22 @@ def test_worker_attachment_eviction_closes_segments(monkeypatch):
 # ----------------------------------------------------------------------
 # bounded worker-crash retries (the rung before degradation)
 # ----------------------------------------------------------------------
-def test_transient_crash_recovered_by_retry(rt_fork):
+@pytest.mark.parametrize("mode", sorted(POOL_MODES))
+def test_transient_crash_recovered_by_retry(rt_fork, mode):
     """A chunk that crashes once and succeeds on resubmission keeps the
     result exact and *unflagged* — no degradation rung, one retry
     metered."""
     name, g = GRAPHS[2]
     o = ordering(name, g)
-    serial = SCTEngine(g, o).count(3)
+    run, serial, state = POOL_MODES[mode]
     with obs.collecting() as reg:
-        got = count_kcliques_processes(
-            g, 3, o, processes=2, runtime=rt_fork,
+        got = run(
+            g, o, runtime=rt_fork,
             fault_chunks={0: 1},  # transient: crash the 1st attempt only
         )
         retries = reg.counter("runtime_worker_retries").value
-    assert got.count == serial.count
-    assert got.counters.function_calls == serial.counters.function_calls
-    assert np.array_equal(got.per_root_work, serial.per_root_work)
-    assert got.degraded_from is None
+    assert state(got) == state(serial(g, o))
+    assert _degraded_from(got) is None
     assert retries == 1
 
 

@@ -320,42 +320,102 @@ def test_degrade_to_sampling_flagged(g):
     assert exact > 0
 
 
-def test_degrade_folds_exact_progress(g):
+#: Every executor the pipeline dispatches to, as pipeline knobs.
+_EXECUTORS = {
+    "serial": lambda tmp: {},
+    "pool": lambda tmp: {"processes": 2},
+    "shard": lambda tmp: {"shard_mb": 0.002, "spill_dir": str(tmp)},
+}
+
+
+def _exhaust(executor, eng, k, tmp_path):
+    """Run ``eng``'s count (``k=None``: all-k) on ``executor`` under a
+    node budget of half the run; return the exact progress the budget
+    error carries."""
+    from repro.errors import NodeBudgetExceededError
+    from repro.parallel.runtime import parallel_count
+    from repro.shard import count_sharded
+
+    full = eng.count(k) if k is not None else eng.count_all()
+    ctl = RunController(
+        Budget(max_nodes=full.counters.function_calls // 2), degrade=True
+    )
+    with pytest.raises(NodeBudgetExceededError) as ei:
+        if executor == "pool":
+            parallel_count(eng.graph, eng.dag, k=k, processes=2,
+                           controller=ctl)
+        elif executor == "shard":
+            count_sharded(eng.graph, eng.dag, k=k, controller=ctl,
+                          **_EXECUTORS["shard"](tmp_path / f"s{k}"))
+        elif k is not None:
+            eng.count(k, controller=ctl)
+        else:
+            eng.count_all(controller=ctl)
+    # The partial holds exactly the roots the controller completed.
+    done = ei.value.partial.done.sum()
+    assert 0 < done == ctl.spent.roots_done < eng.graph.num_vertices
+    return ei.value.partial
+
+
+def test_degrade_folds_exact_progress(g, tmp_path):
     """With p=1 sampling over the remainder, degrade reproduces the
-    exact total: partial exact + exhaustive 'sampling' of the rest."""
+    exact total on every executor: the exact partial the budget error
+    carries, plus exhaustive 'sampling' of the roots it leaves out."""
     from repro.runtime.degrade import degrade_to_sampling
 
     eng = SCTEngine(g, core_ordering(g))
-    ctl = RunController(Budget(max_nodes=80), degrade=True)
-    from repro.errors import NodeBudgetExceededError
-
-    with pytest.raises(NodeBudgetExceededError):
-        eng.count(4, controller=ctl)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DegradedResultWarning)
-        r = degrade_to_sampling(
-            eng, k=4, state=ctl.state(), p=1.0, repeats=1
-        )
-    assert r.approximate
-    assert r.count == float(count_cliques(g, 4).count)
+    exact = count_cliques(g, 4).count
+    for executor in _EXECUTORS:
+        partial = _exhaust(executor, eng, 4, tmp_path)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DegradedResultWarning)
+            r = degrade_to_sampling(
+                eng, k=4, partial=partial, p=1.0, repeats=1
+            )
+        assert r.approximate
+        assert r.count == float(exact), executor
 
 
-def test_degrade_all_k_with_p1(g):
-    from repro.errors import BudgetExceededError
+def test_degrade_all_k_with_p1(g, tmp_path):
     from repro.runtime.degrade import degrade_to_sampling
 
     base = SCTEngine(g, core_ordering(g)).count_all()
     eng = SCTEngine(g, core_ordering(g))
-    ctl = RunController(Budget(max_nodes=80), degrade=True)
-    with pytest.raises(BudgetExceededError):
-        eng.count_all(controller=ctl)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DegradedResultWarning)
-        r = degrade_to_sampling(
-            eng, k=None, state=ctl.state(), p=1.0, repeats=1
-        )
+    for executor in _EXECUTORS:
+        partial = _exhaust(executor, eng, None, tmp_path)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DegradedResultWarning)
+            r = degrade_to_sampling(
+                eng, k=None, partial=partial, p=1.0, repeats=1
+            )
+        assert r.approximate
+        assert [float(c) for c in base.all_counts] == r.all_counts, executor
+
+
+@pytest.mark.parametrize("executor", sorted(_EXECUTORS))
+def test_degraded_run_keeps_finished_roots(g, tmp_path, executor):
+    """A budget abort under ``degrade`` keeps every root the executor
+    finished: the degraded result's per-root vectors equal the exact
+    run's there, and only the other roots are sampled."""
+    exact = count_cliques(g, 4, PivotScaleConfig(ordering="core")).counting
+    cfg = PivotScaleConfig(
+        ordering="core", degrade=True,
+        max_nodes=exact.counters.function_calls // 2,
+        **_EXECUTORS[executor](tmp_path / "spill"),
+    )
+    with pytest.warns(DegradedResultWarning):
+        r = count_cliques(g, 4, cfg)
     assert r.approximate
-    assert [float(c) for c in base.all_counts] == r.all_counts[: len(base.all_counts)]
+    got = r.counting
+    kept = got.per_root_work != 0
+    assert kept.any()
+    for vec in ("per_root_work", "per_root_memory"):
+        assert np.array_equal(getattr(got, vec)[kept],
+                              getattr(exact, vec)[kept]), vec
+    # Every finished root kept its vectors (a root the exact run
+    # charges no work to reads 0 either way).
+    idle = np.count_nonzero(exact.per_root_work == 0)
+    assert kept.sum() <= r.budget_spent.roots_done <= kept.sum() + idle
 
 
 # ----------------------------- rung 2: hybrid enumeration -> pivoting
