@@ -31,6 +31,7 @@ Exit codes: 0 success, 2 usage/input error, 3 budget exhausted without
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from repro.errors import BudgetExceededError, CountingError, ReproError
@@ -97,7 +98,9 @@ def build_parser() -> argparse.ArgumentParser:
                          metavar="BYTES",
                          help="per-root subgraph memory watermark")
         grp.add_argument("--checkpoint", default=None, metavar="PATH",
-                         help="write per-root progress to a JSON checkpoint")
+                         help="append per-root progress to a progress "
+                              "log (stream: one log per batch, "
+                              "PATH.1, PATH.2, ...); not with --shard-mb")
         grp.add_argument("--resume", action="store_true",
                          help="resume from --checkpoint, or from the "
                               "shard ledger under --spill-dir when "
@@ -446,6 +449,8 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_stream(args) -> int:
+    from dataclasses import replace
+
     from repro.core import PivotScaleConfig
     from repro.counting.dynamic import iter_batches, read_edit_file
     from repro.counting.forest import get_forest
@@ -454,9 +459,10 @@ def _cmd_stream(args) -> int:
     if args.reorder_ratio <= 0:
         raise CountingError("reorder_ratio must be > 0")
     g, _ = _load_graph(args)
-    # Budgets/checkpointing apply per batch: each batch gets a fresh
-    # controller on the same checkpoint path, so a killed batch resumes
-    # its dirty-root recomputation and later batches start clean.
+    # Budgets and checkpoints apply per batch: each batch gets a fresh
+    # controller and its own progress log, <checkpoint>.<batch>, which
+    # it resumes under --resume when the log exists (a finished batch
+    # replays without recomputing a root).
     cfg = PivotScaleConfig(
         structure=args.structure,
         deadline_seconds=args.deadline,
@@ -472,7 +478,12 @@ def _cmd_stream(args) -> int:
     print(f"forest: {forest.num_leaves:,} leaves")
     _stream_counts(forest, args)
     for i, batch in enumerate(iter_batches(edits, args.batch_size), 1):
-        ctl = cfg.make_controller()
+        batch_cfg = cfg
+        if cfg.checkpoint_path is not None:
+            log = f"{cfg.checkpoint_path}.{i}"
+            batch_cfg = replace(cfg, checkpoint_path=log,
+                                resume=cfg.resume and os.path.exists(log))
+        ctl = batch_cfg.make_controller()
         rep = forest.apply_edits(
             batch, policy=args.policy, reorder_ratio=args.reorder_ratio,
             controller=ctl,

@@ -69,8 +69,9 @@ class PivotScaleConfig:
         recursion-node cap, and per-root memory watermark enforced by
         the :class:`~repro.runtime.RunController`.
     checkpoint_path / resume:
-        JSON checkpoint location and whether to resume from it; a
-        resumed all-k run is bit-identical to an uninterrupted one.
+        Progress log location (:mod:`repro.runtime.progress`) and
+        whether to resume from it; a resumed run is bit-identical to an
+        uninterrupted one.  Refused together with ``shard_mb``.
     degrade:
         Enable the graceful-degradation ladder (budget-exhaustion root
         sampling, worker and shard recounts, member spill) instead of
@@ -85,8 +86,8 @@ class PivotScaleConfig:
         mmap-backed spill files under ``spill_dir``, and completed
         shards are recorded in a ledger so a killed run resumes
         bit-identically (``resume=True`` works *without* a
-        ``checkpoint_path`` in this mode — the ledger is the resume
-        mechanism).  Counts are bit-identical to the in-memory path.
+        ``checkpoint_path`` in this mode — the ledger is the run's
+        progress log).  Counts are bit-identical to the in-memory path.
     spill_dir:
         Directory for shard spill files and the ledger; required when
         ``shard_mb`` is set.
@@ -149,6 +150,11 @@ class PivotScaleConfig:
             raise CountingError("shard_mb must be > 0")
         if self.shard_mb is not None and self.spill_dir is None:
             raise CountingError("shard_mb requires a spill_dir")
+        if self.shard_mb is not None and self.checkpoint_path is not None:
+            raise CountingError(
+                "checkpoint_path does not apply with shard_mb: the ledger "
+                "under spill_dir is a sharded run's progress log"
+            )
         if self.shard_retries < 0:
             raise CountingError("shard_retries must be >= 0")
         if self.checkpoint_every < 1:
@@ -176,9 +182,9 @@ class PivotScaleConfig:
         return RunController(
             self.budget,
             checkpoint_path=self.checkpoint_path,
-            # In shard mode resume may be set without a checkpoint_path
-            # (the shard ledger is the resume mechanism); the controller
-            # itself only resumes from a JSON checkpoint.
+            # In shard mode resume is set without a checkpoint_path (the
+            # shard ledger is the resume mechanism); the controller
+            # itself only resumes its own progress log.
             resume=self.resume and self.checkpoint_path is not None,
             degrade=self.degrade,
             faults=faults,

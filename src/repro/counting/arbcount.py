@@ -32,8 +32,8 @@ from repro.errors import CountingError, NodeBudgetExceededError
 from repro.graph.csr import CSRGraph
 from repro.ordering.base import Ordering
 from repro.ordering.directionalize import directionalize
-from repro.runtime.checkpoint import graph_fingerprint
 from repro.runtime.controller import RunController
+from repro.runtime.progress import graph_fingerprint
 
 __all__ = ["count_kcliques_enumeration", "EnumerationBudgetExceeded"]
 

@@ -68,8 +68,8 @@ from repro.errors import CountingError, GraphFormatError
 from repro.graph.build import csr_from_sorted_edges
 from repro.graph.csr import CSRGraph
 from repro.ordering.directionalize import directionalize
-from repro.runtime.checkpoint import graph_fingerprint
 from repro.runtime.controller import RunController
+from repro.runtime.progress import graph_fingerprint
 
 __all__ = [
     "Edit",
@@ -445,58 +445,21 @@ def _recompute_roots(
     structure over the edited graph.  The roots run through
     :func:`~repro.counting.roots.run_roots`, with the build's
     controller cooperation — deadline/node budgets and
-    checkpoint/resume — at **dirty-root** granularity: a killed
-    ``apply_edits`` resumes recomputation where it stopped, and the
-    forest arrays are only patched once every dirty root has landed
-    (all-or-nothing).
+    checkpoint/resume, its records in the build's codec — at
+    **dirty-root** granularity: a killed ``apply_edits`` resumes
+    recomputation where it stopped, and the forest arrays are only
+    patched once every dirty root has landed (all-or-nothing).
     """
-    from repro.counting.forest import collect_root_leaves
+    from repro.counting.forest import LEAVES_CODEC, collect_root_leaves
 
     struct = STRUCTURES[descriptor["structure"]](graph, dag)
     totals = Counters()
     per_root: dict[int, tuple[list, float]] = {}
-    start = 0
     ctl = controller
-
-    if ctl is not None:
-        def snapshot() -> dict:
-            done = sorted(per_root)
-            return {
-                "next_index": len(done),
-                "roots": done,
-                "leaves": [
-                    [
-                        [h, p,
-                         None if h_ids is None else list(h_ids),
-                         None if p_ids is None else list(p_ids)]
-                        for h, p, h_ids, p_ids in per_root[r][0]
-                    ]
-                    for r in done
-                ],
-                "recursion": [per_root[r][1] for r in done],
-                "counters": totals.as_dict(),
-            }
-
-        if ctl.started:
-            state = None
-        else:
-            state = ctl.begin(descriptor, snapshot)
-        if state is not None:
-            start = int(state["next_index"])
-            for r, leaves, recursion in zip(
-                state["roots"], state["leaves"], state["recursion"]
-            ):
-                per_root[int(r)] = (
-                    [
-                        (int(h), int(p),
-                         None if h_ids is None else tuple(h_ids),
-                         None if p_ids is None else tuple(p_ids))
-                        for h, p, h_ids, p_ids in leaves
-                    ],
-                    float(recursion),
-                )
-            totals = Counters.from_dict(state["counters"])
-
+    replay = (
+        ctl.begin(descriptor, LEAVES_CODEC)
+        if ctl is not None and not ctl.started else []
+    )
     calls = obs.kernel_tally()
 
     def fold(v: int, record: tuple) -> None:
@@ -505,11 +468,11 @@ def _recompute_roots(
         totals.merge(ctr)
 
     run_roots(
-        struct, dirty[start:],
+        struct, dirty,
         partial(collect_root_leaves, record_members=forest.has_members,
                 calls=calls),
         fold, totals, engine="sct-forest-edits", controller=ctl,
-        calls=calls,
+        calls=calls, replay=replay,
     )
     return per_root, totals, struct
 

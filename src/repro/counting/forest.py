@@ -83,8 +83,8 @@ from repro.errors import (
 from repro.graph.csr import CSRGraph
 from repro.ordering.base import Ordering
 from repro.ordering.directionalize import directionalize
-from repro.runtime.checkpoint import graph_fingerprint
 from repro.runtime.controller import RunController
+from repro.runtime.progress import Codec, graph_fingerprint
 
 __all__ = [
     "SCTForest",
@@ -417,8 +417,6 @@ class SCTForest:
         per_root_memory = np.zeros(n, dtype=np.float64)
         per_root_recursion = np.zeros(n, dtype=np.float64)
         lists = _LeafLists(members)
-        start = 0
-        done = 0
         degraded_from: str | None = None
 
         descriptor = {
@@ -429,44 +427,7 @@ class SCTForest:
             "graph_fingerprint": graph_fingerprint(graph),
             "dag_fingerprint": graph_fingerprint(dag),
         }
-
-        if ctl is not None:
-            def snapshot() -> dict:
-                hm, pm = lists.held_members, lists.pivot_members
-                return {
-                    "next_root": done,
-                    "held_n": list(lists.held_n),
-                    "pivot_n": list(lists.pivot_n),
-                    "roots": list(lists.roots),
-                    "held_members": None if hm is None else list(hm),
-                    "pivot_members": None if pm is None else list(pm),
-                    "counters": totals.as_dict(),
-                    "per_root_work": per_root_work[:done].tolist(),
-                    "per_root_memory": per_root_memory[:done].tolist(),
-                    "per_root_recursion": per_root_recursion[:done].tolist(),
-                    "degraded_from": degraded_from,
-                    "spilled": hm is None,
-                }
-
-            state = ctl.begin(descriptor, snapshot)
-            if state is not None:
-                start = done = int(state["next_root"])
-                lists.held_n = [int(x) for x in state["held_n"]]
-                lists.pivot_n = [int(x) for x in state["pivot_n"]]
-                lists.roots = [int(x) for x in state["roots"]]
-                stored_h = state.get("held_members")
-                stored_p = state.get("pivot_members")
-                if (state.get("spilled") or stored_h is None
-                        or stored_p is None):
-                    lists.held_members = lists.pivot_members = None
-                else:
-                    lists.held_members = [int(x) for x in stored_h]
-                    lists.pivot_members = [int(x) for x in stored_p]
-                totals = Counters.from_dict(state["counters"])
-                per_root_work[:start] = state["per_root_work"]
-                per_root_memory[:start] = state["per_root_memory"]
-                per_root_recursion[:start] = state["per_root_recursion"]
-                degraded_from = state.get("degraded_from")
+        replay = [] if ctl is None else ctl.begin(descriptor, LEAVES_CODEC)
 
         def spill() -> None:
             nonlocal degraded_from
@@ -478,32 +439,40 @@ class SCTForest:
         calls = obs.kernel_tally()
 
         def visit(v: int, ctx: RootContext) -> tuple:
-            return collect_root_leaves(
+            record = collect_root_leaves(
                 v, ctx, record_members=lists.held_members is not None,
                 calls=calls,
             )
+            if ctl is None:
+                return record
+            # The forest with this root's leaves in it is metered before
+            # they land, so an abort leaves whole roots.
+            nodes, peak, ctr, leaves = record
+            try:
+                ctl.note_memory(max(peak, lists.model_bytes(leaves)))
+            except MemoryBudgetExceededError:
+                # The degradation rung: spill the member arrays and keep
+                # the exact counts-only forest; this root's record, and
+                # every later one, carries no ids.
+                if not ctl.degrade or lists.held_members is None:
+                    raise
+                spill()
+                leaves = [(h, p, None, None) for h, p, _, _ in leaves]
+                ctl.note_memory(max(peak, lists.model_bytes(leaves)))
+            return nodes, peak, ctr, leaves
 
         def fold(v: int, record: tuple) -> None:
-            nonlocal done
             _, peak, ctr, leaves = record
-            if ctl is not None:
-                # The forest with this root's leaves in it is metered
-                # before they land, so an abort leaves whole roots.
-                try:
-                    ctl.note_memory(max(peak, lists.model_bytes(leaves)))
-                except MemoryBudgetExceededError:
-                    # The degradation rung: spill the member arrays and
-                    # keep the exact counts-only forest.
-                    if not ctl.degrade or lists.held_members is None:
-                        raise
-                    spill()
-                    ctl.note_memory(max(peak, lists.model_bytes(leaves)))
+            if lists.held_members is not None and leaves and (
+                    leaves[0][2] is None):
+                # A replayed record from after the member spill: spill
+                # first, as the run that wrote it did.
+                spill()
             lists.append(v, leaves)
             per_root_work[v] = ctr.work
             per_root_memory[v] = peak
             per_root_recursion[v] = ctr.recursion_work
             totals.merge(ctr)
-            done = v + 1
 
         span_attrs = {"engine": "sct-forest", "structure": struct.name,
                       "kernel": kernels.NAME, "members": bool(members)}
@@ -513,8 +482,9 @@ class SCTForest:
             "forest_build"
         ):
             run_roots(
-                struct, np.arange(start, n, dtype=np.int64), visit, fold,
-                totals, engine="sct-forest", controller=ctl, calls=calls,
+                struct, np.arange(n, dtype=np.int64), visit, fold, totals,
+                engine="sct-forest", controller=ctl, calls=calls,
+                replay=replay,
             )
         reg = obs.get_registry()
         if reg.enabled:
@@ -997,6 +967,18 @@ def collect_root_leaves(
     if calls is not None:
         kernels.tally(calls, ctr, 1, ctx.d > 0)
     return ctr.function_calls, ctr.peak_subgraph_bytes, ctr, leaves
+
+
+#: A :func:`collect_root_leaves` record crosses a progress log as JSON:
+#: its counters as a dict and each leaf as ``[|H|, |Π|, held_ids,
+#: pivot_ids]`` (ids ``null`` when not recorded).  The forest build and
+#: the dirty-root recompute share it.
+LEAVES_CODEC = Codec(
+    lambda rec: [rec[0], rec[1], rec[2].as_dict(), rec[3]],
+    lambda fields: (
+        fields[0], fields[1], Counters.from_dict(fields[2]), fields[3]
+    ),
+)
 
 
 class _LeafLists:

@@ -7,8 +7,10 @@ found into the run's totals.  :func:`run_roots` is that loop for every
 serial engine — SCT counting, the forest builds, the dirty-root
 recompute of an edit batch, the attribution walks and enumeration.
 An engine supplies its per-root function and its fold, and keeps its
-checkpoint state and its span; the loop owns the protocol between
-them (``docs/algorithm.md``, "Root decomposition").
+span; the loop owns the protocol between them (``docs/algorithm.md``,
+"Root decomposition"), progress included: it hands each folded record
+to the controller's progress log, and on resume folds the log's
+records through the same fold before it visits the roots left.
 """
 
 from __future__ import annotations
@@ -42,6 +44,7 @@ def run_roots(
     memo: dict | None = None,
     memo_max: int = 0,
     node_memo: list[int] | None = None,
+    replay: list = (),
 ) -> None:
     """Visit and fold every root of ``roots``, in order.
 
@@ -57,10 +60,15 @@ def run_roots(
     With a ``memo``, a block root whose packed rows are stored folds
     the stored record unvisited, and a visited one is stored while the
     memo holds fewer than ``memo_max``.  A ``controller`` is ticked
-    before each root and charged the record's nodes and bytes before
-    its fold; ``guard`` wraps the loop in its
-    :meth:`~repro.runtime.RunController.guard` (the engine owns the
-    checkpoints).  An allocation failure inside a root becomes a
+    before each root, charged the record's nodes and bytes before its
+    fold and handed the folded record after it
+    (:meth:`~repro.runtime.RunController.complete_root`); ``guard``
+    wraps the loop in its :meth:`~repro.runtime.RunController.guard`.
+    ``replay`` holds the ``(root, record)`` pairs the controller's
+    :meth:`~repro.runtime.RunController.begin` handed back on resume, a
+    prefix of ``roots``: the loop folds them first, unvisited and
+    unmetered, and visits only the roots after them.  An allocation
+    failure inside a root becomes a
     :class:`~repro.errors.MemoryBudgetExceededError` carrying the
     spend when there is a controller, and surfaces raw without one.
     On the way out, abort or not, the loop notes the peak bytes of
@@ -71,6 +79,8 @@ def run_roots(
     ``calls``, the kernel-call tally the visits derive.
     """
     ctl = controller
+    if replay:
+        roots = roots[len(replay):]
     order = np.asarray(roots, dtype=np.int64)
     mask = np.zeros(order.size, dtype=bool) if skip is None else skip(order)
     ctxs = struct.build_many(order[~mask], memo)
@@ -79,6 +89,8 @@ def run_roots(
     hits = misses = done = 0
     try:
         with ctl.guard() if guard and ctl is not None else nullcontext():
+            for v, record in replay:
+                fold(v, record)
             for i, v in enumerate(
                     roots if isinstance(roots, list) else order.tolist()):
                 try:
@@ -110,7 +122,7 @@ def run_roots(
                 fold(v, record)
                 done += 1
                 if ctl is not None:
-                    ctl.complete_root(v)
+                    ctl.complete_root(v, record)
     finally:
         obs.note_memory(totals.peak_subgraph_bytes)
         labels = {

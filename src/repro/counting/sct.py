@@ -45,12 +45,12 @@ from repro.counting.binomial import binomial, binomial_row
 from repro.counting.counters import Counters
 from repro.counting.roots import run_roots
 from repro.counting.structures import STRUCTURES, SubgraphStructure
-from repro.errors import BudgetExceededError, CheckpointError, CountingError
+from repro.errors import BudgetExceededError, CountingError
 from repro.graph.csr import CSRGraph
 from repro.ordering.base import Ordering
 from repro.ordering.directionalize import directionalize
-from repro.runtime.checkpoint import graph_fingerprint
 from repro.runtime.controller import RunController
+from repro.runtime.progress import Codec, graph_fingerprint
 
 __all__ = [
     "SCTEngine",
@@ -100,6 +100,11 @@ class _RootTally(NamedTuple):
             ctr.early_terminations, ctr.set_op_words, ctr.index_lookups,
             ctr.max_depth,
         )
+
+
+#: A tally crosses a progress log as its fields' JSON list; the fold
+#: reads ``build_words`` from the structure, which the descriptor pins.
+_TALLY_CODEC = Codec(list, lambda fields: _RootTally(*fields))
 
 
 @dataclass
@@ -418,9 +423,9 @@ class SCTEngine:
         An already-:meth:`~repro.runtime.RunController.begin`-started
         controller is used as-is (the parent began the run; workers and
         the fold loop just meter against it); a fresh controller is
-        begun here with a batch descriptor and no snapshot provider —
-        checkpointing a batch is the *caller's* job, since only the
-        caller knows how chunks map onto the whole run.
+        begun here with a batch descriptor and no codec, so it logs
+        nothing — checkpointing a batch is the *caller's* job, since
+        only the caller knows how chunks map onto the whole run.
         """
         roots = [int(v) for v in roots]
         if k is not None and k < 1:
@@ -520,46 +525,10 @@ class SCTEngine:
         ctl = controller
         n = self.graph.num_vertices
         res = self._empty_batch(list(range(n)), k, max_k)
-        # A resumed run's finished roots: their vectors stay out of the
-        # loop's, which cover res.roots only.
-        start = 0
-        prior_work: list[float] = []
-        prior_memory: list[float] = []
-
-        if ctl is not None:
-            # Zero-argument state provider: invoked only at actual save
-            # points, always at a root boundary (roots fold atomically,
-            # so the snapshot is consistent by construction).
-            def snapshot() -> dict:
-                return {
-                    "next_root": start + len(res.per_root_work),
-                    "total": res.count,
-                    "all_counts": (
-                        None if res.all_counts is None
-                        else list(res.all_counts)
-                    ),
-                    "counters": res.counters.as_dict(),
-                    "per_root_work": prior_work + res.per_root_work,
-                    "per_root_memory": prior_memory + res.per_root_memory,
-                }
-
-            state = ctl.begin(self._descriptor(k, max_k), snapshot)
-            if state is not None:
-                if res.all_counts is not None:
-                    stored = state.get("all_counts")
-                    if stored is None or len(stored) != len(res.all_counts):
-                        raise CheckpointError(
-                            "checkpoint all_counts row does not match "
-                            "this run's clique-size cap"
-                        )
-                    res.all_counts = [int(c) for c in stored]
-                start = int(state["next_root"])
-                prior_work = list(state["per_root_work"])
-                prior_memory = list(state["per_root_memory"])
-                res.roots = list(range(start, n))
-                res.count = state["total"]
-                res.counters = Counters.from_dict(state["counters"])
-
+        replay = (
+            [] if ctl is None
+            else ctl.begin(self._descriptor(k, max_k), _TALLY_CODEC)
+        )
         span = obs.span(
             "sct.count" if k is not None else "sct.count_all",
             **self._span_attrs(k, max_k),
@@ -567,17 +536,12 @@ class SCTEngine:
         try:
             self._fold_roots(
                 res, k, max_k, early_termination, ctl, span,
-                guard=ctl is not None,
+                guard=ctl is not None, replay=replay,
             )
         except BudgetExceededError as exc:
             # Roots fold in order, so the finished ones are a prefix.
-            record = res.record()
-            record["per_root_work"] = prior_work + res.per_root_work
-            record["per_root_memory"] = prior_memory + res.per_root_memory
             exc.partial = PartialCounts(n, k)
-            exc.partial.fold(
-                slice(0, len(record["per_root_work"])), record
-            )
+            exc.partial.fold(slice(0, len(res.per_root_work)), res.record())
             raise
 
         all_counts = res.all_counts
@@ -589,12 +553,8 @@ class SCTEngine:
             all_counts=all_counts,
             k=k,
             counters=res.counters,
-            per_root_work=np.array(
-                prior_work + res.per_root_work, dtype=np.float64
-            ),
-            per_root_memory=np.array(
-                prior_memory + res.per_root_memory, dtype=np.float64
-            ),
+            per_root_work=np.array(res.per_root_work, dtype=np.float64),
+            per_root_memory=np.array(res.per_root_memory, dtype=np.float64),
             structure=self.structure.name,
             kernel=self.kernel.name,
         )
@@ -608,12 +568,14 @@ class SCTEngine:
         ctl: RunController | None,
         span,
         guard: bool = False,
+        replay: list = (),
     ) -> None:
         """Count each of ``res.roots`` in order through
         :func:`~repro.counting.roots.run_roots` and fold it into
         ``res``: its count (or row) and counters into the running
-        totals, which a resumed run seeds, and its work and memory onto
-        the per-root lists.
+        totals, and its work and memory onto the per-root lists.  A
+        resumed run's ``replay`` tallies fold first, through the same
+        fold.
 
         A root too small for a k-clique is charged unbuilt
         (:meth:`_charge_pruned`).  Block roots are memoized by their
@@ -686,6 +648,7 @@ class SCTEngine:
                 skip=partial(self._prune_mask, k=k,
                              early_termination=early_termination),
                 memo={}, memo_max=_MEMO_MAX, node_memo=node_memo,
+                replay=replay,
             )
 
     # ------------------------------------------------------------------

@@ -151,7 +151,7 @@ class CSRGraph:
 
     def fingerprint(self) -> str:
         """Stable structural identity (the checkpoint / forest-cache
-        fingerprint — see :func:`repro.runtime.checkpoint.graph_fingerprint`).
+        fingerprint — see :func:`repro.runtime.progress.graph_fingerprint`).
 
         Memoized: the arrays are write-locked at construction, so the
         digest cannot go stale.  If someone force-unlocks and mutates

@@ -116,8 +116,9 @@ def count_kcliques_processes(
         anything else raises :class:`~repro.errors.CountingError`.
     controller:
         A :class:`~repro.runtime.RunController`, honored at chunk
-        granularity: budgets, checkpoint/resume of completed-chunk
-        partial sums, and the worker-crash degradation rung.
+        granularity: budgets, checkpoint/resume (a progress log of the
+        folded chunks' partial sums), and the worker-crash degradation
+        rung.
     degrade:
         Allow the worker-crash rung without a controller: a failed
         chunk re-runs in-process on ``bigint`` (exact, flagged

@@ -31,8 +31,8 @@ EPYC:
   ``engine_*``/``kernel_*`` counter totals stay exact.  Each entry
   point keeps its fold: :func:`parallel_count` folds chunk records into a
   :class:`~repro.counting.sct.PartialCounts` (the shard executor's
-  accumulator too), whose checkpoints record completed-chunk partial
-  sums and resume bit-identically.
+  accumulator too); its progress log records each folded chunk's
+  partial sums, and a resume folds them again, bit-identically.
 * **Worker-crash resilience.**  Workers report failures as data
   (never as a raised exception through the pool), so the parent knows
   which chunk died.  A failed chunk is first *resubmitted to the pool*
@@ -72,15 +72,18 @@ from repro import kernels, obs
 from repro.counting.counters import Counters
 from repro.errors import (
     BudgetExceededError,
-    CheckpointError,
     ParallelModelError,
     WorkerCrashError,
 )
 from repro.graph.csr import CSRGraph
 from repro.obs.registry import MetricsRegistry
 from repro.parallel.shm import attach_graph_pair, publish_graph_pair
-from repro.runtime.checkpoint import array_fingerprint, graph_fingerprint
 from repro.runtime.controller import RunController
+from repro.runtime.progress import (
+    Codec,
+    array_fingerprint,
+    graph_fingerprint,
+)
 
 __all__ = [
     "ParallelRuntime",
@@ -159,13 +162,28 @@ def plan_chunks(
 
 
 def _chunk_plan_fingerprint(chunks: list[np.ndarray]) -> str:
-    """Identity of a chunk plan — resuming a parallel checkpoint
+    """Identity of a chunk plan — resuming a pool count's progress log
     against a different plan (other process/chunk counts) would mix
     partial sums over different root sets."""
     if not chunks:
         return "empty"
     lengths = np.asarray([c.size for c in chunks], dtype=np.int64)
     return array_fingerprint(np.concatenate([lengths, *chunks]))
+
+
+#: A pool-count chunk crosses a progress log as its partial-count
+#: record (:meth:`~repro.counting.sct.RootBatchResult.record`) and its
+#: degraded label, keyed by chunk id; the plan's fingerprint is in the
+#: descriptor.
+_CHUNK_CODEC = Codec(
+    lambda rec: [
+        {key: rec[0][key] for key in (
+            "count", "all_counts", "counters", "per_root_work",
+            "per_root_memory")},
+        rec[1],
+    ],
+    tuple,
+)
 
 
 def _allk_length(dag: CSRGraph, max_k: int | None) -> int:
@@ -504,7 +522,6 @@ def run_chunks(
     graph: CSRGraph,
     dag: CSRGraph,
     chunks: list[np.ndarray],
-    pending: list[int],
     task: dict,
     fold: Callable[[int, dict, str | None], None],
     *,
@@ -516,10 +533,11 @@ def run_chunks(
     worker_retries: int = 2,
     retry_backoff: float = 0.0,
     retry_seed: int = 0,
+    replay: list = (),
 ) -> None:
-    """Run the ``pending`` chunks of ``chunks`` on the pool and fold
-    each result as it arrives — the parent side of every pool run, the
-    chunk-level twin of :func:`~repro.counting.roots.run_roots`.
+    """Run ``chunks`` on the pool and fold each result as it arrives —
+    the parent side of every pool run, the chunk-level twin of
+    :func:`~repro.counting.roots.run_roots`.
 
     ``task`` holds the worker's fields for every chunk (its ``mode``,
     ``structure`` and the mode's arguments); ``fold(chunk_id, payload,
@@ -531,18 +549,26 @@ def run_chunks(
     recovers a crashed chunk (:func:`_resolve_failure`: pool retries,
     then the in-process rung when ``degrade`` or the controller's
     policy allows), meters the payload's chunk-level ``counters``
-    *before* the fold (a chunk is all-in or not-at-all, so checkpoints
-    stay consistent), notes its memory to the profiler, merges the
+    *before* the fold (a chunk is all-in or not-at-all, so the progress
+    log stays consistent), notes its memory to the profiler, merges the
     worker's metrics snapshot when the parent registry is enabled, and
-    completes the chunk's roots.  The controller's
-    :meth:`~repro.runtime.RunController.guard` wraps the loop even when
-    no chunk is pending; the caller owns its checkpoint state.
+    completes the chunk's roots, handing the controller ``(payload,
+    degraded)`` keyed by the chunk id.  ``replay`` holds the ``(chunk
+    id, (payload, degraded))`` pairs a resumed controller's
+    :meth:`~repro.runtime.RunController.begin` handed back: the loop
+    folds them first, in log order, and runs only the other chunks.
+    The controller's :meth:`~repro.runtime.RunController.guard` wraps
+    the loop even when no chunk is left to run.
     """
     ctl = controller
     metrics = obs.get_registry().enabled
     allow_degrade = degrade or (ctl is not None and ctl.degrade)
     fault_counts = _normalize_fault_chunks(fault_chunks)
     with ctl.guard() if ctl is not None else nullcontext():
+        for cid, (payload, degraded) in replay:
+            fold(cid, payload, degraded)
+        replayed = {cid for cid, _ in replay}
+        pending = [c for c in range(len(chunks)) if c not in replayed]
         if not pending:
             return
         with publish_graph_pair(graph, dag) as shared, _pool_for(
@@ -578,7 +604,9 @@ def run_chunks(
                 if metrics and payload.get("metrics"):
                     obs.get_registry().merge_snapshot(payload["metrics"])
                 if ctl is not None:
-                    ctl.complete_roots(len(chunks[cid]))
+                    ctl.complete_roots(
+                        len(chunks[cid]), cid, (payload, degraded)
+                    )
 
 
 def parallel_count(
@@ -611,26 +639,11 @@ def parallel_count(
     kernel_name = kernels.kernel_name(kernel)
     chunks = plan_chunks(dag.degrees, processes, chunks_per_process, roots)
     num_chunks = len(chunks)
-    length = _allk_length(dag, max_k)
-    acc = PartialCounts(graph.num_vertices, k, length)
-    done: set[int] = set()
+    acc = PartialCounts(graph.num_vertices, k, _allk_length(dag, max_k))
     ctl = controller
-
+    replay = []
     if ctl is not None:
-        def snapshot() -> dict:
-            return {
-                "done_chunks": sorted(done),
-                "total": acc.total,
-                "all_counts": (
-                    None if acc.all_counts is None else list(acc.all_counts)
-                ),
-                "counters": acc.counters.as_dict(),
-                "per_root_work": acc.per_root_work.tolist(),
-                "per_root_memory": acc.per_root_memory.tolist(),
-                "degraded_from": acc.degraded_from,
-            }
-
-        descriptor = {
+        replay = ctl.begin({
             "engine": "sct-parallel",
             "k": k,
             "max_k": max_k,
@@ -640,29 +653,10 @@ def parallel_count(
             "dag_fingerprint": graph_fingerprint(dag),
             "num_chunks": num_chunks,
             "chunk_plan": _chunk_plan_fingerprint(chunks),
-        }
-        state = ctl.begin(descriptor, snapshot)
-        if state is not None:
-            done = {int(c) for c in state["done_chunks"]}
-            acc.total = int(state["total"])
-            if acc.all_counts is not None:
-                stored = state.get("all_counts")
-                if stored is None or len(stored) != length:
-                    raise CheckpointError(
-                        "checkpoint all_counts row does not match this "
-                        "run's clique-size cap"
-                    )
-                acc.all_counts = [int(c) for c in stored]
-            acc.counters = Counters.from_dict(state["counters"])
-            acc.per_root_work[:] = state["per_root_work"]
-            acc.per_root_memory[:] = state["per_root_memory"]
-            acc.degraded_from = state.get("degraded_from")
-            for c in done:
-                acc.done[chunks[c]] = True
+        }, _CHUNK_CODEC)
 
     def fold(cid: int, payload: dict, degraded: str | None) -> None:
         acc.fold(chunks[cid], payload, degraded)
-        done.add(cid)
 
     try:
         with obs.span(
@@ -672,10 +666,10 @@ def parallel_count(
         ), obs.phase("counting"):
             run_chunks(
                 graph, dag, chunks,
-                [c for c in range(num_chunks) if c not in done],
                 {"mode": "count", "structure": structure, "k": k,
                  "max_k": max_k},
-                fold, processes=processes, controller=ctl, **pool,
+                fold, processes=processes, controller=ctl, replay=replay,
+                **pool,
             )
     except BudgetExceededError as exc:
         exc.partial = acc
@@ -724,7 +718,7 @@ def parallel_per_vertex(
         kernel=kernel_name,
     ), obs.phase("counting"):
         run_chunks(
-            graph, dag, chunks, list(range(len(chunks))),
+            graph, dag, chunks,
             {"mode": "pervertex", "structure": structure, "k": k},
             fold, processes=processes, controller=controller, **pool,
         )
@@ -794,7 +788,7 @@ def parallel_build_forest(
         chunks=len(chunks), structure=structure, kernel=kernel_name,
     ), obs.phase("forest_build"):
         run_chunks(
-            graph, dag, chunks, list(range(len(chunks))),
+            graph, dag, chunks,
             {"mode": "forest", "structure": structure,
              "members": bool(members)},
             fold, processes=processes, controller=controller, **pool,

@@ -1,5 +1,5 @@
-"""Resilient run control: budgets, checkpoint/resume, fault injection
-and graceful degradation for the counting stack.
+"""Resilient run control: budgets, the progress log (checkpoint/resume),
+fault injection and graceful degradation for the counting stack.
 
 Import order matters here: these modules are imported *by* the engines
 (``repro.counting.sct`` pulls in the controller), so nothing in this
@@ -9,12 +9,6 @@ sampling estimators inside its function body.
 """
 
 from repro.runtime.budget import Budget, BudgetSpent
-from repro.runtime.checkpoint import (
-    CHECKPOINT_VERSION,
-    graph_fingerprint,
-    load_checkpoint,
-    save_checkpoint,
-)
 from repro.runtime.controller import RunController
 from repro.runtime.degrade import degrade_to_sampling
 from repro.runtime.faults import (
@@ -24,19 +18,25 @@ from repro.runtime.faults import (
     InjectedClock,
     ManualClock,
 )
+from repro.runtime.progress import (
+    PROGRESS_VERSION,
+    Codec,
+    ProgressLog,
+    graph_fingerprint,
+)
 
 __all__ = [
     "Budget",
     "BudgetSpent",
-    "CHECKPOINT_VERSION",
+    "Codec",
     "FAULT_KINDS",
     "FaultPlan",
     "FaultSpec",
     "InjectedClock",
     "ManualClock",
+    "PROGRESS_VERSION",
+    "ProgressLog",
     "RunController",
     "degrade_to_sampling",
     "graph_fingerprint",
-    "load_checkpoint",
-    "save_checkpoint",
 ]

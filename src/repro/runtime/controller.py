@@ -11,16 +11,18 @@ per-vertex/per-edge attribution, sampling repeats):
   recursion, before its counts are folded in: meter the node budget
   and memory watermark.  Raising *before* the fold keeps the
   checkpointed totals consistent (a root is all-in or not-at-all);
-* :meth:`complete_root` — after the fold: advances progress and
-  autosaves the checkpoint every ``checkpoint_every`` roots;
+* :meth:`complete_root` — after the fold: advances progress, buffers
+  the folded record while a progress log is open, and appends the
+  buffer every ``checkpoint_every`` roots;
 * :meth:`guard` — wraps the whole root loop: any budget error or
-  interrupt saves a checkpoint (when enabled) before propagating, and
-  a clean exit writes a final ``complete`` checkpoint.
+  interrupt saves (when a log is open) before propagating, and a clean
+  exit appends a final ``complete`` line.
 
-The controller never aborts mid-root and never mutates engine state:
-engines hand it a zero-argument ``snapshot`` provider at
-:meth:`begin`, invoked only at actual save points, so the hot loop
-pays one method call per root.
+The controller never aborts mid-root and never mutates engine state.
+A run that checkpoints hands :meth:`begin` its :class:`Codec`; the log
+(:mod:`repro.runtime.progress`) then holds the records the engine
+folded, and a resume hands them back for the engine's own fold, so a
+save costs what it records and not the whole run so far.
 """
 
 from __future__ import annotations
@@ -39,8 +41,8 @@ from repro.errors import (
     RunInterrupted,
 )
 from repro.runtime.budget import Budget, BudgetSpent
-from repro.runtime.checkpoint import load_checkpoint, save_checkpoint
 from repro.runtime.faults import FaultPlan, InjectedClock
+from repro.runtime.progress import Codec, ProgressLog
 
 __all__ = ["RunController"]
 
@@ -54,10 +56,10 @@ class RunController:
     budget:
         Limits to enforce (default: unlimited).
     checkpoint_path:
-        JSON checkpoint location; ``None`` disables checkpointing.
+        Progress log location; ``None`` disables checkpointing.
     resume:
-        Load ``checkpoint_path`` at :meth:`begin` and hand the stored
-        engine state back so the run continues where it stopped.
+        Replay ``checkpoint_path`` at :meth:`begin` and hand its records
+        back so the run continues where it stopped.
     degrade:
         Enable the graceful-degradation ladder: budget exhaustion lets
         drivers return an explicitly-approximate result instead of
@@ -71,7 +73,7 @@ class RunController:
         faults work out of the box.
     checkpoint_every:
         Autosave period in roots (saves also happen on abort and at
-        completion).
+        completion); each save appends one line.
     """
 
     def __init__(
@@ -100,35 +102,55 @@ class RunController:
         self._t0: float | None = None
         self._prior_seconds = 0.0
         self._descriptor: dict = {}
-        self._snapshot: Callable[[], dict] | None = None
+        self._log: ProgressLog | None = None
+        self._encode: Callable | None = None
+        self._buffer: list = []
+        self._complete = False
         self._since_save = 0
 
     # ------------------------------------------------------------------
     # lifecycle
     # ------------------------------------------------------------------
-    def begin(
-        self,
-        descriptor: dict,
-        snapshot: Callable[[], dict] | None = None,
-    ) -> dict | None:
+    def begin(self, descriptor: dict, codec: Codec | None = None) -> list:
         """Start (or resume) a run.
 
         ``descriptor`` identifies the run (engine, k, structure,
-        kernel, graph/ordering fingerprints); ``snapshot`` is the
-        engine's zero-argument state provider for checkpoint saves.
-        Returns the stored engine state when resuming, else ``None``.
+        kernel, graph/ordering fingerprints).  With a ``codec`` and a
+        ``checkpoint_path`` the controller opens a progress log there:
+        a fresh one, or on resume the existing one, whose records it
+        returns decoded as ``(key, record)`` pairs in fold order, with
+        the meter restored from its last line.  Without either it logs
+        nothing and returns ``[]``.  A missing log under resume, or one
+        written for another descriptor, raises
+        :class:`~repro.errors.CheckpointError`.
         """
         self._descriptor = dict(descriptor)
-        self._snapshot = snapshot
         self._t0 = self.clock()
         self._prior_seconds = 0.0
-        if self.resume:
-            payload = load_checkpoint(self.checkpoint_path, self._descriptor)
-            prior = payload["spent"]
-            self.spent = prior.copy()
-            self._prior_seconds = prior.seconds
-            return payload["state"]
-        return None
+        self._log = None
+        self._buffer = []
+        self._complete = False
+        self._since_save = 0
+        if codec is None or self.checkpoint_path is None:
+            return []
+        self._encode = codec.encode
+        if not self.resume:
+            self._log = ProgressLog.create(
+                self.checkpoint_path, self._descriptor, faults=self.faults
+            )
+            return []
+        self._log, lines = ProgressLog.replay(
+            self.checkpoint_path, self._descriptor, faults=self.faults
+        )
+        if lines:
+            self.spent = BudgetSpent.from_dict(lines[-1]["spent"])
+            self._prior_seconds = self.spent.seconds
+            self._complete = bool(lines[-1]["complete"])
+        decode = codec.decode
+        return [
+            (key, decode(record))
+            for line in lines for key, record in line["records"]
+        ]
 
     @contextmanager
     def guard(self):
@@ -195,26 +217,26 @@ class RunController:
                 spent=self.spent_snapshot(),
             )
 
-    def complete_root(self, v: int) -> None:
-        """A root's counts are folded in; autosave periodically."""
-        self.complete_roots(1)
+    def complete_root(self, v: int, record=None) -> None:
+        """Root ``v``'s ``record`` is folded in; autosave periodically."""
+        self.complete_roots(1, v, record)
 
-    def complete_roots(self, count: int) -> None:
-        """A batch of roots' counts are folded in at once — the
-        parallel runtime's unit of progress is a *chunk* of roots, not
-        a single root, so the meter advances by the chunk size."""
+    def complete_roots(self, count: int, key=None, record=None) -> None:
+        """A batch of ``count`` roots is folded in at once — a pool
+        chunk or a shard, keyed by ``key`` — as ``record``.  The record
+        is buffered for the next save only while a log is open."""
         self.spent.roots_done += int(count)
+        if self._log is None:
+            return
+        self._buffer.append((key, record))
         self._since_save += int(count)
-        if (
-            self.checkpoint_path is not None
-            and self._since_save >= self.checkpoint_every
-        ):
+        if self._since_save >= self.checkpoint_every:
             self.save()
 
     def publish_metrics(self) -> None:
         """Mirror the budget meter into runtime gauges.
 
-        Budget *state* stays on the controller (checkpoints serialize
+        Budget *state* stays on the controller (progress lines carry
         it); the registry only observes it, so enabling metrics cannot
         perturb budget decisions or resume identity.  Called at every
         save point and at guard exit; ``tests/test_obs.py`` pins the
@@ -253,18 +275,28 @@ class RunController:
         return snap
 
     def save(self, *, complete: bool = False) -> None:
-        """Write the checkpoint now (no-op without a path/provider)."""
-        if self.checkpoint_path is None or self._snapshot is None:
+        """Append one line to the log now: the records buffered since
+        the last line that landed, and the meter.  A no-op without an
+        open log, or once the log is complete.  A line that fails to
+        land (an ``OSError``) is a ``ledger_append`` degradation event:
+        its records stay buffered and go out with the next line, so the
+        log never skips a record."""
+        if self._log is None or self._complete:
             return
-        save_checkpoint(
-            self.checkpoint_path,
-            self._descriptor,
-            self.spent_snapshot(),
-            self._snapshot(),
-            complete=complete,
-            faults=self.faults,
-        )
+        encode = self._encode
+        line = {
+            "records": [[key, encode(rec)] for key, rec in self._buffer],
+            "spent": self.spent_snapshot().as_dict(),
+            "complete": complete,
+        }
         self._since_save = 0
+        try:
+            self._log.append(line)
+        except OSError as exc:
+            obs.degradation("ledger_append", error=str(exc))
+            return
+        self._buffer = []
+        self._complete = complete
         obs.checkpoint_write(complete=complete)
         self.publish_metrics()
 

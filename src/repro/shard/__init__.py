@@ -1,4 +1,4 @@
-"""Out-of-core shard runtime: crash-safe spill, ledger, and executor.
+"""Out-of-core shard runtime: crash-safe spill and executor.
 
 The shard runtime counts a graph in vertex shards whose CSR slices are
 spilled to mmap-backed ``.npy`` files under a spill directory, so the
@@ -13,10 +13,10 @@ Modules
 ``planner``   vertex-range shard planner generalizing the PR 5 chunk
               planner to a byte watermark
 ``spill``     per-shard CSR slice extraction and ``.npy`` spill files
-``ledger``    append-only crash-safe JSON-lines ledger keyed by the
-              shard-plan fingerprint; the resume mechanism
 ``executor``  the driver: spill → verify → count → fold, with bounded
-              seeded retries, quarantine, and the degradation ladder
+              seeded retries, quarantine, and the degradation ladder;
+              its progress log (:mod:`repro.runtime.progress`) under
+              the spill directory is the resume mechanism
 
 Public entry point: :func:`count_sharded` (re-exported here).
 """
@@ -28,7 +28,6 @@ __all__ = [
     "plan_shards",
     "Shard",
     "ShardPlan",
-    "ShardLedger",
 ]
 
 _LAZY = {
@@ -36,12 +35,11 @@ _LAZY = {
     "plan_shards": "repro.shard.planner",
     "Shard": "repro.shard.planner",
     "ShardPlan": "repro.shard.planner",
-    "ShardLedger": "repro.shard.ledger",
 }
 
 
 def __getattr__(name: str):
-    # Lazy exports (PEP 562): repro.runtime.checkpoint routes writes
+    # Lazy exports (PEP 562): repro.runtime.progress routes writes
     # through repro.shard.safeio, and the executor imports the runtime
     # package — eager imports here would close an import cycle.
     target = _LAZY.get(name)

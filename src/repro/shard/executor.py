@@ -6,7 +6,8 @@ as a sequence of independent vertex shards (see
 mmap-backed ``.npy`` files (:mod:`repro.shard.spill`), counted through
 the ordinary :class:`~repro.counting.sct.SCTEngine` (serially or via
 the PR 5 process pool), and its exact partial result is appended to the
-crash-safe ledger (:mod:`repro.shard.ledger`).  Per-root additivity of
+run's ledger, a progress log (:mod:`repro.runtime.progress`) under the
+spill directory.  Per-root additivity of
 the SCT recursion makes the fold exact: the sharded total is
 bit-identical to the in-memory engines, counters included.
 
@@ -30,8 +31,10 @@ Crash safety: a killed run (interrupt fault, budget abort, SIGKILL) is
 resumed with ``resume=True`` — the ledger is replayed (torn tail
 truncated), completed shards are folded from their recorded partial
 results, and only the remaining shards are recounted, landing on
-bit-identical output.  Budgets are metered per invocation: a resumed
-run charges only the shards it actually counts.
+bit-identical output.  Resuming without a ledger raises
+:class:`~repro.errors.CheckpointError`, as a controller does.  Budgets
+are metered per invocation: a resumed run charges only the shards it
+actually counts.
 
 The :class:`~repro.runtime.RunController` cooperates at **shard**
 granularity — ``tick`` (faults + deadline) at each shard boundary,
@@ -55,10 +58,9 @@ from repro.counting.counters import Counters
 from repro.graph.csr import CSRGraph
 from repro.ordering.base import Ordering
 from repro.ordering.directionalize import directionalize
-from repro.parallel.runtime import _retry_delay
-from repro.runtime.checkpoint import graph_fingerprint
+from repro.parallel.runtime import _pool_for, _retry_delay
 from repro.runtime.controller import RunController
-from repro.shard.ledger import LEDGER_NAME, ShardLedger
+from repro.runtime.progress import ProgressLog, graph_fingerprint
 from repro.shard.planner import ShardPlan, plan_shards
 from repro.shard.spill import load_shard_slice, write_shard_spill
 
@@ -67,6 +69,29 @@ __all__ = ["count_sharded"]
 # Test seam (mirrors repro.parallel.runtime._sleep): monkeypatch to
 # assert on retry delays without actually sleeping.
 _sleep = time.sleep
+
+#: The ledger's file name under the spill directory.
+LEDGER_NAME = "ledger.jsonl"
+
+
+def _ledger_state(lines: list[dict]) -> tuple[dict, dict, bool]:
+    """Fold replayed ledger lines into ``(spilled, done, complete)``:
+    shard index -> spill manifest (the latest ``spill`` line wins, so a
+    respill after quarantine supersedes the torn artifact's checksums),
+    shard index -> partial-count record, and whether a ``complete``
+    line was replayed."""
+    spilled: dict[int, dict] = {}
+    done: dict[int, dict] = {}
+    complete = False
+    for line in lines:
+        kind = line.get("type")
+        if kind == "spill":
+            spilled[int(line["shard"])] = line["manifest"]
+        elif kind == "done":
+            done[int(line["shard"])] = line["state"]
+        elif kind == "complete":
+            complete = True
+    return spilled, done, complete
 
 
 def _spill_files_present(spill_dir, shard) -> bool:
@@ -91,7 +116,8 @@ def _count_range(
 ) -> dict:
     """Count one shard's roots on ``graph``/``dag`` — its mmapped slice,
     or the resident graph on the fallback rung — and return the
-    JSON-ready partial-count record the ledger stores."""
+    JSON-ready partial-count record the ledger stores.  ``runtime`` is
+    the run's pool when ``processes > 1``."""
     from repro.counting.sct import RootBatchResult, SCTEngine
 
     lo, hi = shard.lo, shard.hi
@@ -154,18 +180,17 @@ def count_sharded(
         missing).  One directory serves one plan at a time.
     resume:
         Replay the ledger in ``spill_dir`` and recount only the shards
-        without a recorded partial result.
+        without a recorded partial result; a missing ledger raises
+        :class:`~repro.errors.CheckpointError`.
     controller:
         Optional :class:`~repro.runtime.RunController`, honored at
-        shard granularity.  In shard mode the ledger — not the JSON
-        checkpoint — is the resume mechanism, so a controller begun
-        here never loads a checkpoint.
+        shard granularity.  The ledger is the shard run's progress log;
+        a controller begun here opens none of its own.
     faults:
         A :class:`~repro.runtime.faults.FaultPlan`; its I/O fault specs
-        are injected through the safeio layer under every spill,
-        ledger, and (via the controller) checkpoint write, and its
-        interrupt/clock faults fire at shard boundaries.  Defaults to
-        ``controller.faults``.
+        are injected through the safeio layer under every spill and
+        ledger write, and its interrupt/clock faults fire at shard
+        boundaries.  Defaults to ``controller.faults``.
     degrade:
         Allow the shard rung of the degradation ladder: a shard whose
         retries are exhausted is recounted exactly from the resident
@@ -173,8 +198,8 @@ def count_sharded(
         ``controller.degrade`` also enables it.
     processes:
         ``None``/``1`` counts each shard's slice serially in-process;
-        ``>= 2`` routes each shard through the process pool
-        (``runtime`` is reused across shards when given).
+        ``>= 2`` routes each shard through the process pool: ``runtime``
+        when given, else one pool the run owns and closes on exit.
     max_retries:
         Bounded respill-and-recount retries per failed shard before the
         degradation ladder engages.
@@ -224,27 +249,27 @@ def count_sharded(
     allow_degrade = degrade or (ctl is not None and ctl.degrade)
 
     os.makedirs(spill_dir, exist_ok=True)
-    ledger = ShardLedger.open(
-        os.path.join(os.fspath(spill_dir), LEDGER_NAME),
-        descriptor,
-        resume=resume,
-        faults=faults,
-    )
+    path = os.path.join(os.fspath(spill_dir), LEDGER_NAME)
+    if resume:
+        ledger, lines = ProgressLog.replay(path, descriptor, faults=faults)
+    else:
+        ledger, lines = ProgressLog.create(path, descriptor, faults=faults), []
+    spilled, done, complete = _ledger_state(lines)
 
     if ctl is not None and not ctl.started:
-        # The ledger, not the JSON checkpoint, resumes shard runs.
-        ctl.resume = False
         ctl.begin(descriptor)
 
-    def ledger_append(method, *args) -> None:
+    def ledger_append(line: dict) -> bool:
         """Best-effort durability: a failed ledger append (e.g. an
-        injected ENOSPC) loses only the record — the partial result is
+        injected ENOSPC) loses only the line — the partial result is
         already exact in memory, and a later resume simply recounts the
         unrecorded shard."""
         try:
-            method(*args)
+            ledger.append(line)
         except OSError as exc:
             obs.degradation("ledger_append", error=str(exc))
+            return False
+        return True
 
     acc = PartialCounts(graph.num_vertices, k)
     reg = obs.get_registry()
@@ -262,14 +287,16 @@ def count_sharded(
                 if delay > 0.0:
                     _sleep(delay)
             try:
-                manifest = ledger.spilled.get(shard.index)
+                manifest = spilled.get(shard.index)
                 if manifest is None or not _spill_files_present(
                     spill_dir, shard
                 ):
                     manifest = write_shard_spill(
                         spill_dir, shard, graph, dag, faults=faults
                     )
-                    ledger_append(ledger.record_spill, shard.index, manifest)
+                    if ledger_append({"type": "spill", "shard": shard.index,
+                                      "manifest": manifest}):
+                        spilled[shard.index] = manifest
                     if reg.enabled:
                         reg.counter("shard_spilled_bytes").inc(
                             sum(m["bytes"] for m in manifest.values())
@@ -281,14 +308,14 @@ def count_sharded(
                     sg, sdag, shard, k=k, max_k=max_k,
                     structure=structure, processes=processes,
                     chunks_per_process=chunks_per_process,
-                    runtime=runtime,
+                    runtime=pool,
                 )
             except IOIntegrityError as exc:
                 last_error = exc
                 # The torn artifact was quarantined by the loader;
                 # dropping the manifest forces a fresh spill whose
-                # ledger record supersedes the corrupt one.
-                ledger.spilled.pop(shard.index, None)
+                # ledger line supersedes the corrupt one.
+                spilled.pop(shard.index, None)
                 if reg.enabled:
                     reg.counter("shard_quarantined").inc()
             except OSError as exc:
@@ -313,19 +340,23 @@ def count_sharded(
         degraded = "shard" if state.get("degraded") else None
         acc.fold(slice(shard.lo, shard.hi), state, degraded)
 
-    pending = [s for s in plan.shards if s.index not in ledger.done]
+    pending = [s for s in plan.shards if s.index not in done]
+    # One pool for the whole run, not one per shard.
+    pooled = processes is not None and processes > 1
     try:
         with obs.span(
             "shard.count" if k is not None else "shard.count_all",
             engine="sct-shard", shards=plan.num_shards,
             structure=structure, kernel=kernel_name,
         ), obs.phase("counting"), (
+            _pool_for(runtime, processes) if pooled else nullcontext()
+        ) as pool, (
             ctl.guard() if ctl is not None else nullcontext()
         ):
             # Fold already-recorded shards first (resume path) — in
             # shard index order, so the fold order matches a fresh run.
             for shard in plan.shards:
-                state = ledger.done.get(shard.index)
+                state = done.get(shard.index)
                 if state is not None:
                     fold(shard, state)
             for shard in pending:
@@ -338,12 +369,13 @@ def count_sharded(
                     ctr = Counters.from_dict(state["counters"])
                     ctl.charge_nodes(ctr.function_calls)
                     ctl.note_memory(ctr.peak_subgraph_bytes)
-                ledger_append(ledger.record_done, shard.index, state)
+                ledger_append({"type": "done", "shard": shard.index,
+                               "state": state})
                 fold(shard, state)
                 if ctl is not None:
                     ctl.complete_roots(shard.num_roots)
-            if not ledger.complete:
-                ledger_append(ledger.record_complete)
+            if not complete:
+                ledger_append({"type": "complete"})
     except BudgetExceededError as exc:
         exc.partial = acc
         raise

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import CountingError
-from repro.runtime.checkpoint import graph_fingerprint
+from repro.runtime.progress import graph_fingerprint
 
 __all__ = ["Shard", "ShardPlan", "plan_shards", "estimate_root_bytes"]
 

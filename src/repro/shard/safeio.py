@@ -1,8 +1,7 @@
 """Crash-safe file I/O: atomic writes, checksums, fault injection.
 
-Every artifact the shard runtime persists — spill files, ledger lines,
-and (via :mod:`repro.runtime.checkpoint`) JSON checkpoints — goes
-through this module, which provides exactly three guarantees:
+Every artifact the runtime persists — spill files and progress log
+lines (:mod:`repro.runtime.progress`) — goes through this module, which provides exactly three guarantees:
 
 * **atomicity** — :func:`atomic_write_bytes` writes a sibling temp
   file, flushes and ``fsync``\\ s it, then ``os.replace``\\ s into place
@@ -61,7 +60,7 @@ _CHUNK = 1 << 20
 
 def checksum_bytes(data: bytes) -> str:
     """sha256 content checksum, truncated to 16 hex chars (the same
-    width as :func:`repro.runtime.checkpoint.graph_fingerprint`)."""
+    width as :func:`repro.runtime.progress.graph_fingerprint`)."""
     return hashlib.sha256(data).hexdigest()[:16]
 
 
@@ -138,12 +137,13 @@ def atomic_write_text(
 def append_text(
     path: str | os.PathLike[str], text: str, *, faults=None, fsync: bool = True
 ) -> None:
-    """Append ``text`` (one ledger line) with fsync; fault-injectable.
+    """Append ``text`` (one progress log line) with fsync;
+    fault-injectable.
 
     Appends are not atomic — a crash (or an injected partial write) can
-    leave a torn trailing line, which is why every ledger line carries
-    its own checksum and the loader truncates the file back to the last
-    valid line (see :mod:`repro.shard.ledger`).
+    leave a torn trailing line, which is why every log line carries its
+    own checksum and replay truncates the file back to the last valid
+    line (see :mod:`repro.runtime.progress`).
     """
     path = os.fspath(path)
     spec = faults.take_io_fault("write") if faults is not None else None

@@ -1,12 +1,14 @@
-"""Checkpoint/resume: a resumed all-k run is bit-identical to an
-uninterrupted one, on both test backends (``tests/backends.py``) and
-across multi-interrupt chains."""
+"""Checkpoint/resume through the progress log: a resumed all-k run is
+bit-identical to an uninterrupted one, on both test backends
+(``tests/backends.py``) and across multi-interrupt chains, and the log
+file refuses what it cannot trust."""
 
 import json
 
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.counting.sct import SCTEngine
 from repro.errors import CheckpointError, RunInterrupted
 from repro.graph.generators import erdos_renyi
@@ -14,13 +16,14 @@ from repro.ordering import core_ordering
 from repro.runtime import (
     FaultPlan,
     FaultSpec,
+    ProgressLog,
     RunController,
     graph_fingerprint,
-    load_checkpoint,
-    save_checkpoint,
+    progress,
 )
 from repro.runtime.budget import BudgetSpent
 from tests.backends import KERNEL_NAMES, backend
+from tests.logs import read_log
 
 
 @pytest.fixture
@@ -42,38 +45,59 @@ def _assert_identical(a, b):
 
 
 # ------------------------------------------------------- file round-trip
+def _restamp_header(path, **changes):
+    """Rewrite the log's header with ``changes`` and a valid checksum,
+    as a file written by another run would carry."""
+    lines = path.read_text().splitlines(keepends=True)
+    header = json.loads(lines[0])
+    del header["checksum"]
+    for key, value in changes.items():
+        if key == "descriptor":
+            header["descriptor"] = dict(header["descriptor"], **value)
+        else:
+            header[key] = value
+    path.write_text(progress._stamped(header) + "".join(lines[1:]))
+
+
+def _header(path):
+    return json.loads(path.read_text().splitlines()[0])
+
+
 def test_checkpoint_roundtrip(tmp_path):
-    path = tmp_path / "ck.json"
+    path = tmp_path / "ck.log"
     desc = {"engine": "sct", "k": 5}
     spent = BudgetSpent(nodes=10, seconds=1.0, peak_memory_bytes=3, roots_done=2)
-    save_checkpoint(path, desc, spent, {"next_root": 2, "total": 7})
-    payload = load_checkpoint(path, desc)
-    assert payload["state"]["total"] == 7
-    assert payload["spent"] == spent
-    assert not payload["complete"]
+    log = ProgressLog.create(path, desc)
+    log.append({"records": [[0, [1, 2.5]]], "spent": spent.as_dict(),
+                "complete": False})
+    log.append({"records": [[1, [3, 0.1]]], "spent": spent.as_dict(),
+                "complete": True})
+    _, lines = ProgressLog.replay(path, desc)
+    assert [line["records"] for line in lines] == [[[0, [1, 2.5]]],
+                                                   [[1, [3, 0.1]]]]
+    assert BudgetSpent.from_dict(lines[-1]["spent"]) == spent
+    assert lines[-1]["complete"] and not lines[0]["complete"]
 
 
 def test_checkpoint_descriptor_mismatch(tmp_path):
-    path = tmp_path / "ck.json"
-    save_checkpoint(path, {"engine": "sct", "k": 5}, BudgetSpent(), {})
+    path = tmp_path / "ck.log"
+    ProgressLog.create(path, {"engine": "sct", "k": 5})
     with pytest.raises(CheckpointError, match="k"):
-        load_checkpoint(path, {"engine": "sct", "k": 6})
+        ProgressLog.replay(path, {"engine": "sct", "k": 6})
 
 
 def test_checkpoint_bad_version(tmp_path):
-    path = tmp_path / "ck.json"
-    save_checkpoint(path, {}, BudgetSpent(), {})
-    payload = json.loads(path.read_text())
-    payload["version"] = 999
-    path.write_text(json.dumps(payload))
-    with pytest.raises(CheckpointError, match="version"):
-        load_checkpoint(path)
+    path = tmp_path / "ck.log"
+    ProgressLog.create(path, {})
+    _restamp_header(path, version=999)
+    with pytest.raises(CheckpointError, match="version 999"):
+        ProgressLog.replay(path, {})
 
 
 def test_checkpoint_atomic_no_tmp_left(tmp_path):
-    path = tmp_path / "ck.json"
-    save_checkpoint(path, {}, BudgetSpent(), {"x": 1})
-    leftovers = [p for p in tmp_path.iterdir() if p.name != "ck.json"]
+    path = tmp_path / "ck.log"
+    ProgressLog.create(path, {}).append({"x": 1})
+    leftovers = [p for p in tmp_path.iterdir() if p.name != "ck.log"]
     assert leftovers == []
 
 
@@ -119,8 +143,8 @@ def test_allk_resume_bit_identical(tmp_path, g, kernel, at_op):
         resumed_ctl = RunController(checkpoint_path=path, resume=True)
         r = _engine(g).count_all(controller=resumed_ctl)
     _assert_identical(r, base)
-    # The final checkpoint is marked complete.
-    assert load_checkpoint(path)["complete"]
+    # The final line is marked complete.
+    assert read_log(path)[2]
     # Work accounting spans both attempts without double counting.
     total_roots = ctl.spent.roots_done + (
         resumed_ctl.spent.roots_done - ctl.spent.roots_done
@@ -187,7 +211,7 @@ def test_resume_across_kernel_backends(tmp_path, g):
     )
     with backend("wordarray"), pytest.raises(RunInterrupted):
         _engine(g).count_all(controller=ctl)
-    assert load_checkpoint(path)["descriptor"]["kernel"] == "bigint"
+    assert _header(path)["descriptor"]["kernel"] == "bigint"
     r = _engine(g).count_all(
         controller=RunController(checkpoint_path=path, resume=True)
     )
@@ -204,10 +228,8 @@ def test_resume_refuses_another_kernel(tmp_path, g):
     )
     with pytest.raises(RunInterrupted):
         _engine(g).count_all(controller=ctl)
-    ck = load_checkpoint(path)
-    assert ck["descriptor"]["kernel"] == "bigint"
-    ck["descriptor"]["kernel"] = "avx512"
-    save_checkpoint(path, ck["descriptor"], ck["spent"], ck["state"])
+    assert _header(path)["descriptor"]["kernel"] == "bigint"
+    _restamp_header(path, descriptor={"kernel": "avx512"})
     with pytest.raises(CheckpointError, match="kernel"):
         _engine(g).count_all(
             controller=RunController(checkpoint_path=path, resume=True)
@@ -215,16 +237,16 @@ def test_resume_refuses_another_kernel(tmp_path, g):
 
 
 def test_descriptors_name_the_bigint_kernel(tmp_path, g):
-    """Checkpoints, forests and shard ledgers record ``"kernel":
+    """Progress logs, forests and shard ledgers record ``"kernel":
     "bigint"``, as files written while a second backend existed do, so
-    those files keep loading and resuming."""
+    such forests keep loading."""
     from repro.counting.forest import SCTForest, load_forest
     from repro.shard import count_sharded
-    from repro.shard.ledger import LEDGER_NAME
+    from repro.shard.executor import LEDGER_NAME
 
     path = tmp_path / "ck.json"
     _engine(g).count_all(controller=RunController(checkpoint_path=path))
-    assert load_checkpoint(path)["descriptor"]["kernel"] == "bigint"
+    assert _header(path)["descriptor"]["kernel"] == "bigint"
 
     forest = SCTForest.build(g, core_ordering(g))
     assert forest.descriptor["kernel"] == "bigint"
@@ -240,27 +262,35 @@ def test_descriptors_name_the_bigint_kernel(tmp_path, g):
 
 
 def test_periodic_autosave(tmp_path, g):
-    """Without faults, the checkpoint is refreshed every
-    checkpoint_every roots and finalized on success."""
+    """Without faults, the log gains one line every checkpoint_every
+    roots and a final complete one, and holds every root once, in
+    order."""
     path = tmp_path / "ck.json"
     ctl = RunController(checkpoint_path=path, checkpoint_every=8)
     _engine(g).count_all(controller=ctl)
-    payload = load_checkpoint(path)
-    assert payload["complete"]
-    assert payload["state"]["next_root"] == g.num_vertices
+    records, spent, complete = read_log(path)
+    assert complete
+    assert [v for v, _ in records] == list(range(g.num_vertices))
+    assert spent.roots_done == g.num_vertices
+    lines = path.read_text().splitlines()
+    assert len(lines) == 1 + g.num_vertices // 8 + 1  # header, autosaves, final
 
 
 def test_resume_from_complete_checkpoint_is_noop(tmp_path, g):
-    """Resuming a finished run does no further root work."""
+    """Resuming a finished run visits no root and appends nothing."""
     path = tmp_path / "ck.json"
     _engine(g).count_all(
         controller=RunController(checkpoint_path=path)
     )
+    before = path.read_bytes()
     base = _engine(g).count_all()
     ctl = RunController(checkpoint_path=path, resume=True)
-    r = _engine(g).count_all(controller=ctl)
+    with obs.collecting() as reg:
+        r = _engine(g).count_all(controller=ctl)
+        assert reg.total("engine_roots_total") == 0
     _assert_identical(r, base)
     assert ctl.spent.nodes == base.counters.function_calls
+    assert path.read_bytes() == before
 
 
 # ------------------------------------------------- content checksums
@@ -269,23 +299,23 @@ def test_checkpoint_carries_verified_checksum(tmp_path, g):
     _engine(g).count_all(
         controller=RunController(checkpoint_path=path)
     )
-    payload = json.loads(path.read_text())
-    assert "checksum" in payload
-    load_checkpoint(path)  # verifies cleanly
+    lines = [json.loads(line) for line in path.read_text().splitlines()]
+    assert all("checksum" in line for line in lines)
+    _, replayed = ProgressLog.replay(path, {})  # verifies cleanly
+    assert len(replayed) == len(lines) - 1
 
 
 def test_tampered_checkpoint_refused(tmp_path, g):
-    """Any post-write bit flip — here a partial-sum tamper — fails the
-    checksum before the descriptor is even looked at."""
+    """A bit flip in the header — here the pinned k — fails its
+    checksum, and the log is refused before any descriptor check."""
     path = tmp_path / "ck.json"
-    _engine(g).count_all(
-        controller=RunController(checkpoint_path=path)
-    )
-    payload = json.loads(path.read_text())
-    payload["state"]["total"] = 12345
-    path.write_text(json.dumps(payload))
-    with pytest.raises(CheckpointError, match="checksum mismatch"):
-        load_checkpoint(path)
+    _engine(g).count(4, controller=RunController(checkpoint_path=path))
+    raw = path.read_bytes()
+    path.write_bytes(raw.replace(b'"k": 4', b'"k": 5', 1))
+    with pytest.raises(CheckpointError, match="header"):
+        _engine(g).count(
+            5, controller=RunController(checkpoint_path=path, resume=True)
+        )
 
 
 def test_truncated_checkpoint_refused(tmp_path, g):
@@ -293,43 +323,56 @@ def test_truncated_checkpoint_refused(tmp_path, g):
     _engine(g).count_all(
         controller=RunController(checkpoint_path=path)
     )
-    raw = path.read_bytes()
-    path.write_bytes(raw[: len(raw) // 2])
-    with pytest.raises(CheckpointError, match="corrupt checkpoint"):
-        load_checkpoint(path)
+    header = path.read_bytes().split(b"\n")[0]
+    path.write_bytes(header[: len(header) // 2])
+    with pytest.raises(CheckpointError, match="header"):
+        ProgressLog.replay(path, {})
 
 
-def test_pre_checksum_checkpoint_still_loads(tmp_path, g):
-    """Checkpoints written before the checksum existed lack the key —
-    they must keep loading (forward compatibility)."""
+def test_json_checkpoint_from_older_release_refused(tmp_path, g):
+    """Whole-state JSON checkpoints and version-1 shard ledgers from
+    older releases are refused by name, not migrated, and left as they
+    are."""
     path = tmp_path / "ck.json"
-    _engine(g).count_all(
-        controller=RunController(checkpoint_path=path)
-    )
-    payload = json.loads(path.read_text())
-    del payload["checksum"]
-    path.write_text(json.dumps(payload))
-    loaded = load_checkpoint(path)
-    assert loaded["complete"]
+    old = {"version": 1, "complete": False, "descriptor": {"engine": "sct"},
+           "spent": {}, "state": {"next_root": 3}, "checksum": "0" * 16}
+    path.write_text(json.dumps(old))
+    with pytest.raises(CheckpointError, match="whole-state JSON checkpoint"):
+        _engine(g).count_all(
+            controller=RunController(checkpoint_path=path, resume=True)
+        )
+    assert json.loads(path.read_text()) == old
+    ledger = tmp_path / "ledger.jsonl"
+    ProgressLog.create(ledger, {"engine": "sct-shard"})
+    _restamp_header(ledger, version=1)
+    with pytest.raises(CheckpointError, match="version 1"):
+        ProgressLog.replay(ledger, {"engine": "sct-shard"})
 
 
 def test_injected_enospc_on_save_is_checkpoint_error(tmp_path, g):
-    from repro.runtime.budget import BudgetSpent as _Spent
-
+    """A log whose header cannot be written is an error (write op 1);
+    a later line that fails is absorbed (see tests/test_progress.py)."""
     faults = FaultPlan(FaultSpec("io_enospc", at_op=1))
-    with pytest.raises(CheckpointError, match="cannot write"):
-        save_checkpoint(
-            tmp_path / "ck.json", {"engine": "sct"}, BudgetSpent(),
-            {"next_root": 0}, faults=faults,
-        )
+    with pytest.raises(CheckpointError, match="cannot create"):
+        _engine(g).count_all(controller=RunController(
+            checkpoint_path=tmp_path / "ck.json", faults=faults,
+        ))
 
 
 def test_injected_torn_checkpoint_write_detected_on_load(tmp_path, g):
-    faults = FaultPlan(FaultSpec("io_partial_write", at_op=1))
+    """A torn line (write op 2, the first autosave) is detected on
+    replay: the log is cut back to the header, and the resume recounts
+    every root to the uninterrupted result."""
     path = tmp_path / "ck.json"
-    save_checkpoint(
-        path, {"engine": "sct"}, BudgetSpent(), {"next_root": 3},
-        faults=faults,
+    faults = FaultPlan(FaultSpec("io_partial_write", at_op=2),
+                       FaultSpec("interrupt", at_op=30))
+    with pytest.raises(RunInterrupted):
+        _engine(g).count_all(controller=RunController(
+            checkpoint_path=path, faults=faults, checkpoint_every=8,
+        ))
+    assert read_log(path)[0] == []
+    assert len(path.read_text().splitlines()) == 1
+    r = _engine(g).count_all(
+        controller=RunController(checkpoint_path=path, resume=True)
     )
-    with pytest.raises(CheckpointError, match="corrupt checkpoint"):
-        load_checkpoint(path)
+    _assert_identical(r, _engine(g).count_all())

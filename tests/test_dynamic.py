@@ -68,7 +68,7 @@ from repro.ordering.directionalize import directionalize
 from repro.parallel.runtime import parallel_build_forest
 from repro.runtime import FaultPlan, FaultSpec, RunController
 from repro.runtime.budget import Budget
-from repro.runtime.checkpoint import graph_fingerprint
+from repro.runtime.progress import graph_fingerprint
 
 from tests.backends import KERNEL_NAMES, backend
 from tests.corpus import (

@@ -13,6 +13,7 @@ import pytest
 from repro.cli import main as cli_main
 from repro.core import PivotScaleConfig, count_cliques
 from repro.core.hybrid import count_cliques_hybrid
+from repro.counting.counters import Counters
 from repro.counting.forest import SCTForest
 from repro.counting.sct import SCTEngine
 from repro.errors import (
@@ -37,8 +38,8 @@ from repro.runtime import (
     FaultSpec,
     ManualClock,
     RunController,
-    load_checkpoint,
 )
+from tests.logs import read_log
 
 
 #: The program's own scan and descent, captured before any test
@@ -214,22 +215,23 @@ def test_allocation_failure_in_recursion_resumes_bit_identical(
     with _FailingPivot(fail_at=counter.calls // 2).installed(), \
             pytest.raises(MemoryBudgetExceededError, match="at root") as ei:
         go(ctl)
-    # The checkpoint holds exactly the whole roots before the faulting
-    # one, as the unfaulted run counted them.
+    # The log holds exactly the whole roots before the faulting one, as
+    # the unfaulted run counted them.
     v = int(str(ei.value).rsplit(" ", 1)[1])
-    state = load_checkpoint(path)["state"]
+    records, spent, _ = read_log(path)
+    done = [r for r, _ in records]
+    assert 0 < len(done) == spent.roots_done == ctl.spent.roots_done
     if run == "apply_edits":
-        done = state["roots"]
-        assert 0 < len(done) == state["next_index"] == ctl.spent.roots_done
         assert done == sorted(done) and done[-1] < v
-        assert state["recursion"] == base.per_root_recursion[done].tolist()
-        assert [len(leaves) for leaves in state["leaves"]] == [
+        assert [
+            Counters.from_dict(rec[2]).recursion_work for _, rec in records
+        ] == base.per_root_recursion[done].tolist()
+        assert [len(rec[3]) for _, rec in records] == [
             np.count_nonzero(base.roots == r) for r in done]
     else:
-        assert 0 < v < g.num_vertices
-        assert state["next_root"] == v == ctl.spent.roots_done
-        assert state["per_root_work"] == base.per_root_work[:v].tolist()
-        assert state["per_root_memory"] == base.per_root_memory[:v].tolist()
+        assert done == list(range(v))
+        assert [rec[1] for _, rec in records] == (
+            base.per_root_memory[:v].tolist())
     resumed = go(RunController(checkpoint_path=path, resume=True))
     _same_run(resumed, base)
 

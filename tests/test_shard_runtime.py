@@ -31,9 +31,9 @@ from repro.errors import (
 from repro.graph.generators import erdos_renyi, rmat
 from repro.ordering import core_ordering
 from repro.ordering.directionalize import directionalize
-from repro.runtime import FaultPlan, FaultSpec, RunController
-from repro.shard import ShardLedger, count_sharded, plan_shards
-from repro.shard.ledger import LEDGER_NAME
+from repro.runtime import FaultPlan, FaultSpec, ProgressLog, RunController
+from repro.shard import count_sharded, plan_shards
+from repro.shard.executor import LEDGER_NAME, _ledger_state
 
 from .backends import KERNEL_NAMES, backend
 from .corpus import GRAPHS, IDS, ordering, truth
@@ -339,7 +339,7 @@ def test_torn_ledger_append_is_durability_only(tmp_path, g, dag):
 
 def test_ledger_creation_failure_is_typed(tmp_path, g, dag):
     faults = FaultPlan(FaultSpec("io_enospc", at_op=1))
-    with pytest.raises(CheckpointError, match="cannot create shard ledger"):
+    with pytest.raises(CheckpointError, match="cannot create progress log"):
         count_sharded(
             g, dag, k=4, shard_mb=TINY_MB, spill_dir=tmp_path / "s",
             faults=faults,
@@ -390,52 +390,111 @@ def test_ledger_refuses_descriptor_mismatch(tmp_path, g, dag):
         )
 
 
+def _done(shard: int, count: int) -> dict:
+    return {"type": "done", "shard": shard, "state": {"count": count}}
+
+
 def test_ledger_truncates_torn_tail(tmp_path):
     path = tmp_path / LEDGER_NAME
     descriptor = {"engine": "sct-shard", "k": 4}
-    led = ShardLedger.open(path, descriptor)
-    led.record_done(0, {"count": 7})
-    led.record_done(1, {"count": 9})
+    led = ProgressLog.create(path, descriptor)
+    led.append(_done(0, 7))
+    led.append(_done(1, 9))
     intact = path.read_bytes()
     # Simulate a kill mid-append: half a record at the tail.
     path.write_bytes(intact + b'{"type": "done", "shard": 2, "st')
-    replayed = ShardLedger.open(path, descriptor, resume=True)
-    assert set(replayed.done) == {0, 1}
+    replayed, lines = ProgressLog.replay(path, descriptor)
+    assert set(_ledger_state(lines)[1]) == {0, 1}
     assert path.read_bytes() == intact  # tail truncated on replay
     # And the next append starts on a clean line boundary.
-    replayed.record_done(2, {"count": 11})
-    third = ShardLedger.open(path, descriptor, resume=True)
-    assert set(third.done) == {0, 1, 2}
+    replayed.append(_done(2, 11))
+    _, lines = ProgressLog.replay(path, descriptor)
+    assert set(_ledger_state(lines)[1]) == {0, 1, 2}
 
 
 def test_ledger_rejects_tampered_line(tmp_path):
     path = tmp_path / LEDGER_NAME
     descriptor = {"engine": "sct-shard"}
-    led = ShardLedger.open(path, descriptor)
-    led.record_done(0, {"count": 7})
-    led.record_done(1, {"count": 9})
+    led = ProgressLog.create(path, descriptor)
+    led.append(_done(0, 7))
+    led.append(_done(1, 9))
     lines = path.read_bytes().splitlines(keepends=True)
     lines[1] = lines[1].replace(b'"count": 7', b'"count": 8')
     path.write_bytes(b"".join(lines))
-    replayed = ShardLedger.open(path, descriptor, resume=True)
+    _, replayed = ProgressLog.replay(path, descriptor)
     # Replay stops at the tampered line; everything after is discarded.
-    assert replayed.done == {}
+    assert replayed == []
+    assert path.read_bytes() == lines[0]
 
 
 def test_ledger_missing_header_refused(tmp_path):
     path = tmp_path / LEDGER_NAME
     path.write_text('{"type": "done", "shard": 0}\n')
     with pytest.raises(CheckpointError, match="header"):
-        ShardLedger.open(path, {"engine": "sct-shard"}, resume=True)
+        ProgressLog.replay(path, {"engine": "sct-shard"})
 
 
 def test_latest_spill_record_wins(tmp_path):
     path = tmp_path / LEDGER_NAME
-    led = ShardLedger.open(path, {"engine": "sct-shard"})
-    led.record_spill(0, {"graph_indptr": {"checksum": "aaaa", "bytes": 1}})
-    led.record_spill(0, {"graph_indptr": {"checksum": "bbbb", "bytes": 2}})
-    replayed = ShardLedger.open(path, {"engine": "sct-shard"}, resume=True)
-    assert replayed.spilled[0]["graph_indptr"]["checksum"] == "bbbb"
+    led = ProgressLog.create(path, {"engine": "sct-shard"})
+    for digest in ("aaaa", "bbbb"):
+        led.append({"type": "spill", "shard": 0, "manifest": {
+            "graph_indptr": {"checksum": digest, "bytes": 1}}})
+    _, lines = ProgressLog.replay(path, {"engine": "sct-shard"})
+    spilled = _ledger_state(lines)[0]
+    assert spilled[0]["graph_indptr"]["checksum"] == "bbbb"
+
+
+def test_resume_without_ledger_refused(tmp_path, g, dag):
+    """A missing ledger under resume is refused, as a controller
+    refuses a missing progress log; nothing is counted."""
+    with pytest.raises(CheckpointError, match="cannot read progress log"):
+        count_sharded(g, dag, k=4, shard_mb=TINY_MB,
+                      spill_dir=tmp_path / "s", resume=True)
+
+
+def test_one_pool_per_sharded_run(tmp_path, g, dag, monkeypatch):
+    """With ``processes > 1`` and no runtime, a sharded run starts one
+    pool for all its shards, closes it, and records what a serial
+    sharded run records."""
+    from repro.parallel import runtime as par
+
+    made = []
+    real_init = par.ParallelRuntime.__init__
+
+    def counting_init(self, *args, **kwargs):
+        made.append(self)
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(par.ParallelRuntime, "__init__", counting_init)
+    plan = plan_shards(g, dag, shard_bytes=int(TINY_MB * (1 << 20)))
+    assert plan.num_shards >= 4
+    ref = count_sharded(g, dag, k=4, shard_mb=TINY_MB,
+                        spill_dir=tmp_path / "serial")
+    assert made == []
+    res = count_sharded(g, dag, k=4, shard_mb=TINY_MB,
+                        spill_dir=tmp_path / "pool", processes=2)
+    assert len(made) == 1 and made[0]._pool is None  # closed on exit
+    _assert_matches_serial(res, SCTEngine(g, dag, "remap").count(4))
+    assert res.count == ref.count
+    assert np.array_equal(res.per_root_work, ref.per_root_work)
+
+    def done_records(spill):
+        _, lines = ProgressLog.replay(spill / LEDGER_NAME, {})
+        return {i: (s["count"], s["per_root_work"])
+                for i, s in _ledger_state(lines)[1].items()}
+
+    assert done_records(tmp_path / "pool") == done_records(
+        tmp_path / "serial")
+    # An abort closes the owned pool too.
+    made.clear()
+    with pytest.raises(RunInterrupted):
+        count_sharded(
+            g, dag, k=4, shard_mb=TINY_MB, spill_dir=tmp_path / "abort",
+            processes=2, controller=RunController(
+                faults=FaultPlan(FaultSpec("interrupt", at_op=3))),
+        )
+    assert len(made) == 1 and made[0]._pool is None
 
 
 # ----------------------------------------------------- config + pipeline
@@ -456,6 +515,10 @@ def test_config_validates_shard_knobs(tmp_path):
     # ...but still refused without either mechanism.
     with pytest.raises(CountingError, match="resume"):
         PivotScaleConfig(resume=True)
+    # A checkpoint path would be silently unused: the ledger is the log.
+    with pytest.raises(CountingError, match="checkpoint_path"):
+        PivotScaleConfig(shard_mb=1.0, spill_dir=str(tmp_path),
+                         checkpoint_path=str(tmp_path / "ck"))
 
 
 def test_pipeline_sharded_matches_in_memory(tmp_path, g):
